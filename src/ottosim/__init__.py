@@ -15,9 +15,9 @@ from .channels import (KrausChannel, TransferMatrix, apply_channel,
 from .core import (BathSpec, DensityMatrix, HermitianOperator,
                    boltzmann_populations, energy_expectation, gibbs_state,
                    hermitian_eigensystem, is_passive, populations_in_basis)
-from .cycle import (ClosedForm, CycleConfig, CycleRecord, Measurement,
-                    TwoBath, closed_form_two_bath_qutrit,
-                    efficiency_ratio_identity, run_cycle,
+from .cycle import (ClosedForm, CycleBatch, CycleConfig, CycleRecord,
+                    Measurement, TwoBath, closed_form_two_bath_qutrit,
+                    efficiency_ratio_identity, run_cycle, run_cycle_batch,
                     uniform_ratio_efficiency_check)
 from .errors import (DimensionMismatch, DimensionTooLarge, InvalidField,
                      LengthMismatch, MeasurementCoolsWarning, NonUnitVector,
@@ -38,7 +38,7 @@ from .tolerances import TOL, Tolerances
 __version__ = "0.1.0"
 
 __all__ = [
-    "BathSpec", "ClosedForm", "CycleConfig", "CycleRecord", "DensityMatrix",
+    "BathSpec", "ClosedForm", "CycleBatch", "CycleConfig", "CycleRecord", "DensityMatrix",
     "DimensionMismatch", "DimensionTooLarge", "EXTREME_ANGLES",
     "HermitianOperator", "InvalidField", "KrausChannel", "LabelledSpectrum",
     "LengthMismatch", "Level", "Measurement", "MeasurementCoolsWarning",
@@ -54,7 +54,8 @@ __all__ = [
     "is_unital", "kraus_channel", "labelled_basis", "labelled_spectrum",
     "local_spin_channel", "populations_in_basis", "projective_channel",
     "random_unital_channel", "rearrangement_oracle", "run_cycle",
-    "su3_projective_channel", "su3_states", "sweep_qutrit_contour",
+    "run_cycle_batch", "su3_projective_channel", "su3_states",
+    "sweep_qutrit_contour",
     "sweep_qutrit_extreme", "sweep_qutrit_measurement",
     "sweep_qutrit_two_bath", "sweep_xxz", "theorem1_suite",
     "transfer_matrix", "uniform_ratio_efficiency_check", "write_csv",

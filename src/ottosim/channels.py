@@ -82,6 +82,17 @@ class TransferMatrix:
     dim: int
 
 
+def _transfer_entries(ch: KrausChannel, basis: np.ndarray) -> np.ndarray:
+    """T[m, n] = sum_a |<v_m|M_a|v_n>|^2 over the columns v of basis.
+
+    All amplitudes come from one einsum over the stacked Kraus operators,
+    then |.|^2 is summed over the Kraus index.
+    """
+    amp = np.einsum("im,aij,jn->amn", basis.conj(), np.asarray(ch.operators),
+                    basis)
+    return (np.abs(amp) ** 2).sum(axis=0)
+
+
 def transfer_matrix(ch: KrausChannel, h: HermitianOperator) -> TransferMatrix:
     """Energy-population transfer matrix T_mn = sum_a |<v_m|M_a|v_n>|^2.
 
@@ -90,11 +101,7 @@ def transfer_matrix(ch: KrausChannel, h: HermitianOperator) -> TransferMatrix:
     """
     if ch.dim != h.dim:
         raise DimensionMismatch(f"channel dim {ch.dim} vs operator dim {h.dim}")
-    v = h.eigenvectors
-    t = np.zeros((ch.dim, ch.dim))
-    for m in ch.operators:
-        amp = v.conj().T @ m @ v
-        t += np.abs(amp) ** 2
+    t = _transfer_entries(ch, h.eigenvectors)
     if np.max(np.abs(t.sum(axis=0) - 1.0)) > TOL.channel:
         raise OttoSimError("transfer matrix is not column-stochastic")
     if ch.unital and np.max(np.abs(t.sum(axis=1) - 1.0)) > TOL.channel:

@@ -118,11 +118,28 @@ class BathSpec:
             raise InvalidField(f"beta must be finite and positive, got {self.beta}")
 
 
+def row_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, left to right from 0.0.
+
+    This is the association Python's sum() uses on a list of floats
+    (CPython 3.11). Every row is added on its own in a fixed order, so a
+    row's sum has the same bits whatever else the array holds.
+    """
+    total = np.zeros(x.shape[:-1])
+    for k in range(x.shape[-1]):
+        total = total + x[..., k]
+    return total
+
+
 def boltzmann_populations(energies, beta: float) -> np.ndarray:
-    """Gibbs weights e^(-beta E_n)/Z with the ground energy subtracted first."""
+    """Gibbs weights e^(-beta E_n)/Z with the ground energy subtracted first.
+
+    energies is one spectrum of shape (d,) or a stack of spectra of shape
+    (..., d); each spectrum along the last axis is normalised on its own.
+    """
     e = np.asarray(energies, dtype=float)
-    w = np.exp(-beta * (e - e.min()))
-    return w / w.sum()
+    w = np.exp(-beta * (e - e.min(axis=-1, keepdims=True)))
+    return w / row_sum(w)[..., None]
 
 
 def gibbs_state(h: HermitianOperator, bath: BathSpec) -> DensityMatrix:

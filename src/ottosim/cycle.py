@@ -9,6 +9,10 @@ means the stroke-3 source delivered energy into the substance.
 Per-level bookkeeping is exact label arithmetic: q_h[l] = E_l(Bf) dp_l
 and q_c[l] = -E_l(Bi) dp_l, so conservation W = -(Qh + Qc), the flux
 decompositions, and the idle passthrough q_c = -q_h hold to rounding.
+
+run_cycle_batch is the one cycle kernel: it runs N cycles that share
+kind, fields, cold bath and protocol as (N, d) arrays. run_cycle is its
+batch of one.
 """
 
 from __future__ import annotations
@@ -20,12 +24,12 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .channels import KrausChannel
-from .core import BathSpec, boltzmann_populations
+from .channels import KrausChannel, _transfer_entries
+from .core import BathSpec, boltzmann_populations, row_sum
 from .errors import (DimensionMismatch, InvalidField, MeasurementCoolsWarning,
-                     NotAnEngine)
-from .substances import (SubstanceSpec, detect_level_crossing, labelled_basis,
-                         labelled_spectrum, check_uniform_gap_ratio)
+                     NotAnEngine, OttoSimError)
+from .substances import (SubstanceSpec, _crossing_fields, _level_arrays,
+                         check_uniform_gap_ratio, labelled_basis)
 from .tolerances import TOL
 
 
@@ -93,76 +97,139 @@ class CycleRecord:
     crossing_warning: bool
 
 
-def run_cycle(cfg: CycleConfig) -> CycleRecord:
-    """Execute one Otto cycle and return its full record.
+@dataclass(frozen=True)
+class CycleBatch:
+    """Accounting for N cycles that differ only in their substance couplings.
 
-    The cold-stroke populations are Boltzmann weights of the labelled
-    spectrum at Bi. Under TwoBath the stroke-3 populations are Boltzmann
-    weights at Bf; under Measurement the thermal state is carried to Bf
-    along its labels and pushed through the channel's transfer matrix in
-    the labelled eigenbasis at Bf. A cooling measurement (Qh < 0) raises
-    MeasurementCoolsWarning but still returns the record.
+    Row k of every array belongs to the k-th substance of the batch;
+    per-level arrays have shape (N, d) with columns in label order.
+    eta_raw is NaN where Qh is zero.
     """
-    spec = cfg.spec
-    spec_i = labelled_spectrum(spec, cfg.Bi)
-    spec_f = labelled_spectrum(spec, cfg.Bf)
-    labels = spec_i.labels
-    ei = spec_i.energies
-    ef = spec_f.energies
-    p_cold = boltzmann_populations(ei, cfg.cold.beta)
 
-    if isinstance(cfg.protocol, TwoBath):
-        p_hot = boltzmann_populations(ef, cfg.protocol.hot.beta)
+    labels: tuple
+    idle_labels: tuple
+    eta0: float
+    Qh: np.ndarray
+    Qc: np.ndarray
+    W: np.ndarray
+    eta_raw: np.ndarray
+    engine_mode: np.ndarray
+    crossing: np.ndarray
+    flux_hot: np.ndarray
+    flux_cold: np.ndarray
+    delta_p: np.ndarray
+    p_cold: np.ndarray
+    p_hot: np.ndarray
+
+    def idle_flux_hot(self) -> np.ndarray:
+        """Sum of the idle-level hot fluxes of each cycle."""
+        idle = [k for k, label in enumerate(self.labels)
+                if label in self.idle_labels]
+        return row_sum(self.flux_hot[:, idle])
+
+    def record(self, k: int) -> CycleRecord:
+        """The full record of the k-th cycle."""
+        Qh = float(self.Qh[k])
+        eta_raw = float(self.eta_raw[k]) if Qh != 0.0 else None
+        engine = bool(self.engine_mode[k])
+
+        def by_label(per_level):
+            return dict(zip(self.labels, per_level[k].tolist()))
+
+        return CycleRecord(
+            labels=self.labels,
+            idle_labels=self.idle_labels,
+            Qh=Qh, Qc=float(self.Qc[k]), W=float(self.W[k]),
+            eta=eta_raw if engine else None,
+            eta_raw=eta_raw,
+            eta0=self.eta0,
+            per_level_flux_hot=by_label(self.flux_hot),
+            per_level_flux_cold=by_label(self.flux_cold),
+            delta_p=by_label(self.delta_p),
+            populations_cold=by_label(self.p_cold),
+            populations_hot=by_label(self.p_hot),
+            engine_mode=engine,
+            crossing_warning=bool(self.crossing[k]),
+        )
+
+
+def run_cycle_batch(specs, Bi: float, Bf: float, cold: BathSpec,
+                    protocol: Protocol) -> CycleBatch:
+    """Execute one Otto cycle per substance in specs and account for all.
+
+    The substances must share one kind; fields, cold bath and stroke-3
+    protocol are common to the batch. The cold-stroke populations are
+    Boltzmann weights of the labelled spectrum at Bi. Under TwoBath the
+    stroke-3 populations are Boltzmann weights at Bf; under Measurement
+    the thermal state is carried to Bf along its labels and pushed
+    through the channel's transfer matrix in the labelled eigenbasis,
+    which does not depend on the couplings and is built once per call.
+
+    Every step is elementwise or a fixed-order sum within a row, so row k
+    has the same bits as a batch of specs[k] alone. A cooling measurement
+    (Qh < 0 in any row) raises one MeasurementCoolsWarning per call.
+    """
+    specs = tuple(specs)
+    if not specs:
+        raise OttoSimError("a cycle batch needs at least one substance")
+    # validates the shared parameters once for the whole batch
+    CycleConfig(spec=specs[0], Bi=Bi, Bf=Bf, cold=cold, protocol=protocol)
+    labels, idle, slopes, offsets = _level_arrays(specs)
+    ei = slopes * Bi + offsets
+    ef = slopes * Bf + offsets
+    p_cold = boltzmann_populations(ei, cold.beta)
+
+    if isinstance(protocol, TwoBath):
+        p_hot = boltzmann_populations(ef, protocol.hot.beta)
     else:
         # The input state is diagonal in the labelled basis, so only the
         # diagonal transfer p' = T p matters.
-        basis = labelled_basis(spec)
-        vecs = [basis[label] for label in labels]
-        t = np.zeros((spec.dim, spec.dim))
-        for a in range(spec.dim):
-            for b in range(spec.dim):
-                t[a, b] = sum(abs(vecs[a].conj() @ m @ vecs[b]) ** 2
-                              for m in cfg.protocol.channel.operators)
-        p_hot = t @ p_cold
+        basis = labelled_basis(specs[0])
+        t = _transfer_entries(protocol.channel,
+                              np.column_stack([basis[l] for l in labels]))
+        p_hot = row_sum(t * p_cold[:, None, :])
         # Levels the channel leaves alone must not pick up rounding noise:
         # a stray 1e-16 would misclassify a no-op stroke as an engine.
         still = np.abs(p_hot - p_cold) <= TOL.population_snap
-        p_hot[still] = p_cold[still]
+        p_hot = np.where(still, p_cold, p_hot)
 
-    flux_hot = {}
-    flux_cold = {}
-    delta_p = {}
-    for k, label in enumerate(labels):
-        dp = float(p_hot[k]) - float(p_cold[k])
-        delta_p[label] = dp
-        flux_hot[label] = float(ef[k]) * dp
-        flux_cold[label] = -float(ei[k]) * dp
-    Qh = sum(flux_hot.values())
-    Qc = sum(flux_cold.values())
+    delta_p = p_hot - p_cold
+    flux_hot = ef * delta_p
+    flux_cold = -ei * delta_p
+    Qh = row_sum(flux_hot)
+    Qc = row_sum(flux_cold)
     W = -(Qh + Qc)
-    eta0 = 1.0 - cfg.Bi / cfg.Bf
-    eta_raw = (-W / Qh) if Qh != 0.0 else None
-    engine = (W < 0.0) and (Qh > 0.0)
+    eta_raw = -W / np.where(Qh != 0.0, Qh, np.nan)
+    _, fields = _crossing_fields(slopes, offsets)
+    crossing = ((Bi <= fields) & (fields <= Bf)).any(axis=1)
 
-    if isinstance(cfg.protocol, Measurement) and Qh < 0.0:
-        warnings.warn("measurement stroke removed energy (Qh < 0)",
-                      MeasurementCoolsWarning, stacklevel=2)
+    # stacklevel 3 points at the code that called run_cycle or a sweep
+    cooled = int(np.count_nonzero(Qh < 0.0))
+    if isinstance(protocol, Measurement) and cooled:
+        warnings.warn(f"measurement stroke removed energy (Qh < 0) in "
+                      f"{cooled} of {len(specs)} cycles",
+                      MeasurementCoolsWarning, stacklevel=3)
 
-    return CycleRecord(
+    return CycleBatch(
         labels=labels,
-        idle_labels=spec_i.idle_labels,
-        Qh=Qh, Qc=Qc, W=W,
-        eta=eta_raw if engine else None,
-        eta_raw=eta_raw,
-        eta0=eta0,
-        per_level_flux_hot=flux_hot,
-        per_level_flux_cold=flux_cold,
-        delta_p=delta_p,
-        populations_cold={l: float(p) for l, p in zip(labels, p_cold)},
-        populations_hot={l: float(p) for l, p in zip(labels, p_hot)},
-        engine_mode=engine,
-        crossing_warning=bool(detect_level_crossing(spec, cfg.Bi, cfg.Bf)),
+        idle_labels=idle,
+        eta0=1.0 - Bi / Bf,
+        Qh=Qh, Qc=Qc, W=W, eta_raw=eta_raw,
+        engine_mode=(W < 0.0) & (Qh > 0.0),
+        crossing=crossing,
+        flux_hot=flux_hot, flux_cold=flux_cold, delta_p=delta_p,
+        p_cold=p_cold, p_hot=p_hot,
     )
+
+
+def run_cycle(cfg: CycleConfig) -> CycleRecord:
+    """Execute one Otto cycle and return its full record.
+
+    A batch of one through run_cycle_batch; a cooling measurement
+    (Qh < 0) raises MeasurementCoolsWarning but still returns the record.
+    """
+    return run_cycle_batch((cfg.spec,), cfg.Bi, cfg.Bf, cfg.cold,
+                           cfg.protocol).record(0)
 
 
 class ClosedForm(NamedTuple):
@@ -170,6 +237,14 @@ class ClosedForm(NamedTuple):
     Qc: float
     W: float
     eta: Optional[float]
+
+
+def _shifted_exp(*exponents):
+    """e^(x - max x) for each exponent x; OttoSimError if one is not finite."""
+    if not all(math.isfinite(x) for x in exponents):
+        raise InvalidField("beta*B or beta*J is too large to represent")
+    top = max(exponents)
+    return tuple(math.exp(x - top) for x in exponents)
 
 
 def closed_form_two_bath_qutrit(J: float, Bi: float, Bf: float,
@@ -181,27 +256,38 @@ def closed_form_two_bath_qutrit(J: float, Bi: float, Bf: float,
     ratio (Bf - Bi)/(Bf + Omega J); when its denominator vanishes eta
     is returned as None.
     """
+    if not all(math.isfinite(x) for x in (J, Bi, Bf, beta_c, beta_h)):
+        raise InvalidField("closed form needs finite J, fields and "
+                           "inverse temperatures")
     if not 0 < Bi < Bf:
         raise InvalidField(f"need 0 < Bi < Bf, got Bi={Bi}, Bf={Bf}")
     if beta_c <= 0 or beta_h <= 0:
         raise InvalidField("bath inverse temperatures must be positive")
-    zh = 2.0 * math.cosh(beta_h * Bf) + math.exp(beta_h * J)
-    zc = 2.0 * math.cosh(beta_c * Bi) + math.exp(beta_c * J)
-    hot_num = (2.0 * math.exp(-beta_h * Bf) + math.exp(beta_h * J))
-    cold_num = (2.0 * math.exp(-beta_c * Bi) + math.exp(beta_c * J))
-    Qh = ((hot_num * Bf - J * math.exp(beta_h * J)) / zh
-          - (cold_num * Bf - J * math.exp(beta_c * J)) / zc)
-    Qc = (-(hot_num * Bi - J * math.exp(beta_h * J)) / zh
-          + (cold_num * Bi - J * math.exp(beta_c * J)) / zc)
+    # Every ratio below is a quotient of exponential sums, so both sums are
+    # scaled by e^-max(exponent) first: no term can overflow.
+    hot_up, hot_down, hot_idle = _shifted_exp(
+        -beta_h * Bf, beta_h * Bf, beta_h * J)
+    cold_up, cold_down, cold_idle = _shifted_exp(
+        -beta_c * Bi, beta_c * Bi, beta_c * J)
+    zh = hot_up + hot_down + hot_idle
+    zc = cold_up + cold_down + cold_idle
+    hot_num = 2.0 * hot_up + hot_idle
+    cold_num = 2.0 * cold_up + cold_idle
+    Qh = ((hot_num * Bf - J * hot_idle) / zh
+          - (cold_num * Bf - J * cold_idle) / zc)
+    Qc = (-(hot_num * Bi - J * hot_idle) / zh
+          + (cold_num * Bi - J * cold_idle) / zc)
     W = -(Qh + Qc)
 
-    num = (math.exp(beta_c * (Bi + J)) + math.exp(beta_c * (Bi + J) + 2 * beta_h * Bf)
-           - math.exp(beta_h * (Bf + J) + 2 * beta_c * Bi)
-           - math.exp(beta_h * (Bf + J)))
-    den = (2.0 * (math.exp(2 * beta_c * Bi) - math.exp(2 * beta_h * Bf))
-           + math.exp(beta_c * (Bi + J)) - math.exp(beta_h * (Bf + J))
-           - math.exp(beta_c * (Bi + J) + 2 * beta_h * Bf)
-           + math.exp(beta_h * (Bf + J) + 2 * beta_c * Bi))
+    cold_j = beta_c * (Bi + J)
+    hot_j = beta_h * (Bf + J)
+    (e_cold_j, e_cold_j_hot, e_hot_j_cold, e_hot_j, e_cold,
+     e_hot) = _shifted_exp(cold_j, cold_j + 2 * beta_h * Bf,
+                           hot_j + 2 * beta_c * Bi, hot_j,
+                           2 * beta_c * Bi, 2 * beta_h * Bf)
+    num = e_cold_j + e_cold_j_hot - e_hot_j_cold - e_hot_j
+    den = (2.0 * (e_cold - e_hot) + e_cold_j - e_hot_j - e_cold_j_hot
+           + e_hot_j_cold)
     eta = None
     if den != 0.0:
         omega = num / den

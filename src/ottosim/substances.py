@@ -112,6 +112,39 @@ def _level_table(spec: SubstanceSpec):
             ("-2B", -2.0, 0.0, False))
 
 
+def _level_arrays(specs):
+    """The level table of N substances of one kind, as arrays.
+
+    Returns (labels, idle labels, slopes of shape (d,), offsets of shape
+    (N, d)), so that the energies at field B are slopes * B + offsets.
+    """
+    kind = specs[0].kind
+    if any(s.kind is not kind for s in specs):
+        raise InvalidField("substances of one batch must share one kind")
+    table = _level_table(specs[0])
+    labels = tuple(row[0] for row in table)
+    idle = tuple(row[0] for row in table if row[3])
+    slopes = np.array([row[1] for row in table])
+    offsets = np.array([[row[2] for row in _level_table(s)] for s in specs])
+    return labels, idle, slopes, offsets
+
+
+def _crossing_fields(slopes, offsets):
+    """Level pairs (n, m), n < m, with different slopes, and where they meet.
+
+    The second value has shape (N, pairs): the field at which the two
+    affine energies of each substance are equal.
+    """
+    d = len(slopes)
+    pairs = [(n, m) for n in range(d) for m in range(n + 1, d)
+             if slopes[n] != slopes[m]]
+    first = [n for n, _ in pairs]
+    second = [m for _, m in pairs]
+    fields = ((offsets[:, second] - offsets[:, first])
+              / (slopes[first] - slopes[second]))
+    return pairs, fields
+
+
 def labelled_basis(spec: SubstanceSpec) -> dict:
     """Eigenvector per label (B-independent for all three substances)."""
     if spec.kind is SubstanceKind.QUBIT:
@@ -180,15 +213,7 @@ def detect_level_crossing(spec: SubstanceSpec, Bi: float, Bf: float):
     """
     if not 0 < Bi < Bf:
         raise InvalidField(f"need 0 < Bi < Bf, got Bi={Bi}, Bf={Bf}")
-    table = _level_table(spec)
-    found = []
-    for n in range(len(table)):
-        for m in range(n + 1, len(table)):
-            la, sa, ca, _ = table[n]
-            lb, sb, cb, _ = table[m]
-            if sa == sb:
-                continue
-            bstar = (cb - ca) / (sa - sb)
-            if Bi <= bstar <= Bf:
-                found.append(((la, lb), float(bstar)))
-    return found
+    labels, _, slopes, offsets = _level_arrays((spec,))
+    pairs, fields = _crossing_fields(slopes, offsets)
+    return [((labels[n], labels[m]), float(bstar))
+            for (n, m), bstar in zip(pairs, fields[0]) if Bi <= bstar <= Bf]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,19 @@ def test_validation_errors_exit_one(tmp_path, capsys):
                  out]) == 1
     assert main(["xxz", "--protocol", "meas", "--n", "1,1,0", "--out",
                  out]) == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["--j-max", "inf"], ["--j-min", "nan"], ["--j-steps", "2.5"],
+    ["--j-min=-1e308", "--j-max=1e308"],
+])
+def test_bad_range_exits_one_without_warning(tmp_path, capsys, args):
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["qutrit-two-bath"] + args + ["--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unwritable_output_exits_two(tmp_path, capsys):

@@ -162,6 +162,44 @@ def test_closed_form_validation():
         o.closed_form_two_bath_qutrit(1.0, 3.0, 4.0, -1.0, 0.5)
 
 
+def test_closed_form_large_beta_matches_stroke_accounting():
+    # beta*J and beta*B far beyond exp()'s range: the closed form works on
+    # shifted exponentials and must still agree with the label accounting
+    cf = o.closed_form_two_bath_qutrit(800, 3, 4, 1, 1)
+    assert all(np.isfinite([cf.Qh, cf.Qc, cf.W]))
+    compared = 0
+    for J in (-800.0, -50.0, -3.5, 0.0, 1.0, 3.5, 50.0, 800.0):
+        for Bi, Bf in ((3.0, 4.0), (0.5, 700.0), (100.0, 400.0)):
+            for beta_c in (0.5, 5.0, 60.0, 300.0):
+                for beta_h in (0.1, 2.0, 40.0, 250.0):
+                    cf = o.closed_form_two_bath_qutrit(J, Bi, Bf, beta_c,
+                                                       beta_h)
+                    rec = two_bath(o.SubstanceSpec.qutrit(J), Bi=Bi, Bf=Bf,
+                                   beta_c=beta_c, beta_h=beta_h)
+                    for key in ("Qh", "Qc", "W"):
+                        want = getattr(rec, key)
+                        assert abs(getattr(cf, key) - want) <= \
+                            1e-12 * max(1.0, abs(want)), (J, Bi, Bf, key)
+                    # -W/Qh carries rounding of order 1e-16 * scale / |Qh|
+                    # and 1e-16 * scale / |W|; compare only where that is
+                    # far below 1e-12
+                    scale = max(Bf, abs(J))
+                    if min(abs(rec.Qh), abs(rec.W)) > 1e-2 * scale:
+                        compared += 1
+                        assert cf.eta == pytest.approx(rec.eta_raw,
+                                                       rel=1e-12, abs=1e-12)
+    assert compared >= 50
+
+
+def test_closed_form_rejects_unrepresentable_inputs():
+    with pytest.raises(o.InvalidField):
+        o.closed_form_two_bath_qutrit(float("inf"), 3.0, 4.0, 1.0, 0.5)
+    with pytest.raises(o.InvalidField):
+        o.closed_form_two_bath_qutrit(1.0, 3.0, float("nan"), 1.0, 0.5)
+    with pytest.raises(o.InvalidField):
+        o.closed_form_two_bath_qutrit(1e300, 3.0, 4.0, 1e10, 0.5)
+
+
 def test_efficiency_ratio_identity_two_bath():
     rec = two_bath(o.SubstanceSpec.qutrit(1.0))
     ratio = o.efficiency_ratio_identity(rec)

@@ -1,8 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import ottosim as o
-from helpers import two_bath
+from helpers import (idle_flux_sum, oracle_boltzmann, oracle_qutrit_cycle,
+                     oracle_transfer, two_bath)
+
+BI, BF, BETA_C = 3.0, 4.0, 1.0
 
 
 def test_sweep_range_values():
@@ -19,6 +24,23 @@ def test_sweep_range_validation():
         o.SweepRange(2.0, 1.0, 5)
     with pytest.raises(o.InvalidField):
         o.SweepRange(2.0, 1.0, 1)
+
+
+@pytest.mark.parametrize("start, stop, steps", [
+    (0.0, 1.0, 2.5), (0.0, 1.0, 3.0), (0.0, 1.0, "3"), (0.0, 1.0, None),
+    (0.0, float("inf"), 5), (float("-inf"), 1.0, 5), (float("nan"), 1.0, 1),
+    (0.0, float("nan"), 5), (-1e308, 1e308, 5), ("0", 1.0, 5),
+])
+def test_sweep_range_rejects_non_finite_and_non_integral(start, stop, steps):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(o.InvalidField):
+            o.SweepRange(start, stop, steps)
+
+
+def test_sweep_range_accepts_numpy_scalars():
+    r = o.SweepRange(np.float64(0.0), 2, np.int64(3))
+    np.testing.assert_array_equal(r.values(), [0.0, 1.0, 2.0])
 
 
 def test_two_bath_sweep_rows_match_single_cycles():
@@ -165,3 +187,170 @@ def test_write_csv_blank_cell_for_none(tmp_path):
     path = tmp_path / "blank.csv"
     o.write_csv(str(path), table)
     assert path.read_text().splitlines()[1] == "1,"
+
+
+# Every measurement sweep, at several grid sizes. Each entry gives the
+# sweep's name, its table, how many swept columns lead a row, and a map
+# from a row to the point it stands for: (substance, coupling, angles).
+ANGLES = (2.2, 1.1, 0.3, 2.9)
+N_DIR = (0.6, 0.0, 0.8)
+M_DIR = (0.0, 1.0, 0.0)
+
+
+def _qutrit_cfg(J, angles):
+    channel = o.su3_projective_channel(o.Su3Angles(*angles))
+    return o.CycleConfig(spec=o.SubstanceSpec.qutrit(J), Bi=BI, Bf=BF,
+                         cold=o.BathSpec(BETA_C),
+                         protocol=o.Measurement(channel))
+
+
+def _contour_angles(mode, theta):
+    chi = theta if mode == "theta-phi-chi" else 0.5 * np.pi
+    return (theta, theta, chi, 0.5 * np.pi)
+
+
+def _measurement_sweeps():
+    for steps in (1, 7, 40):
+        j_range = o.SweepRange(0.1, 2.9, steps) if steps > 1 else \
+            o.SweepRange(1.3, 1.3, 1)
+        table = o.sweep_qutrit_measurement(BI, BF, BETA_C,
+                                           o.Su3Angles(*ANGLES), j_range)
+        yield ("meas", table, 1, lambda row: ("qutrit", row[0], ANGLES))
+        table = o.sweep_qutrit_extreme(BI, BF, BETA_C, j_range)
+        ext = (0.75 * np.pi, 0.75 * np.pi, 0.5 * np.pi, 0.5 * np.pi)
+        yield ("extreme", table, 1, lambda row: ("qutrit", row[0], ext))
+        table = o.sweep_xxz("ising", "meas", BI, BF, BETA_C,
+                            o.SweepRange(-2.0, 3.0, steps) if steps > 1
+                            else o.SweepRange(0.7, 0.7, 1),
+                            n=o.SpinDirection(*N_DIR),
+                            m=o.SpinDirection(*M_DIR))
+        yield ("xxz", table, 1, lambda row: ("ising", row[0], None))
+    for mode in o.sweeps.CONTOUR_MODES:
+        table = o.sweep_qutrit_contour(BI, BF, BETA_C, mode,
+                                       o.SweepRange(0.0, np.pi, 5),
+                                       o.SweepRange(0.2, 2.8, 9))
+        yield ("contour", table, 2,
+               lambda row, mode=mode: ("qutrit", row[1],
+                                       _contour_angles(mode, row[0])))
+
+
+def _point_cycle(point):
+    kind, coupling, angles = point
+    if kind == "qutrit":
+        return o.run_cycle(_qutrit_cfg(coupling, angles))
+    channel = o.local_spin_channel(o.SpinDirection(*N_DIR),
+                                   o.SpinDirection(*M_DIR))
+    return o.run_cycle(o.CycleConfig(
+        spec=o.SubstanceSpec.xxz(Jxy=0.0, Jz=coupling), Bi=BI, Bf=BF,
+        cold=o.BathSpec(BETA_C), protocol=o.Measurement(channel)))
+
+
+def _record_row(lead, rec, idle_column):
+    vals = list(lead) + [rec.Qh, rec.Qc, rec.W, rec.eta_raw, rec.eta0,
+                         int(rec.engine_mode), int(rec.crossing_warning)]
+    if idle_column:
+        vals.append(idle_flux_sum(rec))
+    for field in (rec.per_level_flux_hot, rec.per_level_flux_cold,
+                  rec.delta_p, rec.populations_cold, rec.populations_hot):
+        vals.extend(field[label] for label in rec.labels)
+    return vals
+
+
+def _bits(row):
+    return [v.hex() if isinstance(v, float) else v for v in row]
+
+
+def test_measurement_sweep_rows_are_bitwise_single_cycles():
+    # Rows cannot depend on the grid they were computed in: each equals
+    # run_cycle (a batch of one) at its point, down to the sign of zero.
+    checked = 0
+    for name, table, lead, point in _measurement_sweeps():
+        for row in table.rows:
+            rec = _point_cycle(point(row))
+            expected = _record_row(row[:lead], rec, name == "xxz")
+            assert _bits(row) == _bits(expected), (name, row[:lead])
+            checked += 1
+    assert checked == 3 * (1 + 7 + 40) + 2 * 45
+
+
+QUTRIT_BASIS = [np.array([1, 1, 0]) / np.sqrt(2),
+                np.array([-1, 1, 0]) / np.sqrt(2),
+                np.array([0, 0, 1.0])]
+XXZ_BASIS = [np.array([1, 0, 0, 0.0]), np.array([0, 1, 1, 0]) / np.sqrt(2),
+             np.array([0, 1, -1, 0]) / np.sqrt(2), np.array([0, 0, 0, 1.0])]
+
+
+def _spin_projectors(n):
+    sx = np.array([[0, 1], [1, 0]], dtype=complex)
+    sy = np.array([[0, -1j], [1j, 0]])
+    sz = np.array([[1, 0], [0, -1]], dtype=complex)
+    ndots = n[0] * sx + n[1] * sy + n[2] * sz
+    return [(np.eye(2) + ndots) / 2, (np.eye(2) - ndots) / 2]
+
+
+def _oracle_row(point):
+    """Energies at Bi and Bf, populations before and after stroke 3."""
+    kind, c, angles = point
+    if kind == "qutrit":
+        ei = np.array([BI, -BI, -c])
+        ef = np.array([BF, -BF, -c])
+        kraus = o.su3_projective_channel(o.Su3Angles(*angles)).operators
+        basis = QUTRIT_BASIS
+    else:
+        ei = np.array([2 * BI, -2 * c, -2 * c, -2 * BI])
+        ef = np.array([2 * BF, -2 * c, -2 * c, -2 * BF])
+        kraus = [np.kron(a, b) for a in _spin_projectors(N_DIR)
+                 for b in _spin_projectors(M_DIR)]
+        basis = XXZ_BASIS
+    p_cold = oracle_boltzmann(ei, BETA_C)
+    p_hot = oracle_transfer(kraus, basis) @ p_cold
+    return ei, ef, p_cold, p_hot
+
+
+def _close(a, b, rel=1e-13):
+    return abs(a - b) <= rel * max(1.0, abs(b))
+
+
+def test_measurement_sweep_rows_match_independent_routes():
+    for name, table, lead, point in _measurement_sweeps():
+        col = {h: i for i, h in enumerate(table.header)}
+        for row in table.rows:
+            pt = point(row)
+            ei, ef, p_cold, p_hot = _oracle_row(pt)
+            labels = [h[len("p_post_"):] for h in table.header
+                      if h.startswith("p_post_")]
+            dp = p_hot - p_cold
+            for k, label in enumerate(labels):
+                assert _close(row[col["p_cold_" + label]], p_cold[k])
+                assert _close(row[col["p_post_" + label]], p_hot[k])
+                assert _close(row[col["dp_" + label]], dp[k])
+                assert _close(row[col["q_h_" + label]], ef[k] * dp[k])
+                assert _close(row[col["q_c_" + label]], -ei[k] * dp[k])
+            qh = float(ef @ dp)
+            qc = float(-ei @ dp)
+            assert _close(row[col["Qh"]], qh)
+            assert _close(row[col["Qc"]], qc)
+            assert _close(row[col["W"]], -(qh + qc))
+            if pt[0] == "qutrit":
+                # explicit 3x3 operators, Gibbs states and traces
+                oqh, oqc, ow = oracle_qutrit_cycle(pt[1], BI, BF, BETA_C,
+                                                   angles=pt[2])
+                assert _close(row[col["Qh"]], oqh), (name, row[:lead])
+                assert _close(row[col["Qc"]], oqc), (name, row[:lead])
+                assert _close(row[col["W"]], ow), (name, row[:lead])
+            else:
+                assert _close(row[col["q1_plus_q2"]],
+                              ef[1] * dp[1] + ef[2] * dp[2])
+
+
+def test_two_bath_sweep_rows_are_bitwise_single_cycles():
+    table = o.sweep_qutrit_two_bath(BI, BF, BETA_C, 0.5,
+                                    o.SweepRange(-1.0, 5.0, 31))
+    for row in table.rows:
+        rec = two_bath(o.SubstanceSpec.qutrit(row[0]))
+        assert _bits(row) == _bits(_record_row(row[:1], rec, False))
+    table = o.sweep_xxz("xx", "two-bath", BI, BF, BETA_C,
+                        o.SweepRange(-2.0, 3.0, 21), beta_h=0.5)
+    for row in table.rows:
+        rec = two_bath(o.SubstanceSpec.xxz(Jxy=row[0], Jz=0.0))
+        assert _bits(row) == _bits(_record_row(row[:1], rec, True))

@@ -24,6 +24,18 @@ def test_suite_passes_and_reports():
     assert "unital" in text and "control" in text
 
 
+def test_suite_floor_is_the_theorem_slack(monkeypatch):
+    rep = o.theorem1_suite(dims=(2,), samples=30, seed=2)
+    assert "(floor -1e-10)" in rep.lines()[1]
+    assert rep.passed
+    # a floor above the observed minimum fails the suite
+    monkeypatch.setattr(o.sweeps, "TOL",
+                        o.Tolerances(theorem_slack=-1.0))
+    rep = o.theorem1_suite(dims=(2,), samples=30, seed=2)
+    assert "(floor 1)" in rep.lines()[1]
+    assert not rep.passed
+
+
 def test_suite_deterministic_per_seed():
     a = o.theorem1_suite(dims=(2, 3), samples=120, seed=5)
     b = o.theorem1_suite(dims=(2, 3), samples=120, seed=5)
