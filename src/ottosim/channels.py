@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DensityMatrix, HermitianOperator, as_complex_matrix,
-                   energy_expectation, hermitian_eigensystem,
-                   populations_in_basis)
+from .core import (DensityMatrix, HermitianOperator, _dagger, _eigensystems,
+                   _finite, _hermitian_part, as_complex_matrix,
+                   energy_expectation, populations_in_basis)
 from .errors import (DimensionMismatch, DimensionTooLarge, LengthMismatch,
                      NotTracePreserving, OttoSimError)
 from .tolerances import TOL
@@ -43,24 +43,43 @@ def kraus_channel(operators) -> KrausChannel:
     d = ops[0].shape[0]
     if any(m.shape != (d, d) for m in ops):
         raise DimensionMismatch("Kraus operators must share one square shape")
-    eye = np.eye(d)
-    tp = sum(m.conj().T @ m for m in ops)
-    defect = float(np.max(np.abs(tp - eye)))
+    stack = np.asarray(ops)
+    _check_trace_preserving(stack)
+    un = (stack @ _dagger(stack)).sum(axis=0)
+    unital = float(np.max(np.abs(un - np.eye(d)))) <= TOL.channel
+    return KrausChannel(operators=ops, dim=d, unital=unital)
+
+
+def _check_trace_preserving(kraus: np.ndarray) -> None:
+    """Require sum_a M_a^dag M_a = 1 for Kraus stacks of shape (..., r, d, d).
+
+    Zero operators may pad a stack: they add exact zeros to every sum.
+    """
+    tp = (_dagger(kraus) @ kraus).sum(axis=-3)
+    defect = float(np.max(np.abs(tp - np.eye(kraus.shape[-1]))))
     if defect > TOL.channel:
         raise NotTracePreserving(f"sum M^dag M deviates from 1 by {defect:.3e}")
-    un = sum(m @ m.conj().T for m in ops)
-    unital = float(np.max(np.abs(un - eye))) <= TOL.channel
-    return KrausChannel(operators=ops, dim=d, unital=unital)
 
 
 def apply_channel(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     """rho -> sum_a M_a rho M_a^dag."""
     if ch.dim != rho.dim:
         raise DimensionMismatch(f"channel dim {ch.dim} vs state dim {rho.dim}")
-    out = np.zeros((ch.dim, ch.dim), dtype=complex)
-    for m in ch.operators:
-        out += m @ rho.matrix @ m.conj().T
-    return DensityMatrix(0.5 * (out + out.conj().T))
+    return DensityMatrix(_apply_kraus(np.asarray(ch.operators), rho.matrix))
+
+
+def _apply_kraus(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Hermitian part of sum_a M_a rho M_a^dag, over stacks.
+
+    kraus has shape (..., r, d, d) and rho (..., d, d). The terms are
+    added in operator order, so a zero-padded stack gives the same bits
+    as its unpadded operators.
+    """
+    out = np.zeros(rho.shape, dtype=complex)
+    for a in range(kraus.shape[-3]):
+        m = kraus[..., a, :, :]
+        out = out + m @ rho @ _dagger(m)
+    return _hermitian_part(out)
 
 
 def is_unital(ch: KrausChannel) -> bool:
@@ -127,18 +146,20 @@ def damping_channel(dim: int, gamma: float, sink: int = 0) -> KrausChannel:
     Non-unital for gamma > 0; the standard counterexample family for
     claims that hold only for unital channels.
     """
+    return kraus_channel(_damping_operators(dim, gamma, sink))
+
+
+def _damping_operators(dim: int, gamma: float, sink: int) -> np.ndarray:
+    """The dim Kraus operators of damping_channel, stacked: keep, then jumps."""
     if not 0 <= gamma <= 1:
         raise OttoSimError(f"gamma must lie in [0, 1], got {gamma}")
+    ops = np.zeros((dim, dim, dim), dtype=complex)
     keep = np.full(dim, np.sqrt(1.0 - gamma), dtype=complex)
     keep[sink] = 1.0
-    ops = [np.diag(keep)]
-    for k in range(dim):
-        if k == sink:
-            continue
-        jump = np.zeros((dim, dim), dtype=complex)
-        jump[sink, k] = np.sqrt(gamma)
-        ops.append(jump)
-    return kraus_channel(ops)
+    ops[0] = np.diag(keep)
+    for a, k in enumerate(k for k in range(dim) if k != sink):
+        ops[a + 1, sink, k] = np.sqrt(gamma)
+    return ops
 
 
 def random_unital_channel(dim: int, seed: int, mix_count: int) -> KrausChannel:
@@ -149,16 +170,46 @@ def random_unital_channel(dim: int, seed: int, mix_count: int) -> KrausChannel:
     """
     if dim < 2 or mix_count < 1:
         raise OttoSimError("need dim >= 2 and mix_count >= 1")
+    weights, matrices, angles = _draw_unitary_mixture(dim, seed, mix_count)
+    bases = _eigensystems(_finite(_hermitian_part(matrices)))[2]
+    return kraus_channel(list(_unitary_mixture(weights, bases, angles)))
+
+
+def _draw_unitary_mixture(dim: int, seed: int, mix_count: int):
+    """The random numbers behind random_unital_channel, in the order drawn.
+
+    Returns the mixing weights q (r,), the matrices a (r, d, d) whose
+    Hermitian parts (a + a^dag)/2 give the eigenbases, and the phase
+    angles (r, d), for r = mix_count.
+    """
     rng = np.random.default_rng(seed)
     weights = rng.random(mix_count) + 0.1
     weights /= weights.sum()
-    ops = []
-    for q in weights:
-        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        basis = hermitian_eigensystem(0.5 * (a + a.conj().T)).eigenvectors
-        phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=dim))
-        ops.append(np.sqrt(q) * (basis @ np.diag(phases)))
-    return kraus_channel(ops)
+    matrices = np.empty((mix_count, dim, dim), dtype=complex)
+    angles = np.empty((mix_count, dim))
+    for j in range(mix_count):
+        matrices[j] = _random_matrix(rng, dim)
+        angles[j] = rng.uniform(0.0, 2.0 * np.pi, size=dim)
+    return weights, matrices, angles
+
+
+def _random_matrix(rng, dim: int) -> np.ndarray:
+    """Complex Gaussian d x d matrix: the real parts are drawn first, then
+    the imaginary parts (one draw of both gives the same stream)."""
+    re_im = rng.standard_normal((2, dim, dim))
+    return re_im[0] + 1j * re_im[1]
+
+
+def _unitary_mixture(weights: np.ndarray, bases: np.ndarray,
+                     angles: np.ndarray) -> np.ndarray:
+    """Kraus operators sqrt(q_j) V_j diag(e^(i angles_j)), over stacks.
+
+    weights (..., r), eigenbases (..., r, d, d), angles (..., r, d).
+    """
+    d = angles.shape[-1]
+    phases = np.zeros(angles.shape + (d,), dtype=complex)
+    phases[..., range(d), range(d)] = np.exp(1j * angles)
+    return np.sqrt(weights)[..., None, None] * (bases @ phases)
 
 
 def rearrangement_oracle(pops, energies) -> float:

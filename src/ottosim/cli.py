@@ -5,6 +5,9 @@ standard engine studies: qutrit-two-bath, qutrit-meas, qutrit-contour,
 qutrit-extreme, xxz, and the theorem1 property report. Every default can
 be overridden by a flag or by a key=value --config file; flags win over
 the config file. Exit codes: 0 success, 1 validation error, 2 IO error.
+
+A command asks for at most MAX_POINTS rows (the product of the grid
+sizes) or theorem1 samples; larger requests exit 1 before any work.
 """
 
 from __future__ import annotations
@@ -76,6 +79,22 @@ class Opt:
 
 
 _PI = float(np.pi)
+
+# Largest row count of a sweep (theta_steps * j_steps for the contour) and
+# largest theorem1 sample count: 100 times the largest grid the benchmark
+# runs (2001 rows). At the cap a contour takes about 8 s and 200 MiB, and
+# theorem1 about 14 s and 44 MiB (2-vCPU x86-64 host, numpy 2.4).
+MAX_POINTS = 200_000
+
+
+def _check_size(vals: dict, *counts: str) -> None:
+    """Reject a request whose counts multiply to more than MAX_POINTS."""
+    total = 1
+    for name in counts:
+        total *= max(vals[name], 1)
+    if total > MAX_POINTS:
+        sizes = " * ".join(f"{name}={vals[name]}" for name in counts)
+        raise OttoSimError(f"{sizes} asks for more than {MAX_POINTS} points")
 
 _BATH = [
     Opt("bi", _float, 3.0, "field during the cold stroke"),
@@ -174,6 +193,10 @@ def _require_out(vals: dict) -> str:
 
 def _run_sweep_command(name: str, ns: argparse.Namespace) -> int:
     vals = _resolve(ns, _COMMANDS[name])
+    if name == "qutrit-contour":
+        _check_size(vals, "theta_steps", "j_steps")
+    else:
+        _check_size(vals, "j_steps")
     if name == "qutrit-two-bath":
         table = sweeps.sweep_qutrit_two_bath(
             vals["bi"], vals["bf"], vals["beta_c"], vals["beta_h"],
@@ -209,6 +232,7 @@ def _run_sweep_command(name: str, ns: argparse.Namespace) -> int:
 
 def _run_theorem1(ns: argparse.Namespace) -> int:
     vals = _resolve(ns, _COMMANDS["theorem1"])
+    _check_size(vals, "samples")
     report = sweeps.theorem1_suite(dims=vals["dims"], samples=vals["samples"],
                                    seed=vals["seed"])
     text = "\n".join(report.lines()) + "\n"

@@ -21,14 +21,32 @@ def as_complex_matrix(entries) -> np.ndarray:
     m = np.asarray(entries, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    return _finite(m)
+
+
+def _finite(m: np.ndarray) -> np.ndarray:
+    """m itself, after checking that every entry is finite."""
     if not np.all(np.isfinite(m)):
         raise OttoSimError("matrix entries must be finite")
     return m
 
 
+def _dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(m + m^dag)/2 of a matrix or of each matrix in a stack."""
+    return 0.5 * (m + _dagger(m))
+
+
 def hermitian_defect(m: np.ndarray) -> float:
-    """Max-norm distance from m to its conjugate transpose."""
-    return float(np.max(np.abs(m - m.conj().T)))
+    """Max-norm distance from m to its conjugate transpose.
+
+    m may be a stack of shape (..., d, d); the worst matrix counts.
+    """
+    return float(np.max(np.abs(m - _dagger(m))))
 
 
 @dataclass(frozen=True)
@@ -68,19 +86,29 @@ def hermitian_eigensystem(entries) -> HermitianOperator:
     NotHermitian
         If the matrix is not symmetric under conjugate transposition.
     """
-    m = as_complex_matrix(entries)
+    m, vals, vecs = _eigensystems(as_complex_matrix(entries))
+    return HermitianOperator(matrix=m, eigenvalues=vals, eigenvectors=vecs)
+
+
+def _eigensystems(m: np.ndarray):
+    """hermitian_eigensystem over a finite stack m of shape (..., d, d).
+
+    Every check applies to each matrix of the stack. Returns the
+    symmetrized matrices, the ascending eigenvalues (..., d) and the
+    eigenvectors (..., d, d), column n belonging to eigenvalue n.
+    """
     defect = hermitian_defect(m)
     if defect > TOL.hermitian:
         raise NotHermitian(f"Hermiticity defect {defect:.3e} exceeds {TOL.hermitian}")
-    m = 0.5 * (m + m.conj().T)
+    m = _hermitian_part(m)
     vals, vecs = np.linalg.eigh(m)
-    gram = vecs.conj().T @ vecs
-    if np.max(np.abs(gram - np.eye(m.shape[0]))) > TOL.orthonormal:
+    gram = _dagger(vecs) @ vecs
+    if np.max(np.abs(gram - np.eye(m.shape[-1]))) > TOL.orthonormal:
         raise OttoSimError("eigenvector orthonormality check failed")
-    rebuilt = (vecs * vals) @ vecs.conj().T
+    rebuilt = (vecs * vals[..., None, :]) @ _dagger(vecs)
     if np.max(np.abs(rebuilt - m)) > TOL.reconstruction:
         raise OttoSimError("spectral reconstruction check failed")
-    return HermitianOperator(matrix=m, eigenvalues=vals, eigenvectors=vecs)
+    return m, vals, vecs
 
 
 @dataclass(frozen=True)
@@ -90,21 +118,32 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = as_complex_matrix(self.matrix)
-        defect = hermitian_defect(m)
-        if defect > TOL.hermitian:
-            raise NotHermitian(f"density matrix defect {defect:.3e}")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TOL.trace:
-            raise OttoSimError(f"trace {tr} is not 1 within {TOL.trace}")
-        smallest = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min())
-        if smallest < -TOL.positivity:
-            raise OttoSimError(f"negative eigenvalue {smallest:.3e}")
-        object.__setattr__(self, "matrix", 0.5 * (m + m.conj().T))
+        object.__setattr__(self, "matrix",
+                           _densities(as_complex_matrix(self.matrix)))
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+
+def _densities(m: np.ndarray) -> np.ndarray:
+    """DensityMatrix validation over a finite stack m of shape (..., d, d).
+
+    Checks each matrix for Hermiticity, unit trace and positivity, and
+    returns the stack of Hermitian parts.
+    """
+    defect = hermitian_defect(m)
+    if defect > TOL.hermitian:
+        raise NotHermitian(f"density matrix defect {defect:.3e}")
+    tr = np.trace(m, axis1=-2, axis2=-1).reshape(-1)
+    worst = int(np.argmax(np.abs(tr - 1.0)))
+    if abs(tr[worst] - 1.0) > TOL.trace:
+        raise OttoSimError(f"trace {complex(tr[worst])} is not 1 within {TOL.trace}")
+    sym = _hermitian_part(m)
+    smallest = float(np.linalg.eigvalsh(sym).min())
+    if smallest < -TOL.positivity:
+        raise OttoSimError(f"negative eigenvalue {smallest:.3e}")
+    return sym
 
 
 @dataclass(frozen=True)
@@ -157,10 +196,16 @@ def energy_expectation(rho: DensityMatrix, h: HermitianOperator) -> float:
     """
     if rho.dim != h.dim:
         raise DimensionMismatch(f"state dim {rho.dim} vs operator dim {h.dim}")
-    val = complex(np.trace(rho.matrix @ h.matrix))
-    if abs(val.imag) > TOL.imag_residue:
-        raise OttoSimError(f"imaginary residue {val.imag:.3e} in energy expectation")
-    return float(val.real)
+    return float(_energies(rho.matrix, h.matrix))
+
+
+def _energies(rho: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Tr[rho H] over stacks (..., d, d), real parts after the residue check."""
+    val = np.trace(rho @ h, axis1=-2, axis2=-1)
+    residue = float(np.max(np.abs(val.imag)))
+    if residue > TOL.imag_residue:
+        raise OttoSimError(f"imaginary residue {residue:.3e} in energy expectation")
+    return val.real
 
 
 def populations_in_basis(rho: DensityMatrix, h: HermitianOperator) -> np.ndarray:

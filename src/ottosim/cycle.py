@@ -253,8 +253,8 @@ def closed_form_two_bath_qutrit(J: float, Bi: float, Bf: float,
 
     Direct evaluation of the closed forms; W obeys the extraction sign
     convention W = -(Qh + Qc). The efficiency comes from the compact
-    ratio (Bf - Bi)/(Bf + Omega J); when its denominator vanishes eta
-    is returned as None.
+    ratio (Bf - Bi)/(Bf + Omega J); eta is None when that ratio's
+    denominator vanishes or, as run_cycle's eta_raw, when Qh == 0.0.
     """
     if not all(math.isfinite(x) for x in (J, Bi, Bf, beta_c, beta_h)):
         raise InvalidField("closed form needs finite J, fields and "
@@ -289,7 +289,7 @@ def closed_form_two_bath_qutrit(J: float, Bi: float, Bf: float,
     den = (2.0 * (e_cold - e_hot) + e_cold_j - e_hot_j - e_cold_j_hot
            + e_hot_j_cold)
     eta = None
-    if den != 0.0:
+    if Qh != 0.0 and den != 0.0:
         omega = num / den
         ratio_den = Bf + omega * J
         if ratio_den != 0.0:

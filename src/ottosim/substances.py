@@ -12,6 +12,7 @@ across the adiabatic stroke is exact label bookkeeping.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,14 +136,28 @@ def _crossing_fields(slopes, offsets):
     The second value has shape (N, pairs): the field at which the two
     affine energies of each substance are equal.
     """
-    d = len(slopes)
-    pairs = [(n, m) for n in range(d) for m in range(n + 1, d)
-             if slopes[n] != slopes[m]]
-    first = [n for n, _ in pairs]
-    second = [m for _, m in pairs]
+    pairs, first, second = _level_pairs(tuple(slopes.tolist()))
     fields = ((offsets[:, second] - offsets[:, first])
               / (slopes[first] - slopes[second]))
     return pairs, fields
+
+
+@functools.lru_cache(maxsize=8)
+def _level_pairs(slopes: tuple):
+    """The pairs of _crossing_fields and their first and second indices.
+
+    They depend only on the slopes, which are fixed per substance kind, so
+    they are built once per slope tuple. The index arrays are read-only,
+    since every caller shares them.
+    """
+    d = len(slopes)
+    pairs = tuple((n, m) for n in range(d) for m in range(n + 1, d)
+                  if slopes[n] != slopes[m])
+    first = np.array([n for n, _ in pairs], dtype=np.intp)
+    second = np.array([m for _, m in pairs], dtype=np.intp)
+    first.flags.writeable = False
+    second.flags.writeable = False
+    return pairs, first, second
 
 
 def labelled_basis(spec: SubstanceSpec) -> dict:

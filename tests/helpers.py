@@ -124,3 +124,53 @@ def oracle_qutrit_cycle(J, Bi, Bf, beta_c, beta_h=None, angles=None):
     W = (energy(rho_c, hf) - energy(rho_c, hi)
          + energy(rho_back, hi) - energy(rho_h, hf))
     return Qh, Qc, W
+
+
+def oracle_theorem1_energies(dims, samples, seed):
+    """Per-sample energy changes of theorem1_suite, one sample at a time.
+
+    Unlike the routes above this one does call the library: it is the
+    suite's scalar route, one validated object per sample
+    (hermitian_eigensystem, gibbs_state or DensityMatrix,
+    random_unital_channel, projective_channel or kraus_channel,
+    damping_channel, energy_change), drawn from one generator in the
+    suite's order on its schedule. dims must be sorted and distinct.
+    Returns the unital and the control-group changes as lists.
+    """
+    sweeps = o.sweeps
+    rng = np.random.default_rng(seed)
+
+    def hamiltonian(dim):
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        return o.hermitian_eigensystem(0.5 * (a + a.conj().T))
+
+    unital = []
+    for dim, kind, gibbs in sweeps._theorem1_schedule(dims, samples):
+        h = hamiltonian(dim)
+        if gibbs:
+            rho = o.gibbs_state(h, o.BathSpec(float(rng.uniform(0.05, 5.0))))
+        else:
+            pops = np.sort(rng.random(dim) + 1e-3)[::-1]
+            pops = pops / pops.sum()
+            v = h.eigenvectors
+            rho = o.DensityMatrix((v * pops) @ v.conj().T)
+        if kind == sweeps._MIXTURE:
+            ch = o.random_unital_channel(dim, int(rng.integers(2 ** 31)),
+                                         mix_count=int(rng.integers(1, 5)))
+        elif kind == sweeps._PROJECTIVE:
+            basis = hamiltonian(dim).eigenvectors
+            ch = o.projective_channel([basis[:, k] for k in range(dim)])
+        else:
+            ch = o.kraus_channel([np.eye(dim)])
+        unital.append(o.energy_change(ch, rho, h))
+
+    control = []
+    for i in range(max(10, samples // 20)):
+        dim = dims[i % len(dims)]
+        energies = np.sort(rng.uniform(-2.0, 2.0, size=dim))
+        h = o.hermitian_eigensystem(np.diag(energies).astype(complex))
+        rho = o.gibbs_state(h, o.BathSpec(float(rng.uniform(0.2, 1.0))))
+        ch = o.damping_channel(dim, gamma=float(rng.uniform(0.3, 0.9)),
+                               sink=int(np.argmin(energies)))
+        control.append(o.energy_change(ch, rho, h))
+    return unital, control

@@ -214,3 +214,16 @@ def test_rearrangement_oracle_passive_is_optimal():
 def test_rearrangement_oracle_dimension_cap():
     with pytest.raises(o.DimensionTooLarge):
         o.rearrangement_oracle(np.full(7, 1 / 7), np.arange(7.0))
+
+
+def test_apply_channel_holds_the_bits_of_the_plain_sum():
+    # the stacked helper behind apply_channel (and theorem1_suite) adds
+    # M rho M^dag in operator order, as the plain loop does
+    rng = np.random.default_rng(8)
+    for dim in (2, 3, 4):
+        for ch in (o.random_unital_channel(dim, seed=dim, mix_count=4),
+                   o.damping_channel(dim, 0.4, sink=dim - 1)):
+            rho = o.DensityMatrix(random_density(rng, dim))
+            out = oracle_apply(ch.operators, rho.matrix)
+            want = 0.5 * (out + out.conj().T)
+            assert o.apply_channel(ch, rho).matrix.tobytes() == want.tobytes()

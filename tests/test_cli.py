@@ -201,3 +201,23 @@ def test_spot_check_sample_of_rows_against_cycles(tmp_path):
         assert float(row["W"]) == rec.W
         assert float(row["q_h_-J"]) == rec.per_level_flux_hot["-J"]
         assert int(row["engine_mode"]) == int(rec.engine_mode)
+
+@pytest.mark.parametrize("args", [
+    ["theorem1", "--samples", "200001"],
+    ["qutrit-meas", "--j-steps", "200001"],
+    ["qutrit-contour", "--theta-steps", "1000", "--j-steps", "201"],
+])
+def test_oversized_request_exits_one_before_any_work(tmp_path, capsys,
+                                                     monkeypatch, args):
+    assert o.cli.MAX_POINTS == 200_000
+
+    def no_work(*_, **__):
+        raise AssertionError("the command started work")
+
+    for name in ("theorem1_suite", "sweep_qutrit_measurement",
+                 "sweep_qutrit_contour"):
+        monkeypatch.setattr(o.sweeps, name, no_work)
+    out = tmp_path / "x.out"
+    assert main(args + ["--out", str(out)]) == 1
+    assert "more than 200000 points" in capsys.readouterr().err
+    assert not out.exists()

@@ -292,3 +292,12 @@ def test_random_cycle_record_invariants():
             if rec.engine_mode:
                 assert rec.eta == rec.eta_raw
                 assert 0 < rec.eta
+
+
+def test_closed_form_has_no_efficiency_without_heat():
+    # beta*J = 800 empties both field levels: no heat moves, as run_cycle
+    # sees it, so there is no efficiency either
+    cf = o.closed_form_two_bath_qutrit(800, 3, 4, 1, 1)
+    assert cf.Qh == 0.0 and cf.eta is None
+    rec = two_bath(o.SubstanceSpec.qutrit(800), beta_h=1.0)
+    assert rec.Qh == 0.0 and rec.eta_raw is None

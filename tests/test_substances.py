@@ -150,3 +150,16 @@ def test_level_crossing_skips_permanent_degeneracy():
     # field-driven crossing
     hits = o.detect_level_crossing(o.SubstanceSpec.xxz(0.0, 1.0), 1.5, 5.0)
     assert hits == []
+
+
+def test_crossing_pairs_are_built_once_per_slope_tuple():
+    from ottosim.substances import _crossing_fields, _level_arrays
+    specs = [o.SubstanceSpec.xxz(0.0, -2.0), o.SubstanceSpec.xxz(1.0, 0.5)]
+    _, _, slopes, offsets = _level_arrays(specs)
+    pairs, fields = _crossing_fields(slopes, offsets)
+    again, _ = _crossing_fields(slopes.copy(), offsets)
+    assert again is pairs
+    assert pairs == ((0, 1), (0, 2), (0, 3), (1, 3), (2, 3))
+    for k, (n, m) in enumerate(pairs):
+        want = (offsets[:, m] - offsets[:, n]) / (slopes[n] - slopes[m])
+        assert fields[:, k].tolist() == want.tolist()

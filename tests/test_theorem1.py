@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ottosim as o
-from helpers import random_hermitian
+from helpers import oracle_theorem1_energies, random_hermitian
 
 
 def test_suite_passes_and_reports():
@@ -94,3 +94,77 @@ def test_bound_fails_on_non_passive_states():
     ch = o.projective_channel([np.array([1, 1]) / np.sqrt(2),
                                np.array([1, -1]) / np.sqrt(2)])
     assert o.energy_change(ch, inverted, h) < -1e-3
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("dims,samples,seed,block", [
+    ((2, 3, 4), 300, 1, None),
+    ((2, 3, 4), 300, 7, None),
+    ((2,), 45, 11, None),
+    ((3, 4), 263, 4, None),
+    ((4,), 40, 5, 7),
+    ((2, 3, 4), 61, 2, 9),
+])
+def test_batched_changes_equal_scalar_oracle_bitwise(monkeypatch, dims,
+                                                     samples, seed, block):
+    if block is not None:
+        monkeypatch.setattr(o.sweeps, "_THEOREM1_BLOCK", block)
+    _, unital, control = o.sweeps._theorem1_energy_changes(dims, samples,
+                                                          seed)
+    want_unital, want_control = oracle_theorem1_energies(dims, samples, seed)
+    assert _bits(unital) == _bits(want_unital)
+    assert _bits(control) == _bits(want_control)
+
+
+def test_blocks_bound_the_stacks(monkeypatch):
+    monkeypatch.setattr(o.sweeps, "_THEOREM1_BLOCK", 16)
+    sizes = []
+    compute = o.sweeps._unital_changes
+
+    def recording(dim, draws):
+        sizes.append(len(draws))
+        return compute(dim, draws)
+
+    monkeypatch.setattr(o.sweeps, "_unital_changes", recording)
+    rep = o.theorem1_suite(dims=(2, 3, 4), samples=16 * 5 + 3, seed=4)
+    assert rep.passed
+    assert max(sizes) <= 16 and sum(sizes) == 16 * 5 + 3
+
+
+@pytest.mark.parametrize("dims", [(2,), (3, 4), (2, 3, 4)])
+def test_schedule_covers_every_combination(dims):
+    combos = {(d, kind, gibbs) for d in dims
+              for kind in (o.sweeps._MIXTURE, o.sweeps._PROJECTIVE,
+                           o.sweeps._IDENTITY)
+              for gibbs in (True, False)}
+    assert set(o.sweeps._theorem1_schedule(dims, len(combos))) == combos
+    # over a long run every combination is drawn equally often, within one
+    schedule = o.sweeps._theorem1_schedule(dims, 500)
+    counts = [schedule.count(c) for c in combos]
+    assert max(counts) - min(counts) <= 1
+    # the first samples already span every dimension
+    assert [d for d, _, _ in schedule[:len(dims)]] == list(dims)
+
+
+def test_identity_row_is_checked(monkeypatch):
+    rep = o.theorem1_suite(dims=(2, 3), samples=60, seed=2)
+    assert rep.max_identity == 0.0
+    assert rep.lines()[2] == "identity-channel row: energy change 0 (exact)"
+
+    changes = o.sweeps._theorem1_energy_changes
+
+    def nudged(dims, samples, seed):
+        schedule, unital, control = changes(dims, samples, seed)
+        first = [kind for _, kind, _ in schedule].index(o.sweeps._IDENTITY)
+        unital[first] = 5e-324
+        return schedule, unital, control
+
+    monkeypatch.setattr(o.sweeps, "_theorem1_energy_changes", nudged)
+    rep = o.theorem1_suite(dims=(2, 3), samples=60, seed=2)
+    assert rep.max_identity == 5e-324
+    assert not rep.passed
+    assert "expected exactly 0" in rep.lines()[2]
+    assert rep.lines()[-1] == "result: FAIL"
