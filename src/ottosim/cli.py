@@ -1,4 +1,4 @@
-"""Command-line sweep driver.
+"""Command-line front end of the sweeps.
 
 Subcommands produce CSV tables (plus a .meta parameter sidecar) for the
 standard engine studies: qutrit-two-bath, qutrit-meas, qutrit-contour,
@@ -6,16 +6,19 @@ qutrit-extreme, xxz, and the theorem1 property report. Every default can
 be overridden by a flag or by a key=value --config file; flags win over
 the config file. Exit codes: 0 success, 1 validation error, 2 IO error.
 
-A command asks for at most MAX_POINTS rows (the product of the grid
-sizes) or theorem1 samples; larger requests exit 1 before any work.
+_COMMANDS gives each command's options and _SWEEPS each sweep's library
+call. Before any work a sweep must name its --out file, and a command
+may ask for at most MAX_POINTS rows (the product of its *_steps options)
+or theorem1 samples; otherwise it exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -66,10 +69,6 @@ def _dims(text: str) -> tuple:
     return tuple(_int(p) for p in text.split(","))
 
 
-def _passthrough(value: str) -> str:
-    return value
-
-
 @dataclass(frozen=True)
 class Opt:
     dest: str
@@ -87,22 +86,13 @@ _PI = float(np.pi)
 MAX_POINTS = 200_000
 
 
-def _check_size(vals: dict, *counts: str) -> None:
-    """Reject a request whose counts multiply to more than MAX_POINTS."""
-    total = 1
-    for name in counts:
-        total *= max(vals[name], 1)
-    if total > MAX_POINTS:
-        sizes = " * ".join(f"{name}={vals[name]}" for name in counts)
-        raise OttoSimError(f"{sizes} asks for more than {MAX_POINTS} points")
-
 _BATH = [
     Opt("bi", _float, 3.0, "field during the cold stroke"),
     Opt("bf", _float, 4.0, "field during the hot/measurement stroke"),
     Opt("beta_c", _float, 1.0, "cold-bath inverse temperature"),
 ]
 _BETA_H = Opt("beta_h", _float, 0.5, "hot-bath inverse temperature")
-_OUT = Opt("out", _passthrough, None, "output CSV path (required)")
+_OUT = Opt("out", str, None, "output CSV path (required)")
 _SEED = Opt("seed", _int, None, "random seed (recorded; used by theorem1)")
 
 
@@ -145,7 +135,7 @@ _COMMANDS = {
         Opt("dims", _dims, (2, 3, 4), "dimensions, e.g. 2,3,4"),
         Opt("samples", _int, 1000, "number of (channel, state, H) triples"),
         Opt("seed", _int, 1, "random seed"),
-        Opt("out", _passthrough, None, "optional path for the report text"),
+        Opt("out", str, None, "optional path for the report text"),
     ],
 }
 
@@ -178,69 +168,57 @@ def _resolve(ns: argparse.Namespace, options) -> dict:
             raw = config.get(opt.dest)
         if raw is None:
             out[opt.dest] = opt.default
-        elif isinstance(raw, str):
-            out[opt.dest] = opt.conv(raw)
         else:
-            out[opt.dest] = raw
+            out[opt.dest] = opt.conv(raw)
     return out
 
 
-def _require_out(vals: dict) -> str:
-    if not vals["out"]:
-        raise OttoSimError("--out is required")
-    return vals["out"]
+def _range(vals: dict, prefix: str) -> SweepRange:
+    return SweepRange(vals[f"{prefix}_min"], vals[f"{prefix}_max"],
+                      vals[f"{prefix}_steps"])
 
 
-def _run_sweep_command(name: str, ns: argparse.Namespace) -> int:
+_SWEEPS = {
+    "qutrit-two-bath": lambda v: sweeps.sweep_qutrit_two_bath(
+        v["bi"], v["bf"], v["beta_c"], v["beta_h"], _range(v, "j")),
+    "qutrit-meas": lambda v: sweeps.sweep_qutrit_measurement(
+        v["bi"], v["bf"], v["beta_c"],
+        Su3Angles(v["theta"], v["phi"], v["chi"], v["psi"]), _range(v, "j")),
+    "qutrit-contour": lambda v: sweeps.sweep_qutrit_contour(
+        v["bi"], v["bf"], v["beta_c"], v["mode"], _range(v, "theta"),
+        _range(v, "j")),
+    "qutrit-extreme": lambda v: sweeps.sweep_qutrit_extreme(
+        v["bi"], v["bf"], v["beta_c"], _range(v, "j")),
+    "xxz": lambda v: sweeps.sweep_xxz(
+        v["model"], v["protocol"], v["bi"], v["bf"], v["beta_c"],
+        _range(v, "j"), beta_h=v["beta_h"], n=v["n"], m=v["m"]),
+}
+
+
+def _run(name: str, ns: argparse.Namespace) -> int:
     vals = _resolve(ns, _COMMANDS[name])
-    if name == "qutrit-contour":
-        _check_size(vals, "theta_steps", "j_steps")
-    else:
-        _check_size(vals, "j_steps")
-    if name == "qutrit-two-bath":
-        table = sweeps.sweep_qutrit_two_bath(
-            vals["bi"], vals["bf"], vals["beta_c"], vals["beta_h"],
-            SweepRange(vals["j_min"], vals["j_max"], vals["j_steps"]))
-    elif name == "qutrit-meas":
-        angles = Su3Angles(theta=vals["theta"], phi=vals["phi"],
-                           chi=vals["chi"], psi=vals["psi"])
-        table = sweeps.sweep_qutrit_measurement(
-            vals["bi"], vals["bf"], vals["beta_c"], angles,
-            SweepRange(vals["j_min"], vals["j_max"], vals["j_steps"]))
-    elif name == "qutrit-contour":
-        table = sweeps.sweep_qutrit_contour(
-            vals["bi"], vals["bf"], vals["beta_c"], vals["mode"],
-            SweepRange(vals["theta_min"], vals["theta_max"], vals["theta_steps"]),
-            SweepRange(vals["j_min"], vals["j_max"], vals["j_steps"]))
-    elif name == "qutrit-extreme":
-        table = sweeps.sweep_qutrit_extreme(
-            vals["bi"], vals["bf"], vals["beta_c"],
-            SweepRange(vals["j_min"], vals["j_max"], vals["j_steps"]))
-    else:
-        table = sweeps.sweep_xxz(
-            vals["model"], vals["protocol"], vals["bi"], vals["bf"],
-            vals["beta_c"],
-            SweepRange(vals["j_min"], vals["j_max"], vals["j_steps"]),
-            beta_h=vals["beta_h"], n=vals["n"], m=vals["m"])
-    if vals.get("seed") is not None:
+    out = vals["out"]
+    if name in _SWEEPS and not out:
+        raise OttoSimError("--out is required")
+    counts = [key for key in vals if key.endswith("_steps") or key == "samples"]
+    if math.prod(max(vals[key], 1) for key in counts) > MAX_POINTS:
+        sizes = " * ".join(f"{key}={vals[key]}" for key in counts)
+        raise OttoSimError(f"{sizes} asks for more than {MAX_POINTS} points")
+    if name not in _SWEEPS:
+        report = sweeps.theorem1_suite(vals["dims"], vals["samples"],
+                                       vals["seed"])
+        text = "\n".join(report.lines()) + "\n"
+        sys.stdout.write(text)
+        if out:
+            with sweeps._replacing(out) as (f,):
+                f.write(text)
+        return 0 if report.passed else 1
+    table = _SWEEPS[name](vals)
+    if vals["seed"] is not None:
         table.meta["seed"] = vals["seed"]
-    out = _require_out(vals)
     write_csv(out, table)
     print(f"wrote {len(table.rows)} rows to {out}")
     return 0
-
-
-def _run_theorem1(ns: argparse.Namespace) -> int:
-    vals = _resolve(ns, _COMMANDS["theorem1"])
-    _check_size(vals, "samples")
-    report = sweeps.theorem1_suite(dims=vals["dims"], samples=vals["samples"],
-                                   seed=vals["seed"])
-    text = "\n".join(report.lines()) + "\n"
-    sys.stdout.write(text)
-    if vals["out"]:
-        with open(vals["out"], "w", encoding="utf-8", newline="") as f:
-            f.write(text)
-    return 0 if report.passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,9 +253,7 @@ def main(argv=None) -> int:
         parser.print_help()
         return 1
     try:
-        if ns.command == "theorem1":
-            return _run_theorem1(ns)
-        return _run_sweep_command(ns.command, ns)
+        return _run(ns.command, ns)
     except OttoSimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

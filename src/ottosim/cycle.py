@@ -28,8 +28,8 @@ from .channels import KrausChannel, _transfer_entries
 from .core import BathSpec, boltzmann_populations, row_sum
 from .errors import (DimensionMismatch, InvalidField, MeasurementCoolsWarning,
                      NotAnEngine, OttoSimError)
-from .substances import (SubstanceSpec, _crossing_fields, _level_arrays,
-                         check_uniform_gap_ratio, labelled_basis)
+from .substances import (_KINDS, SubstanceSpec, _crossing_fields,
+                         _level_arrays, check_uniform_gap_ratio)
 from .tolerances import TOL
 
 
@@ -163,7 +163,7 @@ def run_cycle_batch(specs, Bi: float, Bf: float, cold: BathSpec,
     stroke-3 populations are Boltzmann weights at Bf; under Measurement
     the thermal state is carried to Bf along its labels and pushed
     through the channel's transfer matrix in the labelled eigenbasis,
-    which does not depend on the couplings and is built once per call.
+    which does not depend on the couplings; it comes from the kind table.
 
     Every step is elementwise or a fixed-order sum within a row, so row k
     has the same bits as a batch of specs[k] alone. A cooling measurement
@@ -184,9 +184,7 @@ def run_cycle_batch(specs, Bi: float, Bf: float, cold: BathSpec,
     else:
         # The input state is diagonal in the labelled basis, so only the
         # diagonal transfer p' = T p matters.
-        basis = labelled_basis(specs[0])
-        t = _transfer_entries(protocol.channel,
-                              np.column_stack([basis[l] for l in labels]))
+        t = _transfer_entries(protocol.channel, _KINDS[specs[0].kind].basis)
         p_hot = row_sum(t * p_cold[:, None, :])
         # Levels the channel leaves alone must not pick up rounding noise:
         # a stray 1e-16 would misclassify a no-op stroke as an engine.

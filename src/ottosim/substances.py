@@ -6,7 +6,10 @@ B are "idle": they exchange heat between the strokes but contribute no
 work, which is the mechanism behind efficiencies away from 1 - Bi/Bf.
 
 All three substances have B-independent eigenvectors, so level tracking
-across the adiabatic stroke is exact label bookkeeping.
+across the adiabatic stroke is exact label bookkeeping. One private
+table, _KINDS, describes each kind (couplings, levels, eigenbasis); all
+but build_hamiltonian read it. build_hamiltonian writes each matrix out,
+so it stays an independent route to the same spectrum.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +32,52 @@ class SubstanceKind(enum.Enum):
     QUBIT = "qubit"
     QUTRIT = "qutrit"
     XXZ = "xxz"
+
+
+class _Kind(NamedTuple):
+    """couplings: the SubstanceSpec fields the kind uses. levels: per label,
+    in order, (label, slope, offset, idle) with energy(B) = slope*B +
+    offset(spec). basis: read-only, column k the eigenvector of label k."""
+
+    couplings: tuple
+    levels: tuple
+    basis: np.ndarray
+
+
+def _basis(*columns):
+    matrix = np.column_stack(columns)
+    matrix.flags.writeable = False
+    return matrix
+
+
+_KINDS = {
+    SubstanceKind.QUBIT: _Kind(
+        couplings=(),
+        levels=(("+B", 1.0, lambda spec: 0.0, False),
+                ("-B", -1.0, lambda spec: 0.0, False)),
+        basis=_basis(np.array([1, 0], dtype=complex),
+                     np.array([0, 1], dtype=complex))),
+    SubstanceKind.QUTRIT: _Kind(
+        couplings=("J",),
+        levels=(("+B", 1.0, lambda spec: 0.0, False),
+                ("-B", -1.0, lambda spec: 0.0, False),
+                ("-J", 0.0, lambda spec: -spec.J, True)),
+        basis=_basis(np.array([1, 1, 0], dtype=complex) / _SQ2,
+                     np.array([-1, 1, 0], dtype=complex) / _SQ2,
+                     np.array([0, 0, 1], dtype=complex))),
+    SubstanceKind.XXZ: _Kind(
+        couplings=("Jxy", "Jz"),
+        levels=(("2B", 2.0, lambda spec: 0.0, False),
+                ("2(Jxy-Jz)", 0.0,
+                 lambda spec: 2.0 * (spec.Jxy - spec.Jz), True),
+                ("-2(Jxy+Jz)", 0.0,
+                 lambda spec: -2.0 * (spec.Jxy + spec.Jz), True),
+                ("-2B", -2.0, lambda spec: 0.0, False)),
+        basis=_basis(np.array([1, 0, 0, 0], dtype=complex),
+                     np.array([0, 1, 1, 0], dtype=complex) / _SQ2,
+                     np.array([0, 1, -1, 0], dtype=complex) / _SQ2,
+                     np.array([0, 0, 0, 1], dtype=complex))),
+}
 
 
 @dataclass(frozen=True)
@@ -47,8 +97,7 @@ class SubstanceSpec:
         for name in ("J", "Jxy", "Jz"):
             if not np.isfinite(getattr(self, name)):
                 raise InvalidField(f"{name} must be finite")
-        used = {SubstanceKind.QUBIT: (), SubstanceKind.QUTRIT: ("J",),
-                SubstanceKind.XXZ: ("Jxy", "Jz")}[self.kind]
+        used = _KINDS[self.kind].couplings
         for name in ("J", "Jxy", "Jz"):
             if name not in used and getattr(self, name) != 0.0:
                 raise InvalidField(f"{name} is meaningless for {self.kind.value}")
@@ -67,8 +116,7 @@ class SubstanceSpec:
 
     @property
     def dim(self) -> int:
-        return {SubstanceKind.QUBIT: 2, SubstanceKind.QUTRIT: 3,
-                SubstanceKind.XXZ: 4}[self.kind]
+        return len(_KINDS[self.kind].levels)
 
 
 @dataclass(frozen=True)
@@ -98,21 +146,6 @@ class LabelledSpectrum:
         return tuple(lv.label for lv in self.levels if lv.idle)
 
 
-def _level_table(spec: SubstanceSpec):
-    """Per-label (label, slope, offset, idle): energy(B) = slope*B + offset."""
-    if spec.kind is SubstanceKind.QUBIT:
-        return (("+B", 1.0, 0.0, False),
-                ("-B", -1.0, 0.0, False))
-    if spec.kind is SubstanceKind.QUTRIT:
-        return (("+B", 1.0, 0.0, False),
-                ("-B", -1.0, 0.0, False),
-                ("-J", 0.0, -spec.J, True))
-    return (("2B", 2.0, 0.0, False),
-            ("2(Jxy-Jz)", 0.0, 2.0 * (spec.Jxy - spec.Jz), True),
-            ("-2(Jxy+Jz)", 0.0, -2.0 * (spec.Jxy + spec.Jz), True),
-            ("-2B", -2.0, 0.0, False))
-
-
 def _level_arrays(specs):
     """The level table of N substances of one kind, as arrays.
 
@@ -122,11 +155,11 @@ def _level_arrays(specs):
     kind = specs[0].kind
     if any(s.kind is not kind for s in specs):
         raise InvalidField("substances of one batch must share one kind")
-    table = _level_table(specs[0])
-    labels = tuple(row[0] for row in table)
-    idle = tuple(row[0] for row in table if row[3])
-    slopes = np.array([row[1] for row in table])
-    offsets = np.array([[row[2] for row in _level_table(s)] for s in specs])
+    levels = _KINDS[kind].levels
+    labels = tuple(row[0] for row in levels)
+    idle = tuple(row[0] for row in levels if row[3])
+    slopes = np.array([row[1] for row in levels])
+    offsets = np.array([[row[2](s) for row in levels] for s in specs])
     return labels, idle, slopes, offsets
 
 
@@ -162,17 +195,9 @@ def _level_pairs(slopes: tuple):
 
 def labelled_basis(spec: SubstanceSpec) -> dict:
     """Eigenvector per label (B-independent for all three substances)."""
-    if spec.kind is SubstanceKind.QUBIT:
-        return {"+B": np.array([1, 0], dtype=complex),
-                "-B": np.array([0, 1], dtype=complex)}
-    if spec.kind is SubstanceKind.QUTRIT:
-        return {"+B": np.array([1, 1, 0], dtype=complex) / _SQ2,
-                "-B": np.array([-1, 1, 0], dtype=complex) / _SQ2,
-                "-J": np.array([0, 0, 1], dtype=complex)}
-    return {"2B": np.array([1, 0, 0, 0], dtype=complex),
-            "2(Jxy-Jz)": np.array([0, 1, 1, 0], dtype=complex) / _SQ2,
-            "-2(Jxy+Jz)": np.array([0, 1, -1, 0], dtype=complex) / _SQ2,
-            "-2B": np.array([0, 0, 0, 1], dtype=complex)}
+    kind = _KINDS[spec.kind]
+    return {row[0]: kind.basis[:, k].copy()
+            for k, row in enumerate(kind.levels)}
 
 
 def build_hamiltonian(spec: SubstanceSpec, B: float) -> HermitianOperator:
@@ -201,8 +226,8 @@ def labelled_spectrum(spec: SubstanceSpec, B: float) -> LabelledSpectrum:
     """Closed-form energies with stable labels and idle flags (no solver)."""
     if not (np.isfinite(B) and B > 0):
         raise InvalidField(f"field B must be positive, got {B}")
-    levels = tuple(Level(label, slope * B + offset, idle)
-                   for label, slope, offset, idle in _level_table(spec))
+    levels = tuple(Level(label, slope * B + offset(spec), idle)
+                   for label, slope, offset, idle in _KINDS[spec.kind].levels)
     return LabelledSpectrum(levels=levels, field_value=B)
 
 

@@ -2,22 +2,26 @@
 
 Each sweep function returns a SweepTable: a header, float rows in
 deterministic order, and a metadata mapping recording every parameter.
-Identical parameters always produce byte-identical CSV files.
+Identical parameters always produce byte-identical CSV files, which
+write_csv moves into place only once the CSV and its .meta are whole.
 
-A sweep builds its channel once and hands the whole coupling grid to
-cycle.run_cycle_batch, which computes every row in one array pass (the
-contour makes one pass per theta). The kernel works row by row in a
-fixed order, so each row holds the same bits as run_cycle at that grid
-point, whatever the grid size. A cooling measurement warns once per
-sweep call, not once per row.
+Every sweep is one call to _sweep, the loop they share. It builds the
+channel once per point of the outer axes (once per sweep, once per theta
+for the contour) and hands the whole coupling grid to
+cycle.run_cycle_batch, which works row by row in a fixed order, so each
+row holds the same bits as run_cycle at that grid point, whatever the
+grid size. A cooling measurement warns once per batch, not once per row.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
 import numbers
 import operator
-from dataclasses import dataclass
+import os
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -27,11 +31,11 @@ from .channels import (_apply_kraus, _check_trace_preserving,
                        _random_matrix, _unitary_mixture)
 from .core import (BathSpec, _dagger, _densities, _eigensystems, _energies,
                    _finite, _hermitian_part, boltzmann_populations)
-from .cycle import CycleBatch, Measurement, TwoBath, run_cycle_batch
+from .cycle import Measurement, TwoBath, run_cycle_batch
 from .errors import InvalidField, OttoSimError
 from .measurements import (SpinDirection, Su3Angles, local_spin_channel,
                            su3_projective_channel)
-from .substances import SubstanceSpec
+from .substances import SubstanceKind, SubstanceSpec
 from .tolerances import TOL
 
 
@@ -75,72 +79,64 @@ class SweepTable(NamedTuple):
     meta: dict
 
 
-def _scalar_columns():
-    return ["Qh", "Qc", "W", "eta_raw", "eta0", "engine_mode", "crossing"]
+def _sweep(meta, Bi, Bf, beta_c, axes, substance, protocol,
+           idle_sum=False) -> SweepTable:
+    """The loop all sweeps share: a cycle batch per outer grid point.
 
-
-def _label_columns(labels):
-    cols = []
-    for prefix in ("q_h", "q_c", "dp", "p_cold", "p_post"):
-        cols.extend(f"{prefix}_{label}" for label in labels)
-    return cols
-
-
-def _rows(lead, batch: CycleBatch, idle_sum: bool = False) -> list:
-    """Table rows: the swept columns in lead, then the batch's accounting.
-
-    With idle_sum, the summed idle-level hot flux follows the scalar
-    columns.
+    axes: (column, meta prefix, SweepRange) per axis, the coupling last,
+    which runs fastest. substance(c) builds the substance at coupling c,
+    protocol(*point) the stroke-3 protocol at a point of the outer axes.
+    idle_sum adds the summed idle-level hot flux after the scalar columns.
     """
-    n = len(batch.Qh)
-    cols = list(lead) + [
-        batch.Qh.tolist(), batch.Qc.tolist(), batch.W.tolist(),
-        [None if math.isnan(v) else v for v in batch.eta_raw.tolist()],
-        [batch.eta0] * n,
-        batch.engine_mode.astype(int).tolist(),
-        batch.crossing.astype(int).tolist(),
-    ]
-    if idle_sum:
-        cols.append(batch.idle_flux_hot().tolist())
-    for per_level in (batch.flux_hot, batch.flux_cold, batch.delta_p,
-                      batch.p_cold, batch.p_hot):
-        cols.extend(per_level.T.tolist())
-    return [list(row) for row in zip(*cols)]
-
-
-def _qutrits(j_range: SweepRange):
-    """The grid's J values and one qutrit per value."""
-    js = j_range.values().tolist()
-    return js, [SubstanceSpec.qutrit(J) for J in js]
+    *outer, (_, _, couplings) = axes
+    cs = couplings.values().tolist()
+    specs = [substance(c) for c in cs]
+    cold = BathSpec(beta_c)
+    rows = []
+    for point in itertools.product(*(r.values().tolist()
+                                     for _, _, r in outer)):
+        batch = run_cycle_batch(specs, Bi, Bf, cold, protocol(*point))
+        cols = [[v] * len(cs) for v in point] + [
+            cs, batch.Qh.tolist(), batch.Qc.tolist(), batch.W.tolist(),
+            [None if math.isnan(v) else v for v in batch.eta_raw.tolist()],
+            [batch.eta0] * len(cs),
+            batch.engine_mode.astype(int).tolist(),
+            batch.crossing.astype(int).tolist(),
+        ]
+        if idle_sum:
+            cols.append(batch.idle_flux_hot().tolist())
+        for per_level in (batch.flux_hot, batch.flux_cold, batch.delta_p,
+                          batch.p_cold, batch.p_hot):
+            cols.extend(per_level.T.tolist())
+        rows.extend(list(row) for row in zip(*cols))
+    header = tuple([column for column, _, _ in axes]
+                   + ["Qh", "Qc", "W", "eta_raw", "eta0", "engine_mode",
+                      "crossing"] + (["q1_plus_q2"] if idle_sum else [])
+                   + [f"{prefix}_{label}" for prefix in
+                      ("q_h", "q_c", "dp", "p_cold", "p_post")
+                      for label in batch.labels])
+    meta = dict(meta, bi=Bi, bf=Bf, beta_c=beta_c)
+    for _, prefix, r in axes:
+        meta.update({f"{prefix}_min": r.start, f"{prefix}_max": r.stop,
+                     f"{prefix}_steps": r.steps})
+    return SweepTable(header=header, rows=rows, meta=meta)
 
 
 def sweep_qutrit_two_bath(Bi: float, Bf: float, beta_c: float, beta_h: float,
                           j_range: SweepRange) -> SweepTable:
     """One row per J for the thermally driven qutrit cycle."""
-    js, specs = _qutrits(j_range)
-    batch = run_cycle_batch(specs, Bi, Bf, BathSpec(beta_c),
-                            TwoBath(hot=BathSpec(beta_h)))
-    header = tuple(["J"] + _scalar_columns() + _label_columns(batch.labels))
-    meta = {"command": "qutrit-two-bath", "bi": Bi, "bf": Bf,
-            "beta_c": beta_c, "beta_h": beta_h,
-            "j_min": j_range.start, "j_max": j_range.stop,
-            "j_steps": j_range.steps}
-    return SweepTable(header=header, rows=_rows([js], batch), meta=meta)
+    return _sweep({"command": "qutrit-two-bath", "beta_h": beta_h},
+                  Bi, Bf, beta_c, [("J", "j", j_range)], SubstanceSpec.qutrit,
+                  lambda: TwoBath(hot=BathSpec(beta_h)))
 
 
 def sweep_qutrit_measurement(Bi: float, Bf: float, beta_c: float,
                              angles: Su3Angles,
                              j_range: SweepRange) -> SweepTable:
     """One row per J for the measurement-driven qutrit cycle."""
-    js, specs = _qutrits(j_range)
-    batch = run_cycle_batch(specs, Bi, Bf, BathSpec(beta_c),
-                            Measurement(su3_projective_channel(angles)))
-    header = tuple(["J"] + _scalar_columns() + _label_columns(batch.labels))
-    meta = {"command": "qutrit-meas", "bi": Bi, "bf": Bf, "beta_c": beta_c,
-            "theta": angles.theta, "phi": angles.phi, "chi": angles.chi,
-            "psi": angles.psi, "j_min": j_range.start, "j_max": j_range.stop,
-            "j_steps": j_range.steps}
-    return SweepTable(header=header, rows=_rows([js], batch), meta=meta)
+    return _sweep({"command": "qutrit-meas", **asdict(angles)},
+                  Bi, Bf, beta_c, [("J", "j", j_range)], SubstanceSpec.qutrit,
+                  lambda: Measurement(su3_projective_channel(angles)))
 
 
 CONTOUR_MODES = ("theta-phi", "theta-phi-chi")
@@ -157,25 +153,13 @@ def sweep_qutrit_contour(Bi: float, Bf: float, beta_c: float, mode: str,
     if mode not in CONTOUR_MODES:
         raise OttoSimError(f"mode must be one of {CONTOUR_MODES}, got {mode!r}")
     half_pi = 0.5 * np.pi
-    cold = BathSpec(beta_c)
-    js, specs = _qutrits(j_range)
-    rows = []
-    for t in theta_range.values().tolist():
-        if mode == "theta-phi":
-            angles = Su3Angles(theta=t, phi=t, chi=half_pi, psi=half_pi)
-        else:
-            angles = Su3Angles(theta=t, phi=t, chi=t, psi=half_pi)
-        batch = run_cycle_batch(specs, Bi, Bf, cold,
-                                Measurement(su3_projective_channel(angles)))
-        rows.extend(_rows([[t] * len(js), js], batch))
-    header = tuple(["theta", "J"] + _scalar_columns()
-                   + _label_columns(batch.labels))
-    meta = {"command": "qutrit-contour", "bi": Bi, "bf": Bf, "beta_c": beta_c,
-            "mode": mode, "theta_min": theta_range.start,
-            "theta_max": theta_range.stop, "theta_steps": theta_range.steps,
-            "j_min": j_range.start, "j_max": j_range.stop,
-            "j_steps": j_range.steps}
-    return SweepTable(header=header, rows=rows, meta=meta)
+    tie_chi = mode == "theta-phi-chi"
+    return _sweep({"command": "qutrit-contour", "mode": mode}, Bi, Bf, beta_c,
+                  [("theta", "theta", theta_range), ("J", "j", j_range)],
+                  SubstanceSpec.qutrit,
+                  lambda t: Measurement(su3_projective_channel(Su3Angles(
+                      theta=t, phi=t, chi=t if tie_chi else half_pi,
+                      psi=half_pi))))
 
 
 EXTREME_ANGLES = Su3Angles(theta=0.75 * np.pi, phi=0.75 * np.pi,
@@ -189,10 +173,9 @@ def sweep_qutrit_extreme(Bi: float, Bf: float, beta_c: float,
     This family leaves the +B population untouched and equalizes the two
     lowest levels, trading vanishing work for efficiency near 1.
     """
-    table = sweep_qutrit_measurement(Bi, Bf, beta_c, EXTREME_ANGLES, j_range)
-    meta = dict(table.meta)
-    meta["command"] = "qutrit-extreme"
-    return SweepTable(header=table.header, rows=table.rows, meta=meta)
+    return _sweep({"command": "qutrit-extreme", **asdict(EXTREME_ANGLES)},
+                  Bi, Bf, beta_c, [("J", "j", j_range)], SubstanceSpec.qutrit,
+                  lambda: Measurement(su3_projective_channel(EXTREME_ANGLES)))
 
 
 XXZ_MODELS = ("xx", "ising")
@@ -212,40 +195,32 @@ def sweep_xxz(model: str, protocol: str, Bi: float, Bf: float, beta_c: float,
         raise OttoSimError(f"model must be one of {XXZ_MODELS}, got {model!r}")
     if protocol not in XXZ_PROTOCOLS:
         raise OttoSimError(f"protocol must be one of {XXZ_PROTOCOLS}, got {protocol!r}")
+    meta = {"command": "xxz", "model": model, "protocol": protocol}
     if protocol == "two-bath":
         if beta_h is None:
             raise OttoSimError("two-bath protocol needs beta_h")
         proto = TwoBath(hot=BathSpec(beta_h))
+        meta["beta_h"] = beta_h
     else:
         if n is None or m is None:
             raise OttoSimError("measurement protocol needs directions n and m")
         proto = Measurement(local_spin_channel(n, m))
-    swept = "Jxy" if model == "xx" else "Jz"
-    cs = coupling_range.values().tolist()
-    specs = [SubstanceSpec.xxz(Jxy=c, Jz=0.0) if model == "xx"
-             else SubstanceSpec.xxz(Jxy=0.0, Jz=c) for c in cs]
-    batch = run_cycle_batch(specs, Bi, Bf, BathSpec(beta_c), proto)
-    header = tuple([swept] + _scalar_columns() + ["q1_plus_q2"]
-                   + _label_columns(batch.labels))
-    meta = {"command": "xxz", "model": model, "protocol": protocol,
-            "bi": Bi, "bf": Bf, "beta_c": beta_c,
-            "j_min": coupling_range.start, "j_max": coupling_range.stop,
-            "j_steps": coupling_range.steps}
-    if protocol == "two-bath":
-        meta["beta_h"] = beta_h
-    else:
         meta["n"] = f"{n.nx},{n.ny},{n.nz}"
         meta["m"] = f"{m.nx},{m.ny},{m.nz}"
-    return SweepTable(header=header, rows=_rows([cs], batch, idle_sum=True),
-                      meta=meta)
+    swept = "Jxy" if model == "xx" else "Jz"
+    return _sweep(meta, Bi, Bf, beta_c, [(swept, "j", coupling_range)],
+                  lambda c: SubstanceSpec(SubstanceKind.XXZ, **{swept: c}),
+                  lambda: proto, idle_sum=True)
 
 
 @dataclass(frozen=True)
 class Theorem1Report:
     """Outcome of the unital-channel energy-gain property suite.
 
-    max_identity is the largest |energy change| over the identity-channel
-    samples; the identity must leave every energy exactly unchanged.
+    min_unital is the smallest energy change over the unital samples other
+    than the identity. max_identity is the largest |energy change| over
+    the identity-channel samples, which must leave every energy exactly
+    unchanged.
     """
 
     samples: int
@@ -264,10 +239,11 @@ class Theorem1Report:
         else:
             identity = (f"identity-channel row: max |energy change| "
                         f"{self.max_identity:.6e} (expected exactly 0)")
-        out = [
+        return [
             f"unital-channel suite: {self.samples} samples, dims "
             f"{','.join(str(d) for d in self.dims)}, seed {self.seed}",
-            f"min energy change over unital channels on passive states: "
+            f"min energy change over non-identity unital channels on "
+            f"passive states: "
             f"{self.min_unital:.6e} (floor {-TOL.theorem_slack:g})",
             identity,
             f"non-unital control group: {self.control_samples} samples, "
@@ -275,7 +251,6 @@ class Theorem1Report:
             f"found: {'yes' if self.control_negative_found else 'no'}",
             f"result: {'PASS' if self.passed else 'FAIL'}",
         ]
-        return out
 
 
 # Samples drawn and computed per array pass of theorem1_suite. The stacks
@@ -442,8 +417,9 @@ def theorem1_suite(dims=(2, 3, 4), samples: int = 1000,
 
     Draws (channel, passive state, Hamiltonian) triples across the given
     dimensions, mixing unitary-mixture channels, random projective
-    channels, and the identity; records the minimum energy change and
-    requires every identity sample to change the energy by exactly 0.
+    channels, and the identity; records the minimum energy change over
+    the non-identity channels and requires every identity sample to
+    change the energy by exactly 0.
     The control group applies non-unital ground-sink damping to excited
     thermal states and must find a strictly negative energy change.
 
@@ -460,9 +436,10 @@ def theorem1_suite(dims=(2, 3, 4), samples: int = 1000,
     if samples < 1:
         raise OttoSimError("samples must be >= 1")
     schedule, changes, control = _theorem1_energy_changes(dims, samples, seed)
-    identity = [kind == _IDENTITY for _, kind, _ in schedule]
+    identity = np.array([kind == _IDENTITY for _, kind, _ in schedule])
     max_identity = float(np.abs(changes[identity]).max(initial=0.0))
-    min_unital = float(changes.min())
+    # the first sample is always a mixture, so this is never empty
+    min_unital = float(changes[~identity].min())
     min_control = float(control.min())
     found = min_control < -1e-6
     passed = ((min_unital >= -TOL.theorem_slack) and found
@@ -484,22 +461,46 @@ def format_value(v) -> str:
     return f"{float(v):.17g}"
 
 
+@contextlib.contextmanager
+def _replacing(*paths):
+    """Text files that replace paths only once all are written and closed.
+
+    Each is a new temp file next to its target, created by open() as a
+    plain write would create it. If anything fails first, every temp is
+    removed and no target changes.
+    """
+    temps = []
+    try:
+        with contextlib.ExitStack() as stack:
+            files = []
+            for path in paths:
+                temp = f"{path}.{os.urandom(8).hex()}.tmp"
+                files.append(stack.enter_context(
+                    open(temp, "x", encoding="utf-8", newline="")))
+                temps.append(temp)
+            yield files
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    except BaseException:
+        for temp in temps:
+            # a temp already moved into place is gone
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temp)
+        raise
+
+
 def write_csv(path: str, table: SweepTable) -> None:
     """Write the table as UTF-8 CSV with Unix newlines, plus a .meta sidecar.
 
     Output is byte-identical for identical parameters: full-precision
-    floats, deterministic row order, no timestamps.
+    floats, deterministic row order, no timestamps. Both files replace
+    any earlier output only once both are fully written.
     """
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    with _replacing(path, path + ".meta") as (f, meta):
         f.write(",".join(table.header) + "\n")
         for row in table.rows:
             f.write(",".join(format_value(v) for v in row) + "\n")
-    with open(path + ".meta", "w", encoding="utf-8", newline="") as f:
         for key in sorted(table.meta):
-            f.write(f"{key}={format_value_meta(table.meta[key])}\n")
-
-
-def format_value_meta(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
+            value = table.meta[key]
+            text = f"{value:.17g}" if isinstance(value, float) else str(value)
+            meta.write(f"{key}={text}\n")

@@ -21,7 +21,6 @@ class Tolerances:
     channel: float = 1e-10          # trace-preserving / unital / stochastic sums
     unit_vector: float = 1e-12      # spin-direction normalization
     gap_ratio: float = 1e-10        # uniform gap-ratio comparison
-    degeneracy: float = 1e-9        # eigenvalues closer than this share a block
     conservation: float = 1e-12     # W = -(Qh+Qc) and flux-sum identities
     identity_check: float = 1e-10   # efficiency-ratio identity
     theorem_slack: float = 1e-10    # energy-change floor for unital channels

@@ -221,3 +221,83 @@ def test_oversized_request_exits_one_before_any_work(tmp_path, capsys,
     assert main(args + ["--out", str(out)]) == 1
     assert "more than 200000 points" in capsys.readouterr().err
     assert not out.exists()
+
+
+SWEEP_FUNCTIONS = ("sweep_qutrit_two_bath", "sweep_qutrit_measurement",
+                   "sweep_qutrit_contour", "sweep_qutrit_extreme", "sweep_xxz")
+
+
+@pytest.mark.parametrize("command", ["qutrit-two-bath", "qutrit-meas",
+                                     "qutrit-contour", "qutrit-extreme",
+                                     "xxz"])
+def test_missing_out_exits_one_before_the_sweep(capsys, monkeypatch,
+                                                 command):
+    def no_work(*_, **__):
+        raise AssertionError("the sweep ran")
+
+    for name in SWEEP_FUNCTIONS:
+        monkeypatch.setattr(o.sweeps, name, no_work)
+    assert main([command]) == 1
+    assert "--out is required" in capsys.readouterr().err
+
+
+class _Unwritable:
+    """A cell or meta value whose text cannot be produced, as a full disk."""
+
+    def __float__(self):
+        raise OSError("no space left on device")
+
+    __str__ = __float__
+
+
+@pytest.mark.parametrize("where", ["csv", "meta"])
+def test_failed_write_keeps_earlier_output(tmp_path, capsys, monkeypatch,
+                                           where):
+    out = tmp_path / "x.csv"
+    out.write_bytes(b"earlier csv\n")
+    (tmp_path / "x.csv.meta").write_bytes(b"earlier=meta\n")
+    real = o.sweeps.sweep_qutrit_two_bath
+
+    def broken(*args):
+        table = real(*args)
+        if where == "csv":
+            # past the first buffer flushes, so the temp file holds data
+            table.rows.insert(len(table.rows) // 2, [_Unwritable()])
+        else:
+            table.meta["broken"] = _Unwritable()
+        return table
+
+    monkeypatch.setattr(o.sweeps, "sweep_qutrit_two_bath", broken)
+    assert main(["qutrit-two-bath", "--j-steps", "2001",
+                 "--out", str(out)]) == 2
+    assert "no space left" in capsys.readouterr().err
+    assert out.read_bytes() == b"earlier csv\n"
+    assert (tmp_path / "x.csv.meta").read_bytes() == b"earlier=meta\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv",
+                                                          "x.csv.meta"]
+
+
+@pytest.mark.parametrize("args", [
+    ["qutrit-two-bath", "--j-steps", "3"],
+    ["theorem1", "--samples", "20"],
+])
+def test_output_onto_a_directory_exits_two_and_leaves_no_temp(tmp_path,
+                                                              args):
+    target = tmp_path / "taken"
+    target.mkdir()
+    assert main(args + ["--out", str(target)]) == 2
+    assert target.is_dir() and not any(target.iterdir())
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
+def test_outputs_get_the_mode_of_a_plain_open(tmp_path):
+    plain = tmp_path / "plain"
+    with open(plain, "w"):
+        pass
+    mode = plain.stat().st_mode
+    assert main(["qutrit-two-bath", "--j-steps", "2",
+                 "--out", str(tmp_path / "x.csv")]) == 0
+    assert main(["theorem1", "--samples", "20",
+                 "--out", str(tmp_path / "t1.txt")]) == 0
+    for name in ("x.csv", "x.csv.meta", "t1.txt"):
+        assert (tmp_path / name).stat().st_mode == mode

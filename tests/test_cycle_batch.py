@@ -1,9 +1,10 @@
 """Properties of the batched cycle kernel over random inputs.
 
 Batches of cycles with random couplings, fields, inverse temperatures
-and channels: SU(3) projective measurements (qutrit), local spin
-measurements (two-qubit XXZ), random unitary mixtures (any dimension)
-and non-unital ground-sink damping (any dimension).
+and stroke-3 protocols: a hot bath, SU(3) projective measurements
+(qutrit), local spin measurements (two-qubit XXZ), random unitary
+mixtures (any dimension) and non-unital ground-sink damping (any
+dimension).
 """
 
 import warnings
@@ -19,9 +20,9 @@ st = hypothesis.strategies
 given = hypothesis.given
 
 KINDS = ("qubit", "qutrit", "xxz")
-CHANNELS = {"qubit": ("unital", "damping"),
-            "qutrit": ("su3", "unital", "damping"),
-            "xxz": ("spin", "unital", "damping")}
+PROTOCOLS = {"qubit": ("unital", "damping", "two-bath"),
+             "qutrit": ("su3", "unital", "damping", "two-bath"),
+             "xxz": ("spin", "unital", "damping", "two-bath")}
 
 angle = st.floats(0.0, 2 * np.pi)
 coupling = st.floats(-3.0, 3.0)
@@ -47,7 +48,12 @@ def batches(draw):
         specs = [o.SubstanceSpec.xxz(draw(coupling), draw(coupling))
                  for _ in range(count)]
     dim = specs[0].dim
-    which = draw(st.sampled_from(CHANNELS[kind]))
+    which = draw(st.sampled_from(PROTOCOLS[kind]))
+    Bi = draw(st.floats(0.2, 4.0))
+    Bf = Bi * draw(st.floats(1.05, 3.0))
+    cold = o.BathSpec(draw(beta))
+    if which == "two-bath":
+        return specs, Bi, Bf, cold, o.TwoBath(hot=o.BathSpec(draw(beta)))
     if which == "su3":
         channel = o.su3_projective_channel(
             o.Su3Angles(*(draw(angle) for _ in range(4))))
@@ -59,11 +65,12 @@ def batches(draw):
     else:
         channel = o.damping_channel(dim, draw(st.floats(0.0, 1.0)),
                                     sink=draw(st.integers(0, dim - 1)))
-    Bi = draw(st.floats(0.2, 4.0))
-    Bf = Bi * draw(st.floats(1.05, 3.0))
-    return specs, Bi, Bf, o.BathSpec(draw(beta)), o.Measurement(channel)
+    return specs, Bi, Bf, cold, o.Measurement(channel)
 
 
+# Twice the profile's examples, since about two in five now draw a hot bath
+# and the measurement batches should keep at least the 60 they had alone.
+@hypothesis.settings(max_examples=120)
 @given(batches())
 def test_batch_invariants(args):
     specs, Bi, Bf, cold, protocol = args
@@ -72,20 +79,29 @@ def test_batch_invariants(args):
         batch = o.run_cycle_batch(specs, Bi, Bf, cold, protocol)
     cools = [w for w in caught
              if issubclass(w.category, o.MeasurementCoolsWarning)]
-    # one warning per cooling batch, none otherwise
-    assert len(cools) == int(bool(np.any(batch.Qh < 0.0)))
+    measured = isinstance(protocol, o.Measurement)
+    # one warning per cooling measurement batch, none otherwise
+    assert len(cools) == int(measured and bool(np.any(batch.Qh < 0.0)))
 
     assert np.all(np.abs(batch.W + batch.Qh + batch.Qc) <= o.TOL.conservation)
-    basis = o.labelled_basis(specs[0])
-    transfer = oracle_transfer(protocol.channel.operators,
-                               [basis[label] for label in batch.labels])
-    np.testing.assert_allclose(batch.p_hot, batch.p_cold @ transfer.T,
-                               rtol=0, atol=1e-13)
     idle = [k for k, label in enumerate(batch.labels)
             if label in batch.idle_labels]
     np.testing.assert_array_equal(batch.flux_cold[:, idle],
                                   -batch.flux_hot[:, idle])
-    if protocol.channel.unital:
+    for k in np.flatnonzero(batch.engine_mode):
+        rec = batch.record(k)
+        assert abs(rec.eta / rec.eta0 - o.efficiency_ratio_identity(rec)) \
+            <= o.TOL.identity_check
+        if not measured:
+            assert rec.eta <= 1.0 - protocol.hot.beta / cold.beta \
+                + o.TOL.conservation
+    if measured:
+        basis = o.labelled_basis(specs[0])
+        transfer = oracle_transfer(protocol.channel.operators,
+                                   [basis[label] for label in batch.labels])
+        np.testing.assert_allclose(batch.p_hot, batch.p_cold @ transfer.T,
+                                   rtol=0, atol=1e-13)
+    if measured and protocol.channel.unital:
         # Without a level crossing in [Bi, Bf] the carried thermal state is
         # passive at Bf, and a unital channel cannot lower its energy.
         calm = ~batch.crossing

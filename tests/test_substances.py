@@ -163,3 +163,18 @@ def test_crossing_pairs_are_built_once_per_slope_tuple():
     for k, (n, m) in enumerate(pairs):
         want = (offsets[:, m] - offsets[:, n]) / (slopes[n] - slopes[m])
         assert fields[:, k].tolist() == want.tolist()
+
+
+def test_kind_table_basis_is_read_only_and_labelled_basis_copies_it():
+    from ottosim.substances import _KINDS
+    for spec in (o.SubstanceSpec.qubit(), o.SubstanceSpec.qutrit(1.3),
+                 o.SubstanceSpec.xxz(0.9, 0.4)):
+        kind = _KINDS[spec.kind]
+        assert not kind.basis.flags.writeable
+        assert kind.basis.shape == (spec.dim, spec.dim)
+        basis = o.labelled_basis(spec)
+        assert tuple(basis) == o.labelled_spectrum(spec, 1.0).labels
+        for k, vector in enumerate(basis.values()):
+            assert vector.tolist() == kind.basis[:, k].tolist()
+            vector[0] = 7.0  # a caller's copy, not the table
+        assert 7.0 not in kind.basis

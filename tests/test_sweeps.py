@@ -354,3 +354,24 @@ def test_two_bath_sweep_rows_are_bitwise_single_cycles():
     for row in table.rows:
         rec = two_bath(o.SubstanceSpec.xxz(Jxy=row[0], Jz=0.0))
         assert _bits(row) == _bits(_record_row(row[:1], rec, True))
+
+
+def test_channel_built_once_per_sweep_or_theta(monkeypatch):
+    built = []
+    real = o.sweeps.su3_projective_channel
+
+    def counted(angles):
+        built.append(angles)
+        return real(angles)
+
+    monkeypatch.setattr(o.sweeps, "su3_projective_channel", counted)
+    o.sweep_qutrit_measurement(BI, BF, BETA_C, o.EXTREME_ANGLES,
+                               o.SweepRange(0.2, 2.8, 6))
+    assert built == [o.EXTREME_ANGLES]
+    built.clear()
+    table = o.sweep_qutrit_contour(BI, BF, BETA_C, "theta-phi-chi",
+                                   o.SweepRange(0.0, np.pi, 4),
+                                   o.SweepRange(0.2, 2.8, 5))
+    assert len(table.rows) == 20
+    assert [(a.theta, a.phi, a.chi, a.psi) for a in built] == [
+        (t, t, t, 0.5 * np.pi) for t in np.linspace(0.0, np.pi, 4).tolist()]

@@ -168,3 +168,15 @@ def test_identity_row_is_checked(monkeypatch):
     assert not rep.passed
     assert "expected exactly 0" in rep.lines()[2]
     assert rep.lines()[-1] == "result: FAIL"
+
+
+def test_min_unital_is_over_the_non_identity_samples():
+    schedule, changes, _ = o.sweeps._theorem1_energy_changes((2, 3, 4), 500,
+                                                             1)
+    rest = [c for (_, kind, _), c in zip(schedule, changes)
+            if kind != o.sweeps._IDENTITY]
+    rep = o.theorem1_suite(dims=(2, 3, 4), samples=500, seed=1)
+    assert rep.min_unital == min(rest)
+    assert rep.min_unital != 0.0
+    assert rep.lines()[1].startswith(
+        "min energy change over non-identity unital channels")
