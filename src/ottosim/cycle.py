@@ -10,9 +10,9 @@ Per-level bookkeeping is exact label arithmetic: q_h[l] = E_l(Bf) dp_l
 and q_c[l] = -E_l(Bi) dp_l, so conservation W = -(Qh + Qc), the flux
 decompositions, and the idle passthrough q_c = -q_h hold to rounding.
 
-run_cycle_batch is the one cycle kernel: it runs N cycles that share
-kind, fields, cold bath and protocol as (N, d) arrays. run_cycle is its
-batch of one.
+_run_cycles is the one cycle kernel: it runs N cycles of one kind table,
+given as an (N, c) coupling array, as (N, d) arrays. run_cycle_batch is
+its entry for SubstanceSpecs and run_cycle a batch of one.
 """
 
 from __future__ import annotations
@@ -28,8 +28,9 @@ from .channels import KrausChannel, _transfer_entries
 from .core import BathSpec, boltzmann_populations, row_sum
 from .errors import (DimensionMismatch, InvalidField, MeasurementCoolsWarning,
                      NotAnEngine, OttoSimError)
-from .substances import (_KINDS, SubstanceSpec, _crossing_fields,
-                         _level_arrays, check_uniform_gap_ratio)
+from .substances import (_KINDS, SubstanceSpec, _check_fields, _couplings,
+                         _crossing_fields, _level_energies,
+                         check_uniform_gap_ratio)
 from .tolerances import TOL
 
 
@@ -59,16 +60,17 @@ class CycleConfig:
     protocol: Protocol
 
     def __post_init__(self):
-        if not (np.isfinite(self.Bi) and np.isfinite(self.Bf)
-                and 0 < self.Bi < self.Bf):
-            raise InvalidField(f"need 0 < Bi < Bf, got Bi={self.Bi}, Bf={self.Bf}")
-        if isinstance(self.protocol, Measurement):
-            if self.protocol.channel.dim != self.spec.dim:
-                raise DimensionMismatch(
-                    f"channel dim {self.protocol.channel.dim} vs substance "
-                    f"dim {self.spec.dim}")
-        elif not isinstance(self.protocol, TwoBath):
-            raise InvalidField(f"unknown protocol {self.protocol!r}")
+        _check_cycle(self.spec.dim, self.Bi, self.Bf, self.protocol)
+
+
+def _check_cycle(dim: int, Bi: float, Bf: float, protocol: Protocol):
+    """Field and protocol checks of a cycle on a substance of dim levels."""
+    _check_fields(Bi, Bf)
+    if not isinstance(protocol, (TwoBath, Measurement)):
+        raise InvalidField(f"unknown protocol {protocol!r}")
+    if isinstance(protocol, Measurement) and protocol.channel.dim != dim:
+        raise DimensionMismatch(
+            f"channel dim {protocol.channel.dim} vs substance dim {dim}")
 
 
 @dataclass(frozen=True)
@@ -168,49 +170,64 @@ def run_cycle_batch(specs, Bi: float, Bf: float, cold: BathSpec,
     Every step is elementwise or a fixed-order sum within a row, so row k
     has the same bits as a batch of specs[k] alone. A cooling measurement
     (Qh < 0 in any row) raises one MeasurementCoolsWarning per call.
+    Energies, heats or work too large to represent raise InvalidField.
     """
     specs = tuple(specs)
     if not specs:
         raise OttoSimError("a cycle batch needs at least one substance")
-    # validates the shared parameters once for the whole batch
-    CycleConfig(spec=specs[0], Bi=Bi, Bf=Bf, cold=cold, protocol=protocol)
-    labels, idle, slopes, offsets = _level_arrays(specs)
-    ei = slopes * Bi + offsets
-    ef = slopes * Bf + offsets
-    p_cold = boltzmann_populations(ei, cold.beta)
+    if any(s.kind is not specs[0].kind for s in specs):
+        raise InvalidField("substances of one batch must share one kind")
+    kind = _KINDS[specs[0].kind]
+    return _run_cycles(kind, _couplings(kind, specs), Bi, Bf, cold, protocol)
 
-    if isinstance(protocol, TwoBath):
-        p_hot = boltzmann_populations(ef, protocol.hot.beta)
-    else:
-        # The input state is diagonal in the labelled basis, so only the
-        # diagonal transfer p' = T p matters.
-        t = _transfer_entries(protocol.channel, _KINDS[specs[0].kind].basis)
-        p_hot = row_sum(t * p_cold[:, None, :])
-        # Levels the channel leaves alone must not pick up rounding noise:
-        # a stray 1e-16 would misclassify a no-op stroke as an engine.
-        still = np.abs(p_hot - p_cold) <= TOL.population_snap
-        p_hot = np.where(still, p_cold, p_hot)
 
-    delta_p = p_hot - p_cold
-    flux_hot = ef * delta_p
-    flux_cold = -ei * delta_p
-    Qh = row_sum(flux_hot)
-    Qc = row_sum(flux_cold)
-    W = -(Qh + Qc)
+def _run_cycles(kind, couplings: np.ndarray, Bi: float, Bf: float,
+                cold: BathSpec, protocol: Protocol) -> CycleBatch:
+    """run_cycle_batch for N substances of one kind (a substances._Kind),
+    given as their couplings, shape (N, c) in the kind's coupling order."""
+    _check_cycle(len(kind.labels), Bi, Bf, protocol)
+    if not np.isfinite(couplings).all():
+        raise InvalidField("couplings must be finite")
+    offsets, (ei, ef) = _level_energies(kind, couplings, (Bi, Bf))
+    # Overflow is caught by the check on W below, not by numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        p_cold = boltzmann_populations(ei, cold.beta)
+        if isinstance(protocol, TwoBath):
+            p_hot = boltzmann_populations(ef, protocol.hot.beta)
+        else:
+            # The input state is diagonal in the labelled basis, so only
+            # the diagonal transfer p' = T p matters.
+            t = _transfer_entries(protocol.channel, kind.basis)
+            p_hot = row_sum(t * p_cold[:, None, :])
+            # Levels the channel leaves alone must not pick up rounding
+            # noise: a stray 1e-16 would make a no-op stroke an engine.
+            still = np.abs(p_hot - p_cold) <= TOL.population_snap
+            p_hot = np.where(still, p_cold, p_hot)
+
+        delta_p = p_hot - p_cold
+        flux_hot = ef * delta_p
+        flux_cold = -ei * delta_p
+        Qh = row_sum(flux_hot)
+        Qc = row_sum(flux_cold)
+        W = -(Qh + Qc)
+    # W is finite only where Qh and Qc are
+    if not np.isfinite(W).all():
+        raise InvalidField("heat or work is too large to represent")
     eta_raw = -W / np.where(Qh != 0.0, Qh, np.nan)
-    _, fields = _crossing_fields(slopes, offsets)
+    fields = _crossing_fields(kind, offsets)
     crossing = ((Bi <= fields) & (fields <= Bf)).any(axis=1)
 
-    # stacklevel 3 points at the code that called run_cycle or a sweep
+    # stacklevel 4 points at the code that called run_cycle or a sweep
     cooled = int(np.count_nonzero(Qh < 0.0))
     if isinstance(protocol, Measurement) and cooled:
         warnings.warn(f"measurement stroke removed energy (Qh < 0) in "
-                      f"{cooled} of {len(specs)} cycles",
-                      MeasurementCoolsWarning, stacklevel=3)
+                      f"{cooled} of {len(Qh)} cycles",
+                      MeasurementCoolsWarning, stacklevel=4)
 
     return CycleBatch(
-        labels=labels,
-        idle_labels=idle,
+        labels=kind.labels,
+        idle_labels=tuple(label for label, idle
+                          in zip(kind.labels, kind.idle) if idle),
         eta0=1.0 - Bi / Bf,
         Qh=Qh, Qc=Qc, W=W, eta_raw=eta_raw,
         engine_mode=(W < 0.0) & (Qh > 0.0),
@@ -296,7 +313,11 @@ def closed_form_two_bath_qutrit(J: float, Bi: float, Bf: float,
 
 
 def efficiency_ratio_identity(rec: CycleRecord) -> float:
-    """1 - (sum of idle-level hot fluxes)/Qh; equals eta/eta0 in engine mode."""
+    """1 - (sum of idle-level hot fluxes)/Qh; equals eta/eta0 in engine mode.
+
+    For levels s_n B + o_n, eta/eta0 = 1 - sum_n o_n dp_n / Qh. The
+    identity holds because moving levels carry no offset (built-in kinds).
+    """
     if not rec.engine_mode:
         raise NotAnEngine("efficiency ratio is defined only in engine mode")
     idle_sum = sum(rec.per_level_flux_hot[label] for label in rec.idle_labels)

@@ -1,21 +1,21 @@
 """Working substances: single qubit, coupled qutrit, and two-qubit XXZ.
 
-Each substance exposes its spectrum as affine functions of the adiabatic
-field B with stable level labels. Levels whose energy does not depend on
-B are "idle": they exchange heat between the strokes but contribute no
-work, which is the mechanism behind efficiencies away from 1 - Bi/Bf.
+A substance is a table of affine levels with stable labels: level k has
+energy slopes[k]*B + sum_c couplings[c]*offsets[c, k] at field B. Levels
+of slope 0 are "idle": they exchange heat between the strokes but
+contribute no work, which moves the efficiency away from 1 - Bi/Bf.
 
 All three substances have B-independent eigenvectors, so level tracking
-across the adiabatic stroke is exact label bookkeeping. One private
-table, _KINDS, describes each kind (couplings, levels, eigenbasis); all
-but build_hamiltonian read it. build_hamiltonian writes each matrix out,
-so it stays an independent route to the same spectrum.
+across the adiabatic stroke is exact label bookkeeping. The private
+table _KINDS holds each kind as data (coupling names, labels, slopes,
+offset coefficients, eigenbasis; idle levels and crossing pairs derived).
+All but build_hamiltonian read it; build_hamiltonian writes each matrix
+out, so it stays an independent route to the same spectrum.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -35,48 +35,49 @@ class SubstanceKind(enum.Enum):
 
 
 class _Kind(NamedTuple):
-    """couplings: the SubstanceSpec fields the kind uses. levels: per label,
-    in order, (label, slope, offset, idle) with energy(B) = slope*B +
-    offset(spec). basis: read-only, column k the eigenvector of label k."""
+    """One substance kind as data, built by _kind; every array is read-only.
+
+    Level k has energy slopes[k]*B + couplings @ offsets[:, k], for the
+    couplings named in couplings, and eigenvector basis[:, k]. idle marks
+    the levels of slope 0; pairs holds the rows (n, m), n < m, of the
+    level pairs whose slopes differ, which can cross."""
 
     couplings: tuple
-    levels: tuple
+    labels: tuple
+    slopes: np.ndarray
+    offsets: np.ndarray
     basis: np.ndarray
+    idle: np.ndarray
+    pairs: np.ndarray
 
 
-def _basis(*columns):
-    matrix = np.column_stack(columns)
-    matrix.flags.writeable = False
-    return matrix
+def _frozen(values, dtype=float):
+    array = np.array(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
+def _kind(labels, slopes, offsets, basis) -> _Kind:
+    """offsets maps each coupling name to its coefficient per level."""
+    d = len(labels)
+    slopes = _frozen(slopes)
+    return _Kind(tuple(offsets), tuple(labels), slopes,
+                 _frozen(list(offsets.values())).reshape(-1, d),
+                 _frozen(basis, complex), _frozen(slopes == 0.0, bool),
+                 _frozen([(n, m) for n in range(d) for m in range(n + 1, d)
+                          if slopes[n] != slopes[m]], np.intp).reshape(-1, 2))
 
 
 _KINDS = {
-    SubstanceKind.QUBIT: _Kind(
-        couplings=(),
-        levels=(("+B", 1.0, lambda spec: 0.0, False),
-                ("-B", -1.0, lambda spec: 0.0, False)),
-        basis=_basis(np.array([1, 0], dtype=complex),
-                     np.array([0, 1], dtype=complex))),
-    SubstanceKind.QUTRIT: _Kind(
-        couplings=("J",),
-        levels=(("+B", 1.0, lambda spec: 0.0, False),
-                ("-B", -1.0, lambda spec: 0.0, False),
-                ("-J", 0.0, lambda spec: -spec.J, True)),
-        basis=_basis(np.array([1, 1, 0], dtype=complex) / _SQ2,
-                     np.array([-1, 1, 0], dtype=complex) / _SQ2,
-                     np.array([0, 0, 1], dtype=complex))),
-    SubstanceKind.XXZ: _Kind(
-        couplings=("Jxy", "Jz"),
-        levels=(("2B", 2.0, lambda spec: 0.0, False),
-                ("2(Jxy-Jz)", 0.0,
-                 lambda spec: 2.0 * (spec.Jxy - spec.Jz), True),
-                ("-2(Jxy+Jz)", 0.0,
-                 lambda spec: -2.0 * (spec.Jxy + spec.Jz), True),
-                ("-2B", -2.0, lambda spec: 0.0, False)),
-        basis=_basis(np.array([1, 0, 0, 0], dtype=complex),
-                     np.array([0, 1, 1, 0], dtype=complex) / _SQ2,
-                     np.array([0, 1, -1, 0], dtype=complex) / _SQ2,
-                     np.array([0, 0, 0, 1], dtype=complex))),
+    SubstanceKind.QUBIT: _kind(("+B", "-B"), (1.0, -1.0), {}, np.eye(2)),
+    SubstanceKind.QUTRIT: _kind(
+        ("+B", "-B", "-J"), (1.0, -1.0, 0.0), {"J": (0.0, 0.0, -1.0)},
+        np.array([[1, -1, 0], [1, 1, 0], [0, 0, _SQ2]]) / _SQ2),
+    SubstanceKind.XXZ: _kind(
+        ("2B", "2(Jxy-Jz)", "-2(Jxy+Jz)", "-2B"), (2.0, 0.0, 0.0, -2.0),
+        {"Jxy": (0.0, 2.0, -2.0, 0.0), "Jz": (0.0, -2.0, -2.0, 0.0)},
+        np.array([[_SQ2, 0, 0, 0], [0, 1, 1, 0], [0, 1, -1, 0],
+                  [0, 0, 0, _SQ2]]) / _SQ2),
 }
 
 
@@ -94,6 +95,8 @@ class SubstanceSpec:
     Jz: float = 0.0
 
     def __post_init__(self):
+        if not isinstance(self.kind, SubstanceKind):
+            raise InvalidField(f"not a SubstanceKind: {self.kind!r}")
         for name in ("J", "Jxy", "Jz"):
             if not np.isfinite(getattr(self, name)):
                 raise InvalidField(f"{name} must be finite")
@@ -116,7 +119,7 @@ class SubstanceSpec:
 
     @property
     def dim(self) -> int:
-        return len(_KINDS[self.kind].levels)
+        return len(_KINDS[self.kind].labels)
 
 
 @dataclass(frozen=True)
@@ -146,58 +149,45 @@ class LabelledSpectrum:
         return tuple(lv.label for lv in self.levels if lv.idle)
 
 
-def _level_arrays(specs):
-    """The level table of N substances of one kind, as arrays.
-
-    Returns (labels, idle labels, slopes of shape (d,), offsets of shape
-    (N, d)), so that the energies at field B are slopes * B + offsets.
-    """
-    kind = specs[0].kind
-    if any(s.kind is not kind for s in specs):
-        raise InvalidField("substances of one batch must share one kind")
-    levels = _KINDS[kind].levels
-    labels = tuple(row[0] for row in levels)
-    idle = tuple(row[0] for row in levels if row[3])
-    slopes = np.array([row[1] for row in levels])
-    offsets = np.array([[row[2](s) for row in levels] for s in specs])
-    return labels, idle, slopes, offsets
+def _couplings(kind: _Kind, specs) -> np.ndarray:
+    """The couplings of substances of one kind, shape (N, c) in table order."""
+    return np.array([[getattr(spec, name) for name in kind.couplings]
+                     for spec in specs], dtype=float)
 
 
-def _crossing_fields(slopes, offsets):
-    """Level pairs (n, m), n < m, with different slopes, and where they meet.
+def _level_energies(kind: _Kind, couplings: np.ndarray, fields):
+    """Offsets (N, d) of N substances and their energies at each field,
+    slopes*B + offsets of shape (len(fields), N, d); InvalidField if an
+    energy is too large to represent."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        offsets = couplings @ kind.offsets
+        energies = kind.slopes * np.asarray(fields)[:, None, None] + offsets
+    if not np.isfinite(energies).all():
+        raise InvalidField("a level energy is too large to represent")
+    return offsets, energies
 
-    The second value has shape (N, pairs): the field at which the two
-    affine energies of each substance are equal.
-    """
-    pairs, first, second = _level_pairs(tuple(slopes.tolist()))
-    fields = ((offsets[:, second] - offsets[:, first])
-              / (slopes[first] - slopes[second]))
-    return pairs, fields
+
+def _spec_levels(spec: SubstanceSpec, fields):
+    """The kind of spec, then _level_energies of spec alone."""
+    kind = _KINDS[spec.kind]
+    return (kind, *_level_energies(kind, _couplings(kind, (spec,)), fields))
 
 
-@functools.lru_cache(maxsize=8)
-def _level_pairs(slopes: tuple):
-    """The pairs of _crossing_fields and their first and second indices.
+def _crossing_fields(kind: _Kind, offsets: np.ndarray) -> np.ndarray:
+    """Where the two levels of each of kind.pairs meet, shape (N, pairs)."""
+    n, m = kind.pairs.T
+    return (offsets[:, m] - offsets[:, n]) / (kind.slopes[n] - kind.slopes[m])
 
-    They depend only on the slopes, which are fixed per substance kind, so
-    they are built once per slope tuple. The index arrays are read-only,
-    since every caller shares them.
-    """
-    d = len(slopes)
-    pairs = tuple((n, m) for n in range(d) for m in range(n + 1, d)
-                  if slopes[n] != slopes[m])
-    first = np.array([n for n, _ in pairs], dtype=np.intp)
-    second = np.array([m for _, m in pairs], dtype=np.intp)
-    first.flags.writeable = False
-    second.flags.writeable = False
-    return pairs, first, second
+
+def _check_fields(Bi: float, Bf: float):
+    if not (np.isfinite(Bi) and np.isfinite(Bf) and 0 < Bi < Bf):
+        raise InvalidField(f"need 0 < Bi < Bf, got Bi={Bi}, Bf={Bf}")
 
 
 def labelled_basis(spec: SubstanceSpec) -> dict:
     """Eigenvector per label (B-independent for all three substances)."""
     kind = _KINDS[spec.kind]
-    return {row[0]: kind.basis[:, k].copy()
-            for k, row in enumerate(kind.levels)}
+    return dict(zip(kind.labels, kind.basis.T.copy()))
 
 
 def build_hamiltonian(spec: SubstanceSpec, B: float) -> HermitianOperator:
@@ -226,23 +216,22 @@ def labelled_spectrum(spec: SubstanceSpec, B: float) -> LabelledSpectrum:
     """Closed-form energies with stable labels and idle flags (no solver)."""
     if not (np.isfinite(B) and B > 0):
         raise InvalidField(f"field B must be positive, got {B}")
-    levels = tuple(Level(label, slope * B + offset(spec), idle)
-                   for label, slope, offset, idle in _KINDS[spec.kind].levels)
+    kind, _, (energies,) = _spec_levels(spec, (B,))
+    levels = tuple(map(Level, kind.labels, energies[0].tolist(),
+                       kind.idle.tolist()))
     return LabelledSpectrum(levels=levels, field_value=B)
 
 
 def check_uniform_gap_ratio(spec: SubstanceSpec, Bi: float, Bf: float):
-    """Return r = Bf/Bi if every level gap scales by r, else None."""
-    if not 0 < Bi < Bf:
-        raise InvalidField(f"need 0 < Bi < Bf, got Bi={Bi}, Bf={Bf}")
-    ei = labelled_spectrum(spec, Bi).energies
-    ef = labelled_spectrum(spec, Bf).energies
-    r = Bf / Bi
-    for n in range(len(ei)):
-        for m in range(n + 1, len(ei)):
-            if abs((ef[n] - ef[m]) - r * (ei[n] - ei[m])) > TOL.gap_ratio:
-                return None
-    return r
+    """Return r = Bf/Bi if every level gap scales by r, else None.
+
+    Levels n, m miss r times their gap at Bi by (r - 1)(o_m - o_n) at Bf,
+    so the worst pair holds the smallest and the largest offset o."""
+    _check_fields(Bi, Bf)
+    _, offsets, _ = _spec_levels(spec, (Bi, Bf))
+    # times Bi, so that an r too large to represent cannot make a NaN
+    uniform = np.ptp(offsets) * (Bf - Bi) <= TOL.gap_ratio * Bi
+    return Bf / Bi if uniform else None
 
 
 def detect_level_crossing(spec: SubstanceSpec, Bi: float, Bf: float):
@@ -251,9 +240,9 @@ def detect_level_crossing(spec: SubstanceSpec, Bi: float, Bf: float):
     Identically degenerate label pairs (equal slope and offset) are not
     crossings and are excluded; only transversal intersections count.
     """
-    if not 0 < Bi < Bf:
-        raise InvalidField(f"need 0 < Bi < Bf, got Bi={Bi}, Bf={Bf}")
-    labels, _, slopes, offsets = _level_arrays((spec,))
-    pairs, fields = _crossing_fields(slopes, offsets)
-    return [((labels[n], labels[m]), float(bstar))
-            for (n, m), bstar in zip(pairs, fields[0]) if Bi <= bstar <= Bf]
+    _check_fields(Bi, Bf)
+    kind, offsets, _ = _spec_levels(spec, (Bi, Bf))
+    fields = _crossing_fields(kind, offsets)[0].tolist()
+    return [((kind.labels[n], kind.labels[m]), bstar)
+            for (n, m), bstar in zip(kind.pairs.tolist(), fields)
+            if Bi <= bstar <= Bf]

@@ -7,10 +7,10 @@ write_csv moves into place only once the CSV and its .meta are whole.
 
 Every sweep is one call to _sweep, the loop they share. It builds the
 channel once per point of the outer axes (once per sweep, once per theta
-for the contour) and hands the whole coupling grid to
-cycle.run_cycle_batch, which works row by row in a fixed order, so each
-row holds the same bits as run_cycle at that grid point, whatever the
-grid size. A cooling measurement warns once per batch, not once per row.
+for the contour) and hands one coupling array for the whole grid to
+the cycle kernel, which works row by row in a fixed order, so each row
+holds the same bits as run_cycle at that grid point, whatever the grid
+size. A cooling measurement warns once per batch, not once per row.
 """
 
 from __future__ import annotations
@@ -31,11 +31,11 @@ from .channels import (_apply_kraus, _check_trace_preserving,
                        _random_matrix, _unitary_mixture)
 from .core import (BathSpec, _dagger, _densities, _eigensystems, _energies,
                    _finite, _hermitian_part, boltzmann_populations)
-from .cycle import Measurement, TwoBath, run_cycle_batch
+from .cycle import Measurement, TwoBath, _run_cycles
 from .errors import InvalidField, OttoSimError
 from .measurements import (SpinDirection, Su3Angles, local_spin_channel,
                            su3_projective_channel)
-from .substances import SubstanceKind, SubstanceSpec
+from .substances import _KINDS, SubstanceKind
 from .tolerances import TOL
 
 
@@ -79,23 +79,25 @@ class SweepTable(NamedTuple):
     meta: dict
 
 
-def _sweep(meta, Bi, Bf, beta_c, axes, substance, protocol,
+def _sweep(meta, Bi, Bf, beta_c, axes, kind, protocol,
            idle_sum=False) -> SweepTable:
     """The loop all sweeps share: a cycle batch per outer grid point.
 
-    axes: (column, meta prefix, SweepRange) per axis, the coupling last,
-    which runs fastest. substance(c) builds the substance at coupling c,
-    protocol(*point) the stroke-3 protocol at a point of the outer axes.
+    axes: (column, meta prefix, SweepRange) per axis; the last, which runs
+    fastest, sets the coupling of kind its column names (others stay 0).
+    protocol(*point) is the stroke-3 protocol at a point of the outer axes.
     idle_sum adds the summed idle-level hot flux after the scalar columns.
     """
-    *outer, (_, _, couplings) = axes
-    cs = couplings.values().tolist()
-    specs = [substance(c) for c in cs]
+    *outer, (swept, _, grid) = axes
+    table = _KINDS[kind]
+    cs = grid.values().tolist()
+    couplings = np.zeros((len(cs), len(table.couplings)))
+    couplings[:, table.couplings.index(swept)] = cs
     cold = BathSpec(beta_c)
     rows = []
     for point in itertools.product(*(r.values().tolist()
                                      for _, _, r in outer)):
-        batch = run_cycle_batch(specs, Bi, Bf, cold, protocol(*point))
+        batch = _run_cycles(table, couplings, Bi, Bf, cold, protocol(*point))
         cols = [[v] * len(cs) for v in point] + [
             cs, batch.Qh.tolist(), batch.Qc.tolist(), batch.W.tolist(),
             [None if math.isnan(v) else v for v in batch.eta_raw.tolist()],
@@ -126,7 +128,7 @@ def sweep_qutrit_two_bath(Bi: float, Bf: float, beta_c: float, beta_h: float,
                           j_range: SweepRange) -> SweepTable:
     """One row per J for the thermally driven qutrit cycle."""
     return _sweep({"command": "qutrit-two-bath", "beta_h": beta_h},
-                  Bi, Bf, beta_c, [("J", "j", j_range)], SubstanceSpec.qutrit,
+                  Bi, Bf, beta_c, [("J", "j", j_range)], SubstanceKind.QUTRIT,
                   lambda: TwoBath(hot=BathSpec(beta_h)))
 
 
@@ -135,7 +137,7 @@ def sweep_qutrit_measurement(Bi: float, Bf: float, beta_c: float,
                              j_range: SweepRange) -> SweepTable:
     """One row per J for the measurement-driven qutrit cycle."""
     return _sweep({"command": "qutrit-meas", **asdict(angles)},
-                  Bi, Bf, beta_c, [("J", "j", j_range)], SubstanceSpec.qutrit,
+                  Bi, Bf, beta_c, [("J", "j", j_range)], SubstanceKind.QUTRIT,
                   lambda: Measurement(su3_projective_channel(angles)))
 
 
@@ -156,7 +158,7 @@ def sweep_qutrit_contour(Bi: float, Bf: float, beta_c: float, mode: str,
     tie_chi = mode == "theta-phi-chi"
     return _sweep({"command": "qutrit-contour", "mode": mode}, Bi, Bf, beta_c,
                   [("theta", "theta", theta_range), ("J", "j", j_range)],
-                  SubstanceSpec.qutrit,
+                  SubstanceKind.QUTRIT,
                   lambda t: Measurement(su3_projective_channel(Su3Angles(
                       theta=t, phi=t, chi=t if tie_chi else half_pi,
                       psi=half_pi))))
@@ -174,7 +176,7 @@ def sweep_qutrit_extreme(Bi: float, Bf: float, beta_c: float,
     lowest levels, trading vanishing work for efficiency near 1.
     """
     return _sweep({"command": "qutrit-extreme", **asdict(EXTREME_ANGLES)},
-                  Bi, Bf, beta_c, [("J", "j", j_range)], SubstanceSpec.qutrit,
+                  Bi, Bf, beta_c, [("J", "j", j_range)], SubstanceKind.QUTRIT,
                   lambda: Measurement(su3_projective_channel(EXTREME_ANGLES)))
 
 
@@ -209,8 +211,7 @@ def sweep_xxz(model: str, protocol: str, Bi: float, Bf: float, beta_c: float,
         meta["m"] = f"{m.nx},{m.ny},{m.nz}"
     swept = "Jxy" if model == "xx" else "Jz"
     return _sweep(meta, Bi, Bf, beta_c, [(swept, "j", coupling_range)],
-                  lambda c: SubstanceSpec(SubstanceKind.XXZ, **{swept: c}),
-                  lambda: proto, idle_sum=True)
+                  SubstanceKind.XXZ, lambda: proto, idle_sum=True)
 
 
 @dataclass(frozen=True)

@@ -122,6 +122,21 @@ def test_bad_range_exits_one_without_warning(tmp_path, capsys, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["--bi", "1", "--bf", "1e308", "--j-steps", "2"],
+    ["--j-min", "1e307", "--j-max", "1.7e308", "--j-steps", "3"],
+])
+def test_overflowing_energies_exit_one_with_one_error_line(tmp_path, capsys,
+                                                         args):
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["xxz"] + args + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: a level energy is too large to represent\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unwritable_output_exits_two(tmp_path, capsys):
     assert main(["qutrit-two-bath", "--j-steps", "2", "--j-max", "1",
                  "--out", str(tmp_path / "no" / "dir" / "x.csv")]) == 2

@@ -301,3 +301,16 @@ def test_closed_form_has_no_efficiency_without_heat():
     assert cf.Qh == 0.0 and cf.eta is None
     rec = two_bath(o.SubstanceSpec.qutrit(800), beta_h=1.0)
     assert rec.Qh == 0.0 and rec.eta_raw is None
+
+
+def test_unrepresentable_energies_or_heats_raise_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # 2Jxy and 2Jz overflow: the offsets are not finite
+        with pytest.raises(o.InvalidField, match="level energy"):
+            two_bath(o.SubstanceSpec.xxz(1e308, 1e308))
+        # every energy is finite (+-1.7e308), but pumping the ground
+        # population up moves more heat than a float holds
+        with pytest.raises(o.InvalidField, match="heat or work"):
+            measurement(o.SubstanceSpec.qubit(),
+                        o.damping_channel(2, 1.0, sink=0), Bi=1.0, Bf=1.7e308)

@@ -79,8 +79,8 @@ def test_output_matches_frozen_bytes(name, tmp_path):
     if problems:
         with open(os.path.join(GOLDEN, "VERSIONS"), encoding="utf-8") as f:
             frozen = f.read()
-        problems.append(f"frozen with {frozen.split()}, running "
-                        f"{versions().split()}")
+        problems.append(f"frozen with {' '.join(frozen.split())}, running "
+                        f"{' '.join(versions().split())}")
     assert not problems, "\n".join(problems)
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -152,17 +154,19 @@ def test_level_crossing_skips_permanent_degeneracy():
     assert hits == []
 
 
-def test_crossing_pairs_are_built_once_per_slope_tuple():
-    from ottosim.substances import _crossing_fields, _level_arrays
+def test_crossing_pairs_are_derived_once_per_kind():
+    from ottosim.substances import _KINDS, _couplings, _crossing_fields
+    kind = _KINDS[o.SubstanceKind.XXZ]
+    assert kind.pairs.tolist() == [[0, 1], [0, 2], [0, 3], [1, 3], [2, 3]]
+    for table in (kind.pairs, kind.slopes, kind.offsets, kind.idle):
+        assert not table.flags.writeable  # shared by every caller
     specs = [o.SubstanceSpec.xxz(0.0, -2.0), o.SubstanceSpec.xxz(1.0, 0.5)]
-    _, _, slopes, offsets = _level_arrays(specs)
-    pairs, fields = _crossing_fields(slopes, offsets)
-    again, _ = _crossing_fields(slopes.copy(), offsets)
-    assert again is pairs
-    assert pairs == ((0, 1), (0, 2), (0, 3), (1, 3), (2, 3))
-    for k, (n, m) in enumerate(pairs):
-        want = (offsets[:, m] - offsets[:, n]) / (slopes[n] - slopes[m])
-        assert fields[:, k].tolist() == want.tolist()
+    offsets = _couplings(kind, specs) @ kind.offsets
+    fields = _crossing_fields(kind, offsets)
+    for k, (n, m) in enumerate(kind.pairs.tolist()):
+        want = ((offsets[:, m] - offsets[:, n])
+                / (kind.slopes[n] - kind.slopes[m]))
+        assert fields[:, k].tobytes() == want.tobytes()
 
 
 def test_kind_table_basis_is_read_only_and_labelled_basis_copies_it():
@@ -173,8 +177,44 @@ def test_kind_table_basis_is_read_only_and_labelled_basis_copies_it():
         assert not kind.basis.flags.writeable
         assert kind.basis.shape == (spec.dim, spec.dim)
         basis = o.labelled_basis(spec)
+        assert tuple(basis) == kind.labels
         assert tuple(basis) == o.labelled_spectrum(spec, 1.0).labels
         for k, vector in enumerate(basis.values()):
             assert vector.tolist() == kind.basis[:, k].tolist()
             vector[0] = 7.0  # a caller's copy, not the table
         assert 7.0 not in kind.basis
+
+
+def test_built_in_kinds_put_no_offset_on_moving_levels():
+    # the precondition of efficiency_ratio_identity
+    from ottosim.substances import _KINDS
+    for kind in _KINDS.values():
+        assert kind.offsets.shape == (len(kind.couplings), len(kind.labels))
+        assert kind.idle.dtype == bool
+        assert kind.idle.tolist() == (kind.slopes == 0.0).tolist()
+        assert not kind.offsets[:, ~kind.idle].any()
+
+
+def test_kind_must_be_a_substance_kind():
+    with pytest.raises(o.InvalidField):
+        o.SubstanceSpec("qutrit", J=1.0)
+
+
+def test_gap_ratio_is_the_worst_pair_residual():
+    # offsets 2(Jxy-Jz) = 0 and -2(Jxy+Jz) = -4e-10 lie 4e-10 apart, so
+    # the worst gap residual is 4e-10 * (r - 1) against TOL.gap_ratio
+    spec = o.SubstanceSpec.xxz(1e-10, 1e-10)
+    assert o.check_uniform_gap_ratio(spec, 2.0, 4.0) is None
+    assert o.check_uniform_gap_ratio(spec, 2.0, 2.4) == 1.2
+
+
+def test_overflowing_energies_raise():
+    spec, free = o.SubstanceSpec.xxz(1e308, 0.0), o.SubstanceSpec.xxz(0, 0)
+    for call in (lambda: o.labelled_spectrum(spec, 1.0),
+                 lambda: o.labelled_spectrum(free, 1e308),
+                 lambda: o.detect_level_crossing(spec, 1.0, 2.0),
+                 lambda: o.check_uniform_gap_ratio(spec, 1.0, 2.0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(o.InvalidField):
+                call()
