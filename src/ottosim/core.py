@@ -7,6 +7,8 @@ and the passivity predicate used by the measurement-engine theorems.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,15 @@ def _finite(m: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise OttoSimError("matrix entries must be finite")
     return m
+
+
+def _real(name: str, value, positive: bool = False) -> float:
+    """float(value), checked to be finite and real (> 0 if positive)."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value)
+            and (value > 0 or not positive)):
+        raise InvalidField(f"{name} must be a finite {'positive ' * positive}"
+                           f"number, got {value!r}")
+    return float(value)
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:
@@ -153,8 +164,7 @@ class BathSpec:
     beta: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.beta) and self.beta > 0):
-            raise InvalidField(f"beta must be finite and positive, got {self.beta}")
+        _real("beta", self.beta, positive=True)
 
 
 def row_sum(x: np.ndarray) -> np.ndarray:

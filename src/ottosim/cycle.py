@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .channels import KrausChannel, _transfer_entries
-from .core import BathSpec, boltzmann_populations, row_sum
+from .core import BathSpec, _real, boltzmann_populations, row_sum
 from .errors import (DimensionMismatch, InvalidField, MeasurementCoolsWarning,
                      NotAnEngine, OttoSimError)
 from .substances import (_KINDS, SubstanceSpec, _check_fields, _couplings,
@@ -77,9 +77,10 @@ def _check_cycle(dim: int, Bi: float, Bf: float, protocol: Protocol):
 class CycleRecord:
     """Complete accounting for one cycle.
 
-    eta is None unless engine_mode (W < 0 and Qh > 0); eta_raw carries
-    the ratio -W/Qh whenever Qh is nonzero, which sweeps use to plot the
-    non-engine tail. Maps are keyed by level label.
+    engine_mode is exactly W < 0.0 and Qh > 0.0; eta is None elsewhere.
+    eta_raw = -W/Qh, which sweeps plot past the engine regime, is None
+    exactly where Qh == 0.0, as in a no-op stroke, whose populations
+    TOL.population_snap snaps back. Maps are keyed by level label.
     """
 
     labels: tuple
@@ -105,7 +106,7 @@ class CycleBatch:
 
     Row k of every array belongs to the k-th substance of the batch;
     per-level arrays have shape (N, d) with columns in label order.
-    eta_raw is NaN where Qh is zero.
+    eta_raw is NaN exactly where Qh == 0.0; engine_mode as in CycleRecord.
     """
 
     labels: tuple
@@ -122,12 +123,6 @@ class CycleBatch:
     delta_p: np.ndarray
     p_cold: np.ndarray
     p_hot: np.ndarray
-
-    def idle_flux_hot(self) -> np.ndarray:
-        """Sum of the idle-level hot fluxes of each cycle."""
-        idle = [k for k, label in enumerate(self.labels)
-                if label in self.idle_labels]
-        return row_sum(self.flux_hot[:, idle])
 
     def record(self, k: int) -> CycleRecord:
         """The full record of the k-th cycle."""
@@ -271,13 +266,9 @@ def closed_form_two_bath_qutrit(J: float, Bi: float, Bf: float,
     ratio (Bf - Bi)/(Bf + Omega J); eta is None when that ratio's
     denominator vanishes or, as run_cycle's eta_raw, when Qh == 0.0.
     """
-    if not all(math.isfinite(x) for x in (J, Bi, Bf, beta_c, beta_h)):
-        raise InvalidField("closed form needs finite J, fields and "
-                           "inverse temperatures")
-    if not 0 < Bi < Bf:
-        raise InvalidField(f"need 0 < Bi < Bf, got Bi={Bi}, Bf={Bf}")
-    if beta_c <= 0 or beta_h <= 0:
-        raise InvalidField("bath inverse temperatures must be positive")
+    _real("J", J)
+    _check_fields(Bi, Bf)
+    BathSpec(beta_c), BathSpec(beta_h)  # the bath checks
     # Every ratio below is a quotient of exponential sums, so both sums are
     # scaled by e^-max(exponent) first: no term can overflow.
     hot_up, hot_down, hot_idle = _shifted_exp(

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import KrausChannel, kraus_channel, projective_channel
-from .errors import InvalidField, NonUnitVector
+from .core import _real
+from .errors import NonUnitVector
 from .tolerances import TOL
 
 _PAULI = {
@@ -35,8 +36,7 @@ class Su3Angles:
 
     def __post_init__(self):
         for name in ("theta", "phi", "chi", "psi"):
-            if not np.isfinite(getattr(self, name)):
-                raise InvalidField(f"angle {name} must be finite")
+            _real(f"angle {name}", getattr(self, name))
 
 
 def su3_states(a: Su3Angles):
@@ -68,8 +68,9 @@ class SpinDirection:
     nz: float
 
     def __post_init__(self):
-        norm = np.sqrt(self.nx ** 2 + self.ny ** 2 + self.nz ** 2)
-        if not np.isfinite(norm) or abs(norm - 1.0) > TOL.unit_vector:
+        norm = np.hypot.reduce([_real(name, getattr(self, name))
+                                for name in ("nx", "ny", "nz")])
+        if abs(norm - 1.0) > TOL.unit_vector:
             raise NonUnitVector(f"|n| = {norm} is not 1 within {TOL.unit_vector}")
 
     @classmethod

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import HermitianOperator, hermitian_eigensystem
+from .core import HermitianOperator, _real, hermitian_eigensystem
 from .errors import InvalidField
 from .tolerances import TOL
 
@@ -97,12 +97,9 @@ class SubstanceSpec:
     def __post_init__(self):
         if not isinstance(self.kind, SubstanceKind):
             raise InvalidField(f"not a SubstanceKind: {self.kind!r}")
-        for name in ("J", "Jxy", "Jz"):
-            if not np.isfinite(getattr(self, name)):
-                raise InvalidField(f"{name} must be finite")
         used = _KINDS[self.kind].couplings
         for name in ("J", "Jxy", "Jz"):
-            if name not in used and getattr(self, name) != 0.0:
+            if _real(name, getattr(self, name)) != 0.0 and name not in used:
                 raise InvalidField(f"{name} is meaningless for {self.kind.value}")
 
     @classmethod
@@ -180,7 +177,7 @@ def _crossing_fields(kind: _Kind, offsets: np.ndarray) -> np.ndarray:
 
 
 def _check_fields(Bi: float, Bf: float):
-    if not (np.isfinite(Bi) and np.isfinite(Bf) and 0 < Bi < Bf):
+    if not _real("Bi", Bi, positive=True) < _real("Bf", Bf):
         raise InvalidField(f"need 0 < Bi < Bf, got Bi={Bi}, Bf={Bf}")
 
 
@@ -198,8 +195,7 @@ def build_hamiltonian(spec: SubstanceSpec, B: float) -> HermitianOperator:
     fully aligned states, Jxy exchange on the middle block, Jz shifts so
     the aligned states sit exactly at +-2B.
     """
-    if not (np.isfinite(B) and B > 0):
-        raise InvalidField(f"field B must be positive, got {B}")
+    _real("field B", B, positive=True)
     if spec.kind is SubstanceKind.QUBIT:
         m = np.diag([B, -B]).astype(complex)
     elif spec.kind is SubstanceKind.QUTRIT:
@@ -214,8 +210,7 @@ def build_hamiltonian(spec: SubstanceSpec, B: float) -> HermitianOperator:
 
 def labelled_spectrum(spec: SubstanceSpec, B: float) -> LabelledSpectrum:
     """Closed-form energies with stable labels and idle flags (no solver)."""
-    if not (np.isfinite(B) and B > 0):
-        raise InvalidField(f"field B must be positive, got {B}")
+    _real("field B", B, positive=True)
     kind, _, (energies,) = _spec_levels(spec, (B,))
     levels = tuple(map(Level, kind.labels, energies[0].tolist(),
                        kind.idle.tolist()))

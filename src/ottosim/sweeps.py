@@ -1,16 +1,22 @@
 """Parameter sweeps over cycles, tabulated for CSV output.
 
-Each sweep function returns a SweepTable: a header, float rows in
+Each sweep function returns a SweepTable: a header, rows in
 deterministic order, and a metadata mapping recording every parameter.
-Identical parameters always produce byte-identical CSV files, which
-write_csv moves into place only once the CSV and its .meta are whole.
+Its columns: the swept axes; Qh, Qc, W; eta_raw (None where Qh == 0);
+eta0; engine_mode and crossing as 0/1; q1_plus_q2, the summed hot flux
+of the idle levels, for a kind with more than one idle level (xxz);
+then q_h, q_c, dp, p_cold and p_post per level label. format_value is
+the one number format of the CSV and its .meta; the same parameters
+give the same bytes, moved into place once both files are whole.
 
 Every sweep is one call to _sweep, the loop they share. It builds the
 channel once per point of the outer axes (once per sweep, once per theta
 for the contour) and hands one coupling array for the whole grid to
 the cycle kernel, which works row by row in a fixed order, so each row
 holds the same bits as run_cycle at that grid point, whatever the grid
-size. A cooling measurement warns once per batch, not once per row.
+size. Each batch gives one list of (column, values), from which both
+the header and the rows are read. A cooling measurement warns once per
+batch, not once per row.
 """
 
 from __future__ import annotations
@@ -30,7 +36,8 @@ from .channels import (_apply_kraus, _check_trace_preserving,
                        _damping_operators, _draw_unitary_mixture,
                        _random_matrix, _unitary_mixture)
 from .core import (BathSpec, _dagger, _densities, _eigensystems, _energies,
-                   _finite, _hermitian_part, boltzmann_populations)
+                   _finite, _hermitian_part, _real, boltzmann_populations,
+                   row_sum)
 from .cycle import Measurement, TwoBath, _run_cycles
 from .errors import InvalidField, OttoSimError
 from .measurements import (SpinDirection, Su3Angles, local_spin_channel,
@@ -50,9 +57,7 @@ class SweepRange:
 
     def __post_init__(self):
         for name in ("start", "stop"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
-                raise InvalidField(f"{name} must be a finite number, got {value!r}")
+            _real(name, getattr(self, name))
         if not math.isfinite(self.stop - self.start):
             raise InvalidField("range span is too large to represent")
         try:
@@ -79,14 +84,12 @@ class SweepTable(NamedTuple):
     meta: dict
 
 
-def _sweep(meta, Bi, Bf, beta_c, axes, kind, protocol,
-           idle_sum=False) -> SweepTable:
+def _sweep(meta, Bi, Bf, beta_c, axes, kind, protocol) -> SweepTable:
     """The loop all sweeps share: a cycle batch per outer grid point.
 
     axes: (column, meta prefix, SweepRange) per axis; the last, which runs
     fastest, sets the coupling of kind its column names (others stay 0).
     protocol(*point) is the stroke-3 protocol at a point of the outer axes.
-    idle_sum adds the summed idle-level hot flux after the scalar columns.
     """
     *outer, (swept, _, grid) = axes
     table = _KINDS[kind]
@@ -98,25 +101,28 @@ def _sweep(meta, Bi, Bf, beta_c, axes, kind, protocol,
     for point in itertools.product(*(r.values().tolist()
                                      for _, _, r in outer)):
         batch = _run_cycles(table, couplings, Bi, Bf, cold, protocol(*point))
-        cols = [[v] * len(cs) for v in point] + [
-            cs, batch.Qh.tolist(), batch.Qc.tolist(), batch.W.tolist(),
-            [None if math.isnan(v) else v for v in batch.eta_raw.tolist()],
-            [batch.eta0] * len(cs),
-            batch.engine_mode.astype(int).tolist(),
-            batch.crossing.astype(int).tolist(),
+        columns = [(column, [v] * len(cs))
+                   for (column, _, _), v in zip(outer, point)]
+        columns += [
+            (swept, cs), ("Qh", batch.Qh.tolist()), ("Qc", batch.Qc.tolist()),
+            ("W", batch.W.tolist()),
+            ("eta_raw", [None if math.isnan(v) else v
+                         for v in batch.eta_raw.tolist()]),
+            ("eta0", [batch.eta0] * len(cs)),
+            ("engine_mode", batch.engine_mode.astype(int).tolist()),
+            ("crossing", batch.crossing.astype(int).tolist()),
         ]
-        if idle_sum:
-            cols.append(batch.idle_flux_hot().tolist())
-        for per_level in (batch.flux_hot, batch.flux_cold, batch.delta_p,
-                          batch.p_cold, batch.p_hot):
-            cols.extend(per_level.T.tolist())
-        rows.extend(list(row) for row in zip(*cols))
-    header = tuple([column for column, _, _ in axes]
-                   + ["Qh", "Qc", "W", "eta_raw", "eta0", "engine_mode",
-                      "crossing"] + (["q1_plus_q2"] if idle_sum else [])
-                   + [f"{prefix}_{label}" for prefix in
-                      ("q_h", "q_c", "dp", "p_cold", "p_post")
-                      for label in batch.labels])
+        if np.count_nonzero(table.idle) > 1:
+            columns.append(("q1_plus_q2",
+                            row_sum(batch.flux_hot[:, table.idle]).tolist()))
+        for prefix, per_level in zip(
+                ("q_h", "q_c", "dp", "p_cold", "p_post"),
+                (batch.flux_hot, batch.flux_cold, batch.delta_p, batch.p_cold,
+                 batch.p_hot)):
+            columns += zip([f"{prefix}_{label}" for label in batch.labels],
+                           per_level.T.tolist())
+        header, values = zip(*columns)
+        rows.extend(map(list, zip(*values)))
     meta = dict(meta, bi=Bi, bf=Bf, beta_c=beta_c)
     for _, prefix, r in axes:
         meta.update({f"{prefix}_min": r.start, f"{prefix}_max": r.stop,
@@ -211,7 +217,7 @@ def sweep_xxz(model: str, protocol: str, Bi: float, Bf: float, beta_c: float,
         meta["m"] = f"{m.nx},{m.ny},{m.nz}"
     swept = "Jxy" if model == "xx" else "Jz"
     return _sweep(meta, Bi, Bf, beta_c, [(swept, "j", coupling_range)],
-                  SubstanceKind.XXZ, lambda: proto, idle_sum=True)
+                  SubstanceKind.XXZ, lambda: proto)
 
 
 @dataclass(frozen=True)
@@ -434,8 +440,8 @@ def theorem1_suite(dims=(2, 3, 4), samples: int = 1000,
     dims = tuple(sorted(set(int(d) for d in dims)))
     if not dims or any(d < 2 or d > 4 for d in dims):
         raise OttoSimError(f"dims must be a subset of {{2,3,4}}, got {dims}")
-    if samples < 1:
-        raise OttoSimError("samples must be >= 1")
+    if not (isinstance(samples, numbers.Integral) and samples >= 1):
+        raise OttoSimError(f"samples must be an integer >= 1, got {samples!r}")
     schedule, changes, control = _theorem1_energy_changes(dims, samples, seed)
     identity = np.array([kind == _IDENTITY for _, kind, _ in schedule])
     max_identity = float(np.abs(changes[identity]).max(initial=0.0))
@@ -454,12 +460,9 @@ def theorem1_suite(dims=(2, 3, 4), samples: int = 1000,
 
 
 def format_value(v) -> str:
-    """CSV cell: 17 significant digits for floats, blank for undefined."""
-    if v is None:
-        return ""
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return f"{float(v):.17g}"
+    """CSV cell: blank for None, %d for integers (bools too), else %.17g."""
+    return "" if v is None else (
+        "%d" if isinstance(v, (int, np.integer)) else "%.17g") % v
 
 
 @contextlib.contextmanager
@@ -500,8 +503,7 @@ def write_csv(path: str, table: SweepTable) -> None:
     with _replacing(path, path + ".meta") as (f, meta):
         f.write(",".join(table.header) + "\n")
         for row in table.rows:
-            f.write(",".join(format_value(v) for v in row) + "\n")
-        for key in sorted(table.meta):
-            value = table.meta[key]
-            text = f"{value:.17g}" if isinstance(value, float) else str(value)
-            meta.write(f"{key}={text}\n")
+            f.write(",".join(map(format_value, row)) + "\n")
+        for key, value in sorted(table.meta.items()):
+            text = format_value(value) if isinstance(value, float) else value
+            meta.write(f"{key}={text!s}\n")

@@ -99,6 +99,31 @@ def test_bath_spec_rejects_bad_beta():
             o.BathSpec(beta)
 
 
+QUTRIT = o.SubstanceSpec.qutrit(1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: o.SubstanceSpec(o.SubstanceKind.QUTRIT, J="1"),
+    lambda: o.SubstanceSpec(o.SubstanceKind.QUTRIT, J=None),
+    lambda: o.BathSpec("1"),
+    lambda: o.BathSpec(None),
+    lambda: o.Su3Angles("a", 1, 1, 1),
+    lambda: o.SpinDirection("1", 0, 0),
+    lambda: o.SpinDirection(1e200, 0.0, 0.0),
+    lambda: o.build_hamiltonian(QUTRIT, "2"),
+    lambda: o.labelled_spectrum(QUTRIT, "2"),
+    lambda: o.check_uniform_gap_ratio(QUTRIT, "1", 2),
+    lambda: o.closed_form_two_bath_qutrit("1", 3, 4, 1, 1),
+    lambda: o.theorem1_suite(samples="5"),
+], ids=["spec-J-text", "spec-J-None", "bath-text", "bath-None", "angle-text",
+        "spin-text", "spin-overflow", "hamiltonian-B-text",
+        "spectrum-B-text", "gap-ratio-Bi-text", "closed-form-J-text",
+        "theorem1-samples-text"])
+def test_non_numbers_raise_ottosim_error(call):
+    with pytest.raises(o.OttoSimError):
+        call()
+
+
 def test_energy_expectation_ground_projector():
     rng = np.random.default_rng(3)
     h = o.hermitian_eigensystem(random_hermitian(rng, 4))

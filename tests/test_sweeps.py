@@ -160,6 +160,43 @@ def test_format_value():
     x = 0.1 + 0.2
     assert float(o.format_value(x)) == x  # 17 digits round-trip
 
+    def oracle(v):  # the three-branch cell format the CSV bytes were made by
+        if v is None:
+            return ""
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        return f"{float(v):.17g}"
+
+    for v in (None, 3, 0.25, x, True, False, np.int64(-7), np.uint64(2**63),
+              10**20, -10**20, -0.0, 5e-324, -2.5e-310, float("nan"),
+              float("inf"), float("-inf"), np.float32(0.1), np.float64(1e300),
+              np.bool_(True)):
+        assert o.format_value(v) == oracle(v), repr(v)
+
+
+def test_two_bath_row_without_heat(tmp_path):
+    # at J = 800 the -J level holds the whole population at both strokes,
+    # so no heat flows: eta_raw is undefined and the row is no engine
+    table = o.sweep_qutrit_two_bath(3, 4, 1, 1, o.SweepRange(800, 800, 1))
+    rec = two_bath(o.SubstanceSpec.qutrit(800), Bi=3, Bf=4, beta_c=1,
+                   beta_h=1)
+    assert rec.Qh == 0.0 and rec.eta_raw is None and not rec.engine_mode
+    row = dict(zip(table.header, table.rows[0]))
+    assert row["eta_raw"] is None and row["engine_mode"] == 0
+    want = {"Qh": rec.Qh, "Qc": rec.Qc, "W": rec.W, "eta0": rec.eta0}
+    for prefix, per_level in (("q_h", rec.per_level_flux_hot),
+                              ("q_c", rec.per_level_flux_cold),
+                              ("dp", rec.delta_p),
+                              ("p_cold", rec.populations_cold),
+                              ("p_post", rec.populations_hot)):
+        want.update((f"{prefix}_{label}", v) for label, v in per_level.items())
+    for column, value in want.items():  # bitwise, the sign of zero included
+        assert float(row[column]).hex() == float(value).hex(), column
+    path = tmp_path / "no-heat.csv"
+    o.write_csv(str(path), table)
+    assert path.read_text().splitlines()[1] == (
+        "800,0,0,-0,,0.25,0,0,0,-0,-0,-0,0,0,0,0,0,0,0,1,0,0,1")
+
 
 def test_write_csv_deterministic(tmp_path):
     table = o.sweep_qutrit_two_bath(3.0, 4.0, 1.0, 0.5,
