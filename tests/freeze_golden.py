@@ -25,6 +25,12 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 CASES = {
     "qutrit-two-bath": ["qutrit-two-bath", "--j-steps", "41"],
+    # Equal betas: heats shrink to 1e-302 and the last row has Qh == 0,
+    # so eta_raw is blank there.
+    "qutrit-two-bath-no-heat": ["qutrit-two-bath", "--bi", "3", "--bf", "4",
+                                "--beta-c", "1", "--beta-h", "1",
+                                "--j-min", "0", "--j-max", "800",
+                                "--j-steps", "9"],
     "qutrit-meas": ["qutrit-meas", "--j-steps", "41"],
     "qutrit-meas-seeded": ["qutrit-meas", "--seed", "7", "--theta", "2.2",
                            "--phi", "2.2"],
