@@ -35,8 +35,11 @@ def _finite(m: np.ndarray) -> np.ndarray:
 
 def _real(name: str, value, positive: bool = False) -> float:
     """float(value), checked to be finite and real (> 0 if positive)."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value)
-            and (value > 0 or not positive)):
+    try:
+        real = isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        real = False
+    if not (real and (value > 0 or not positive)):
         raise InvalidField(f"{name} must be a finite {'positive ' * positive}"
                            f"number, got {value!r}")
     return float(value)

@@ -6,8 +6,10 @@ Its columns: the swept axes; Qh, Qc, W; eta_raw (None where Qh == 0);
 eta0; engine_mode and crossing as 0/1; q1_plus_q2, the summed hot flux
 of the idle levels, for a kind with more than one idle level (xxz);
 then q_h, q_c, dp, p_cold and p_post per level label. format_value is
-the one number format of the CSV and its .meta; the same parameters
-give the same bytes, moved into place once both files are whole.
+the one number format of the CSV and its .meta; write_csv formats a row
+with one % format per row shape, and any other row through format_value
+cell by cell. The same parameters give the same bytes, moved into place
+once both files are whole.
 
 Every sweep is one call to _sweep, the loop they share. It builds the
 channel once per point of the outer axes (once per sweep, once per theta
@@ -437,11 +439,19 @@ def theorem1_suite(dims=(2, 3, 4), samples: int = 1000,
     energy_expectation) applied to each sample. Each energy change holds
     the bits of the scalar route through those calls.
     """
-    dims = tuple(sorted(set(int(d) for d in dims)))
-    if not dims or any(d < 2 or d > 4 for d in dims):
-        raise OttoSimError(f"dims must be a subset of {{2,3,4}}, got {dims}")
+    try:
+        given = list(dims)
+    except TypeError:
+        given = []
+    if not given or not all(isinstance(d, numbers.Integral) and 2 <= d <= 4
+                            for d in given):
+        raise OttoSimError(f"dims must be integers in {{2,3,4}}, got {dims!r}")
+    dims = tuple(sorted({int(d) for d in given}))
     if not (isinstance(samples, numbers.Integral) and samples >= 1):
         raise OttoSimError(f"samples must be an integer >= 1, got {samples!r}")
+    if not (isinstance(seed, numbers.Integral) and not isinstance(seed, bool)
+            and seed >= 0):
+        raise OttoSimError(f"seed must be an integer >= 0, got {seed!r}")
     schedule, changes, control = _theorem1_energy_changes(dims, samples, seed)
     identity = np.array([kind == _IDENTITY for _, kind, _ in schedule])
     max_identity = float(np.abs(changes[identity]).max(initial=0.0))
@@ -463,6 +473,10 @@ def format_value(v) -> str:
     """CSV cell: blank for None, %d for integers (bools too), else %.17g."""
     return "" if v is None else (
         "%d" if isinstance(v, (int, np.integer)) else "%.17g") % v
+
+
+# format_value's format for each exact cell type write_csv formats in bulk.
+_CELL_FORMATS = {float: "%.17g", int: "%d", bool: "%d"}
 
 
 @contextlib.contextmanager
@@ -498,12 +512,24 @@ def write_csv(path: str, table: SweepTable) -> None:
 
     Output is byte-identical for identical parameters: full-precision
     floats, deterministic row order, no timestamps. Both files replace
-    any earlier output only once both are fully written.
+    any earlier output only once both are fully written. Rows of exact
+    floats, ints and bools are formatted with one % format per row shape
+    (the tuple of cell types); any other row goes through format_value
+    cell by cell.
     """
+    formats = {}
     with _replacing(path, path + ".meta") as (f, meta):
         f.write(",".join(table.header) + "\n")
         for row in table.rows:
-            f.write(",".join(map(format_value, row)) + "\n")
+            cells = tuple(row)
+            shape = tuple(map(type, cells))
+            fmt = formats.get(shape)
+            if fmt is None:
+                specs = [_CELL_FORMATS.get(t) for t in shape]
+                fmt = formats[shape] = ("" if None in specs
+                                        else ",".join(specs) + "\n")
+            f.write(fmt % cells if fmt
+                    else ",".join(map(format_value, cells)) + "\n")
         for key, value in sorted(table.meta.items()):
             text = format_value(value) if isinstance(value, float) else value
             meta.write(f"{key}={text!s}\n")

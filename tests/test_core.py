@@ -124,6 +124,16 @@ def test_non_numbers_raise_ottosim_error(call):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: o.SweepRange(10**400, 10**401, 3),
+    lambda: o.SubstanceSpec.qutrit(10**400),
+    lambda: o.BathSpec(10**400),
+], ids=["range", "spec", "bath"])
+def test_ints_beyond_the_float_range_are_invalid_fields(call):
+    with pytest.raises(o.InvalidField):
+        call()
+
+
 def test_energy_expectation_ground_projector():
     rng = np.random.default_rng(3)
     h = o.hermitian_eigensystem(random_hermitian(rng, 4))

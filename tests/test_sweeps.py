@@ -3,6 +3,12 @@ import warnings
 import numpy as np
 import pytest
 
+try:
+    import hypothesis
+    from hypothesis import strategies as st
+except ImportError:  # the property test below skips itself without it
+    hypothesis = None
+
 import ottosim as o
 from helpers import (idle_flux_sum, oracle_boltzmann, oracle_qutrit_cycle,
                      oracle_transfer, two_bath)
@@ -224,6 +230,45 @@ def test_write_csv_blank_cell_for_none(tmp_path):
     path = tmp_path / "blank.csv"
     o.write_csv(str(path), table)
     assert path.read_text().splitlines()[1] == "1,"
+
+
+@pytest.mark.skipif(hypothesis is None, reason="needs hypothesis")
+def test_write_csv_matches_format_value_per_cell(tmp_path):
+    # cell kinds: write_csv formats rows of the first four in bulk, and
+    # sends a row holding any of the others through format_value
+    special = [-0.0, float("nan"), float("inf"), float("-inf"), 5e-324,
+               -2.5e-310, 1e300]
+    kinds = [st.floats(), st.sampled_from(special),
+             st.integers(-10**20, 10**20) | st.sampled_from([10**20, -10**20]),
+             st.booleans(), st.none(), st.floats().map(np.float64),
+             st.integers(-2**63, 2**63 - 1).map(np.int64),
+             st.booleans().map(np.bool_)]
+
+    @st.composite
+    def tables(draw):
+        # a few row shapes, half of them of bulk-formatted cells only,
+        # then rows that repeat and mix those shapes
+        shapes = [draw(st.lists(st.sampled_from(pool), max_size=6))
+                  for pool in draw(st.lists(
+                      st.sampled_from([kinds[:4], kinds]), min_size=2,
+                      max_size=4))]
+        rows = [[draw(kind) for kind in shape] for shape in
+                draw(st.lists(st.sampled_from(shapes), min_size=2,
+                              max_size=12))]
+        hypothesis.assume(len({tuple(map(type, r)) for r in rows}) > 1)
+        return rows
+
+    path = tmp_path / "cells.csv"
+
+    @hypothesis.given(tables())
+    def check(rows):
+        o.write_csv(str(path), o.SweepTable(header=("a", "b"), rows=rows,
+                                            meta={"command": "demo"}))
+        want = "a,b\n" + "".join(",".join(map(o.format_value, row)) + "\n"
+                                 for row in rows)
+        assert path.read_bytes() == want.encode()
+
+    check()
 
 
 # Every measurement sweep, at several grid sizes. Each entry gives the

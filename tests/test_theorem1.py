@@ -49,6 +49,23 @@ def test_suite_rejects_bad_inputs():
         o.theorem1_suite(dims=(2,), samples=0, seed=1)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"dims": ("a",)}, {"dims": (2.0,)}, {"dims": (1,)}, {"dims": ()},
+    {"dims": 3}, {"dims": (True,)}, {"seed": "x"}, {"seed": 1.0},
+    {"seed": -1}, {"seed": True}, {"seed": None},
+])
+def test_suite_rejects_bad_dims_and_seed(kwargs):
+    with pytest.raises(o.OttoSimError):
+        o.theorem1_suite(samples=10, **kwargs)
+
+
+def test_suite_takes_numpy_integers():
+    rep = o.theorem1_suite(dims=[np.int64(3), 2, 3], samples=20,
+                           seed=np.int64(5))
+    assert rep == o.theorem1_suite(dims=(2, 3), samples=20, seed=5)
+    assert rep.dims == (2, 3) and type(rep.dims[0]) is int
+
+
 def test_energy_gain_direct_loop():
     # independent spot check of the property the suite samples
     rng = np.random.default_rng(31)
