@@ -6,6 +6,12 @@ qutrit-extreme, xxz, and the theorem1 property report. Every default can
 be overridden by a flag or by a key=value --config file; flags win over
 the config file. Exit codes: 0 success, 1 validation error, 2 IO error.
 
+Each default is written as the text a user would type, so a flag, a
+config entry and a default all reach the library through the same
+conversion, and --help prints the default as it is. Choices (--mode,
+--model, --protocol) pass through as text; the sweep functions reject
+a bad one before any work.
+
 _COMMANDS gives each command's options and _SWEEPS each sweep's library
 call. Before any work a sweep must name its --out file, and a command
 may ask for at most MAX_POINTS rows (the product of its *_steps options)
@@ -18,9 +24,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import Callable, Optional
 
 from . import sweeps
 from .errors import OttoSimError
@@ -50,14 +54,6 @@ def _int(text: str) -> int:
         raise OttoSimError(f"expected an integer, got {text!r}")
 
 
-def _choice(*allowed):
-    def conv(text: str) -> str:
-        if text not in allowed:
-            raise OttoSimError(f"expected one of {allowed}, got {text!r}")
-        return text
-    return conv
-
-
 def _direction(text: str) -> SpinDirection:
     parts = text.split(",")
     if len(parts) != 3:
@@ -73,11 +69,9 @@ def _dims(text: str) -> tuple:
 class Opt:
     dest: str
     conv: Callable
-    default: object
+    default: Optional[str]
     help: str
 
-
-_PI = float(np.pi)
 
 # Largest row count of a sweep (theta_steps * j_steps for the contour) and
 # largest theorem1 sample count: 100 times the largest grid the benchmark
@@ -87,11 +81,11 @@ MAX_POINTS = 200_000
 
 
 _BATH = [
-    Opt("bi", _float, 3.0, "field during the cold stroke"),
-    Opt("bf", _float, 4.0, "field during the hot/measurement stroke"),
-    Opt("beta_c", _float, 1.0, "cold-bath inverse temperature"),
+    Opt("bi", _float, "3", "field during the cold stroke"),
+    Opt("bf", _float, "4", "field during the hot/measurement stroke"),
+    Opt("beta_c", _float, "1", "cold-bath inverse temperature"),
 ]
-_BETA_H = Opt("beta_h", _float, 0.5, "hot-bath inverse temperature")
+_BETA_H = Opt("beta_h", _float, "0.5", "hot-bath inverse temperature")
 _OUT = Opt("out", str, None, "output CSV path (required)")
 _SEED = Opt("seed", _int, None, "random seed (recorded; used by theorem1)")
 
@@ -102,39 +96,34 @@ def _jrange(lo, hi, steps):
             Opt("j_steps", _int, steps, "sweep point count")]
 
 
-_ANGLES = [
-    Opt("theta", _float, 0.7 * _PI, "measurement angle theta (radians)"),
-    Opt("phi", _float, 0.7 * _PI, "measurement angle phi (radians)"),
-    Opt("chi", _float, 0.5 * _PI, "measurement angle chi (radians)"),
-    Opt("psi", _float, 0.5 * _PI, "measurement angle psi (radians)"),
-]
+_ANGLES = [Opt(name, _float, repr(share * math.pi),
+               f"measurement angle {name} (radians)")
+           for name, share in (("theta", 0.7), ("phi", 0.7), ("chi", 0.5),
+                               ("psi", 0.5))]
 
 _COMMANDS = {
-    "qutrit-two-bath": _BATH + [_BETA_H] + _jrange(0.0, 3.0, 121) + [_OUT, _SEED],
-    "qutrit-meas": _BATH + _ANGLES + _jrange(0.0, 3.0, 121) + [_OUT, _SEED],
+    "qutrit-two-bath": _BATH + [_BETA_H] + _jrange("0", "3", "121") + [_OUT, _SEED],
+    "qutrit-meas": _BATH + _ANGLES + _jrange("0", "3", "121") + [_OUT, _SEED],
     "qutrit-contour": _BATH + [
-        Opt("mode", _choice(*sweeps.CONTOUR_MODES), "theta-phi",
+        Opt("mode", str, "theta-phi",
             "angle tying: theta-phi (chi=psi=pi/2) or theta-phi-chi (psi=pi/2)"),
-        Opt("theta_min", _float, 0.0, "theta grid start"),
-        Opt("theta_max", _float, _PI, "theta grid stop"),
-        Opt("theta_steps", _int, 41, "theta grid point count"),
-    ] + _jrange(0.2, 2.8, 27) + [_OUT, _SEED],
-    "qutrit-extreme": _BATH + _jrange(0.1, 2.9, 29) + [_OUT, _SEED],
+        Opt("theta_min", _float, "0", "theta grid start"),
+        Opt("theta_max", _float, repr(math.pi), "theta grid stop"),
+        Opt("theta_steps", _int, "41", "theta grid point count"),
+    ] + _jrange("0.2", "2.8", "27") + [_OUT, _SEED],
+    "qutrit-extreme": _BATH + _jrange("0.1", "2.9", "29") + [_OUT, _SEED],
     "xxz": _BATH + [
-        Opt("model", _choice(*sweeps.XXZ_MODELS), "xx",
+        Opt("model", str, "xx",
             "xx sweeps Jxy with Jz=0; ising sweeps Jz with Jxy=0"),
-        Opt("protocol", _choice(*sweeps.XXZ_PROTOCOLS), "two-bath",
-            "stroke-3 drive: two-bath or meas"),
+        Opt("protocol", str, "two-bath", "stroke-3 drive: two-bath or meas"),
         _BETA_H,
-        Opt("n", _direction, SpinDirection.x(),
-            "qubit-1 measurement direction, e.g. 1,0,0"),
-        Opt("m", _direction, SpinDirection.z(),
-            "qubit-2 measurement direction, e.g. 0,0,1"),
-    ] + _jrange(0.05, 2.0, 40) + [_OUT, _SEED],
+        Opt("n", _direction, "1,0,0", "qubit-1 measurement direction"),
+        Opt("m", _direction, "0,0,1", "qubit-2 measurement direction"),
+    ] + _jrange("0.05", "2", "40") + [_OUT, _SEED],
     "theorem1": [
-        Opt("dims", _dims, (2, 3, 4), "dimensions, e.g. 2,3,4"),
-        Opt("samples", _int, 1000, "number of (channel, state, H) triples"),
-        Opt("seed", _int, 1, "random seed"),
+        Opt("dims", _dims, "2,3,4", "dimensions"),
+        Opt("samples", _int, "1000", "number of (channel, state, H) triples"),
+        Opt("seed", _int, "1", "random seed"),
         Opt("out", str, None, "optional path for the report text"),
     ],
 }
@@ -163,13 +152,10 @@ def _resolve(ns: argparse.Namespace, options) -> dict:
             raise OttoSimError(f"unknown config key {key!r}")
     out = {}
     for opt in options:
-        raw = getattr(ns, opt.dest)
-        if raw is None:
-            raw = config.get(opt.dest)
-        if raw is None:
-            out[opt.dest] = opt.default
-        else:
-            out[opt.dest] = opt.conv(raw)
+        text = getattr(ns, opt.dest)
+        if text is None:
+            text = config.get(opt.dest, opt.default)
+        out[opt.dest] = None if text is None else opt.conv(text)
     return out
 
 
@@ -230,20 +216,10 @@ def build_parser() -> argparse.ArgumentParser:
         for opt in options:
             flag = "--" + opt.dest.replace("_", "-")
             p.add_argument(flag, dest=opt.dest, default=None, type=str,
-                           help=f"{opt.help} (default {_show(opt.default)})")
+                           help=f"{opt.help} (default {opt.default})")
         p.add_argument("--config", default=None,
                        help="key=value file; flags win over it")
     return parser
-
-
-def _show(default) -> str:
-    if isinstance(default, SpinDirection):
-        return f"{default.nx:g},{default.ny:g},{default.nz:g}"
-    if isinstance(default, tuple):
-        return ",".join(str(d) for d in default)
-    if isinstance(default, float):
-        return f"{default:g}"
-    return str(default)
 
 
 def main(argv=None) -> int:

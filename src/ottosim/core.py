@@ -167,7 +167,8 @@ class BathSpec:
     beta: float
 
     def __post_init__(self):
-        _real("beta", self.beta, positive=True)
+        object.__setattr__(self, "beta",
+                           _real("beta", self.beta, positive=True))
 
 
 def row_sum(x: np.ndarray) -> np.ndarray:

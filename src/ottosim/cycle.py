@@ -11,8 +11,10 @@ and q_c[l] = -E_l(Bi) dp_l, so conservation W = -(Qh + Qc), the flux
 decompositions, and the idle passthrough q_c = -q_h hold to rounding.
 
 _run_cycles is the one cycle kernel: it runs N cycles of one kind table,
-given as an (N, c) coupling array, as (N, d) arrays. run_cycle_batch is
-its entry for SubstanceSpecs and run_cycle a batch of one.
+given as an (N, c) coupling array, as (N, d) arrays. _run_specs is its
+entry for SubstanceSpecs, which run_cycle_batch and run_cycle (a batch
+of one) both call, so a warning of the kernel sits the same number of
+frames below each public entry, the sweeps included.
 """
 
 from __future__ import annotations
@@ -60,17 +62,21 @@ class CycleConfig:
     protocol: Protocol
 
     def __post_init__(self):
-        _check_cycle(self.spec.dim, self.Bi, self.Bf, self.protocol)
+        fields = _check_cycle(self.spec.dim, self.Bi, self.Bf, self.protocol)
+        for name, value in zip(("Bi", "Bf"), fields):
+            object.__setattr__(self, name, value)
 
 
 def _check_cycle(dim: int, Bi: float, Bf: float, protocol: Protocol):
-    """Field and protocol checks of a cycle on a substance of dim levels."""
-    _check_fields(Bi, Bf)
+    """Field and protocol checks of a cycle on a substance of dim levels;
+    returns Bi and Bf as floats."""
+    fields = _check_fields(Bi, Bf)
     if not isinstance(protocol, (TwoBath, Measurement)):
         raise InvalidField(f"unknown protocol {protocol!r}")
     if isinstance(protocol, Measurement) and protocol.channel.dim != dim:
         raise DimensionMismatch(
             f"channel dim {protocol.channel.dim} vs substance dim {dim}")
+    return fields
 
 
 @dataclass(frozen=True)
@@ -167,6 +173,12 @@ def run_cycle_batch(specs, Bi: float, Bf: float, cold: BathSpec,
     (Qh < 0 in any row) raises one MeasurementCoolsWarning per call.
     Energies, heats or work too large to represent raise InvalidField.
     """
+    return _run_specs(specs, Bi, Bf, cold, protocol)
+
+
+def _run_specs(specs, Bi: float, Bf: float, cold: BathSpec,
+               protocol: Protocol) -> CycleBatch:
+    """run_cycle_batch, one frame below each public entry."""
     specs = tuple(specs)
     if not specs:
         raise OttoSimError("a cycle batch needs at least one substance")
@@ -180,7 +192,7 @@ def _run_cycles(kind, couplings: np.ndarray, Bi: float, Bf: float,
                 cold: BathSpec, protocol: Protocol) -> CycleBatch:
     """run_cycle_batch for N substances of one kind (a substances._Kind),
     given as their couplings, shape (N, c) in the kind's coupling order."""
-    _check_cycle(len(kind.labels), Bi, Bf, protocol)
+    Bi, Bf = _check_cycle(len(kind.labels), Bi, Bf, protocol)
     if not np.isfinite(couplings).all():
         raise InvalidField("couplings must be finite")
     offsets, (ei, ef) = _level_energies(kind, couplings, (Bi, Bf))
@@ -212,7 +224,7 @@ def _run_cycles(kind, couplings: np.ndarray, Bi: float, Bf: float,
     fields = _crossing_fields(kind, offsets)
     crossing = ((Bi <= fields) & (fields <= Bf)).any(axis=1)
 
-    # stacklevel 4 points at the code that called run_cycle or a sweep
+    # stacklevel 4: the caller of run_cycle, run_cycle_batch or a sweep
     cooled = int(np.count_nonzero(Qh < 0.0))
     if isinstance(protocol, Measurement) and cooled:
         warnings.warn(f"measurement stroke removed energy (Qh < 0) in "
@@ -235,11 +247,11 @@ def _run_cycles(kind, couplings: np.ndarray, Bi: float, Bf: float,
 def run_cycle(cfg: CycleConfig) -> CycleRecord:
     """Execute one Otto cycle and return its full record.
 
-    A batch of one through run_cycle_batch; a cooling measurement
+    A batch of one, run as run_cycle_batch runs it; a cooling measurement
     (Qh < 0) raises MeasurementCoolsWarning but still returns the record.
     """
-    return run_cycle_batch((cfg.spec,), cfg.Bi, cfg.Bf, cfg.cold,
-                           cfg.protocol).record(0)
+    return _run_specs((cfg.spec,), cfg.Bi, cfg.Bf, cfg.cold,
+                      cfg.protocol).record(0)
 
 
 class ClosedForm(NamedTuple):
@@ -266,9 +278,9 @@ def closed_form_two_bath_qutrit(J: float, Bi: float, Bf: float,
     ratio (Bf - Bi)/(Bf + Omega J); eta is None when that ratio's
     denominator vanishes or, as run_cycle's eta_raw, when Qh == 0.0.
     """
-    _real("J", J)
-    _check_fields(Bi, Bf)
-    BathSpec(beta_c), BathSpec(beta_h)  # the bath checks
+    J = _real("J", J)
+    Bi, Bf = _check_fields(Bi, Bf)
+    beta_c, beta_h = BathSpec(beta_c).beta, BathSpec(beta_h).beta
     # Every ratio below is a quotient of exponential sums, so both sums are
     # scaled by e^-max(exponent) first: no term can overflow.
     hot_up, hot_down, hot_idle = _shifted_exp(

@@ -36,7 +36,8 @@ class Su3Angles:
 
     def __post_init__(self):
         for name in ("theta", "phi", "chi", "psi"):
-            _real(f"angle {name}", getattr(self, name))
+            object.__setattr__(self, name,
+                               _real(f"angle {name}", getattr(self, name)))
 
 
 def su3_states(a: Su3Angles):
@@ -68,8 +69,9 @@ class SpinDirection:
     nz: float
 
     def __post_init__(self):
-        norm = np.hypot.reduce([_real(name, getattr(self, name))
-                                for name in ("nx", "ny", "nz")])
+        for name in ("nx", "ny", "nz"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
+        norm = np.hypot.reduce([self.nx, self.ny, self.nz])
         if abs(norm - 1.0) > TOL.unit_vector:
             raise NonUnitVector(f"|n| = {norm} is not 1 within {TOL.unit_vector}")
 

@@ -99,8 +99,10 @@ class SubstanceSpec:
             raise InvalidField(f"not a SubstanceKind: {self.kind!r}")
         used = _KINDS[self.kind].couplings
         for name in ("J", "Jxy", "Jz"):
-            if _real(name, getattr(self, name)) != 0.0 and name not in used:
+            value = _real(name, getattr(self, name))
+            if value != 0.0 and name not in used:
                 raise InvalidField(f"{name} is meaningless for {self.kind.value}")
+            object.__setattr__(self, name, value)
 
     @classmethod
     def qubit(cls) -> "SubstanceSpec":
@@ -177,8 +179,11 @@ def _crossing_fields(kind: _Kind, offsets: np.ndarray) -> np.ndarray:
 
 
 def _check_fields(Bi: float, Bf: float):
-    if not _real("Bi", Bi, positive=True) < _real("Bf", Bf):
+    """Bi and Bf as floats, checked to satisfy 0 < Bi < Bf."""
+    Bi, Bf = _real("Bi", Bi, positive=True), _real("Bf", Bf)
+    if not Bi < Bf:
         raise InvalidField(f"need 0 < Bi < Bf, got Bi={Bi}, Bf={Bf}")
+    return Bi, Bf
 
 
 def labelled_basis(spec: SubstanceSpec) -> dict:
@@ -195,7 +200,7 @@ def build_hamiltonian(spec: SubstanceSpec, B: float) -> HermitianOperator:
     fully aligned states, Jxy exchange on the middle block, Jz shifts so
     the aligned states sit exactly at +-2B.
     """
-    _real("field B", B, positive=True)
+    B = _real("field B", B, positive=True)
     if spec.kind is SubstanceKind.QUBIT:
         m = np.diag([B, -B]).astype(complex)
     elif spec.kind is SubstanceKind.QUTRIT:
@@ -210,7 +215,7 @@ def build_hamiltonian(spec: SubstanceSpec, B: float) -> HermitianOperator:
 
 def labelled_spectrum(spec: SubstanceSpec, B: float) -> LabelledSpectrum:
     """Closed-form energies with stable labels and idle flags (no solver)."""
-    _real("field B", B, positive=True)
+    B = _real("field B", B, positive=True)
     kind, _, (energies,) = _spec_levels(spec, (B,))
     levels = tuple(map(Level, kind.labels, energies[0].tolist(),
                        kind.idle.tolist()))
@@ -222,7 +227,7 @@ def check_uniform_gap_ratio(spec: SubstanceSpec, Bi: float, Bf: float):
 
     Levels n, m miss r times their gap at Bi by (r - 1)(o_m - o_n) at Bf,
     so the worst pair holds the smallest and the largest offset o."""
-    _check_fields(Bi, Bf)
+    Bi, Bf = _check_fields(Bi, Bf)
     _, offsets, _ = _spec_levels(spec, (Bi, Bf))
     # times Bi, so that an r too large to represent cannot make a NaN
     uniform = np.ptp(offsets) * (Bf - Bi) <= TOL.gap_ratio * Bi
@@ -235,7 +240,7 @@ def detect_level_crossing(spec: SubstanceSpec, Bi: float, Bf: float):
     Identically degenerate label pairs (equal slope and offset) are not
     crossings and are excluded; only transversal intersections count.
     """
-    _check_fields(Bi, Bf)
+    Bi, Bf = _check_fields(Bi, Bf)
     kind, offsets, _ = _spec_levels(spec, (Bi, Bf))
     fields = _crossing_fields(kind, offsets)[0].tolist()
     return [((kind.labels[n], kind.labels[m]), bstar)

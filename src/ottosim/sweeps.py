@@ -5,11 +5,12 @@ deterministic order, and a metadata mapping recording every parameter.
 Its columns: the swept axes; Qh, Qc, W; eta_raw (None where Qh == 0);
 eta0; engine_mode and crossing as 0/1; q1_plus_q2, the summed hot flux
 of the idle levels, for a kind with more than one idle level (xxz);
-then q_h, q_c, dp, p_cold and p_post per level label. format_value is
-the one number format of the CSV and its .meta; write_csv formats a row
-with one % format per row shape, and any other row through format_value
-cell by cell. The same parameters give the same bytes, moved into place
-once both files are whole.
+then q_h, q_c, dp, p_cold and p_post per level label. One rule maps a
+cell's type to its % format (blank for None, %d for integers, else
+%.17g): format_value applies it to one value, the .meta floats
+included, and write_csv joins it into one format per row shape and
+writes every row with one % operation. The same parameters give the
+same bytes, moved into place once both files are whole.
 
 Every sweep is one call to _sweep, the loop they share. It builds the
 channel once per point of the outer axes (once per sweep, once per theta
@@ -44,7 +45,7 @@ from .cycle import Measurement, TwoBath, _run_cycles
 from .errors import InvalidField, OttoSimError
 from .measurements import (SpinDirection, Su3Angles, local_spin_channel,
                            su3_projective_channel)
-from .substances import _KINDS, SubstanceKind
+from .substances import _KINDS, SubstanceKind, _check_fields
 from .tolerances import TOL
 
 
@@ -59,7 +60,7 @@ class SweepRange:
 
     def __post_init__(self):
         for name in ("start", "stop"):
-            _real(name, getattr(self, name))
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if not math.isfinite(self.stop - self.start):
             raise InvalidField("range span is too large to represent")
         try:
@@ -93,6 +94,7 @@ def _sweep(meta, Bi, Bf, beta_c, axes, kind, protocol) -> SweepTable:
     fastest, sets the coupling of kind its column names (others stay 0).
     protocol(*point) is the stroke-3 protocol at a point of the outer axes.
     """
+    Bi, Bf = _check_fields(Bi, Bf)
     *outer, (swept, _, grid) = axes
     table = _KINDS[kind]
     cs = grid.values().tolist()
@@ -125,7 +127,7 @@ def _sweep(meta, Bi, Bf, beta_c, axes, kind, protocol) -> SweepTable:
                            per_level.T.tolist())
         header, values = zip(*columns)
         rows.extend(map(list, zip(*values)))
-    meta = dict(meta, bi=Bi, bf=Bf, beta_c=beta_c)
+    meta = dict(meta, bi=Bi, bf=Bf, beta_c=cold.beta)
     for _, prefix, r in axes:
         meta.update({f"{prefix}_min": r.start, f"{prefix}_max": r.stop,
                      f"{prefix}_steps": r.steps})
@@ -135,9 +137,10 @@ def _sweep(meta, Bi, Bf, beta_c, axes, kind, protocol) -> SweepTable:
 def sweep_qutrit_two_bath(Bi: float, Bf: float, beta_c: float, beta_h: float,
                           j_range: SweepRange) -> SweepTable:
     """One row per J for the thermally driven qutrit cycle."""
-    return _sweep({"command": "qutrit-two-bath", "beta_h": beta_h},
+    hot = BathSpec(beta_h)
+    return _sweep({"command": "qutrit-two-bath", "beta_h": hot.beta},
                   Bi, Bf, beta_c, [("J", "j", j_range)], SubstanceKind.QUTRIT,
-                  lambda: TwoBath(hot=BathSpec(beta_h)))
+                  lambda: TwoBath(hot))
 
 
 def sweep_qutrit_measurement(Bi: float, Bf: float, beta_c: float,
@@ -210,7 +213,7 @@ def sweep_xxz(model: str, protocol: str, Bi: float, Bf: float, beta_c: float,
         if beta_h is None:
             raise OttoSimError("two-bath protocol needs beta_h")
         proto = TwoBath(hot=BathSpec(beta_h))
-        meta["beta_h"] = beta_h
+        meta["beta_h"] = proto.hot.beta
     else:
         if n is None or m is None:
             raise OttoSimError("measurement protocol needs directions n and m")
@@ -469,14 +472,16 @@ def theorem1_suite(dims=(2, 3, 4), samples: int = 1000,
                           max_identity=max_identity)
 
 
+def _cell_format(t: type) -> str:
+    """format_value's % format for a cell of type t (%.0s: a blank)."""
+    if t is type(None):
+        return "%.0s"
+    return "%d" if issubclass(t, (int, np.integer)) else "%.17g"
+
+
 def format_value(v) -> str:
     """CSV cell: blank for None, %d for integers (bools too), else %.17g."""
-    return "" if v is None else (
-        "%d" if isinstance(v, (int, np.integer)) else "%.17g") % v
-
-
-# format_value's format for each exact cell type write_csv formats in bulk.
-_CELL_FORMATS = {float: "%.17g", int: "%d", bool: "%d"}
+    return _cell_format(type(v)) % (v,)
 
 
 @contextlib.contextmanager
@@ -512,24 +517,39 @@ def write_csv(path: str, table: SweepTable) -> None:
 
     Output is byte-identical for identical parameters: full-precision
     floats, deterministic row order, no timestamps. Both files replace
-    any earlier output only once both are fully written. Rows of exact
-    floats, ints and bools are formatted with one % format per row shape
-    (the tuple of cell types); any other row goes through format_value
-    cell by cell.
+    any earlier output only once both are fully written. Every row is
+    written with one % format, joined from the cells' formats (the rule
+    of format_value) and built once per row shape, the tuple of cell
+    types. A cell that is not a number or None raises OttoSimError.
     """
     formats = {}
     with _replacing(path, path + ".meta") as (f, meta):
         f.write(",".join(table.header) + "\n")
-        for row in table.rows:
+        for index, row in enumerate(table.rows):
             cells = tuple(row)
             shape = tuple(map(type, cells))
             fmt = formats.get(shape)
             if fmt is None:
-                specs = [_CELL_FORMATS.get(t) for t in shape]
-                fmt = formats[shape] = ("" if None in specs
-                                        else ",".join(specs) + "\n")
-            f.write(fmt % cells if fmt
-                    else ",".join(map(format_value, cells)) + "\n")
+                fmt = formats[shape] = (",".join(map(_cell_format, shape))
+                                        + "\n")
+            try:
+                f.write(fmt % cells)
+            except (TypeError, OverflowError):
+                _check_cells(table.header, index, cells)
+                raise
         for key, value in sorted(table.meta.items()):
             text = format_value(value) if isinstance(value, float) else value
             meta.write(f"{key}={text!s}\n")
+
+
+def _check_cells(header, index, cells):
+    """OttoSimError for the first cell of table.rows[index] that
+    format_value cannot write."""
+    for column, value in enumerate(cells):
+        try:
+            format_value(value)
+        except (TypeError, OverflowError) as exc:
+            name = header[column] if column < len(header) else column
+            raise OttoSimError(f"table.rows[{index}], column {name!r}: "
+                               f"cannot write a {type(value).__name__} as "
+                               f"a number: {exc}") from None

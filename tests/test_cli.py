@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ottosim as o
+from ottosim import cli
 from ottosim.cli import main
 
 
@@ -74,6 +75,39 @@ def test_config_file_with_flag_override(tmp_path):
     assert int(meta["j_steps"]) == 3
 
 
+# Every command's options with no flag and no config file, frozen as the
+# typed values they resolve to: the bits of every float count.
+DEFAULTS = {
+    "qutrit-two-bath": dict(bi=3.0, bf=4.0, beta_c=1.0, beta_h=0.5,
+                            j_min=0.0, j_max=3.0, j_steps=121, out=None,
+                            seed=None),
+    "qutrit-meas": dict(bi=3.0, bf=4.0, beta_c=1.0, theta=2.199114857512855,
+                        phi=2.199114857512855, chi=1.5707963267948966,
+                        psi=1.5707963267948966, j_min=0.0, j_max=3.0,
+                        j_steps=121, out=None, seed=None),
+    "qutrit-contour": dict(bi=3.0, bf=4.0, beta_c=1.0, mode="theta-phi",
+                           theta_min=0.0, theta_max=3.141592653589793,
+                           theta_steps=41, j_min=0.2, j_max=2.8, j_steps=27,
+                           out=None, seed=None),
+    "qutrit-extreme": dict(bi=3.0, bf=4.0, beta_c=1.0, j_min=0.1, j_max=2.9,
+                           j_steps=29, out=None, seed=None),
+    "xxz": dict(bi=3.0, bf=4.0, beta_c=1.0, model="xx", protocol="two-bath",
+                beta_h=0.5, n=o.SpinDirection(1.0, 0.0, 0.0),
+                m=o.SpinDirection(0.0, 0.0, 1.0), j_min=0.05, j_max=2.0,
+                j_steps=40, out=None, seed=None),
+    "theorem1": dict(dims=(2, 3, 4), samples=1000, seed=1, out=None),
+}
+
+
+def test_resolved_defaults_are_frozen():
+    assert set(DEFAULTS) == set(cli._COMMANDS)
+    for command, options in cli._COMMANDS.items():
+        got = cli._resolve(cli.build_parser().parse_args([command]), options)
+        # repr tells 3 from 3.0 and gives every bit of a float
+        assert {k: repr(v) for k, v in got.items()} == \
+            {k: repr(v) for k, v in DEFAULTS[command].items()}, command
+
+
 def test_config_rejects_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("beta-x = 1\n")
@@ -103,6 +137,8 @@ def test_validation_errors_exit_one(tmp_path, capsys):
     assert main(["qutrit-two-bath", "--j-steps", "0", "--out", out]) == 1
     assert main(["qutrit-two-bath"]) == 1  # --out missing
     assert main(["qutrit-contour", "--mode", "bogus", "--out", out]) == 1
+    assert main(["xxz", "--model", "bogus", "--out", out]) == 1
+    assert main(["xxz", "--protocol", "bogus", "--out", out]) == 1
     assert main(["xxz", "--protocol", "meas", "--n", "1,1", "--out",
                  out]) == 1
     assert main(["xxz", "--protocol", "meas", "--n", "1,1,0", "--out",

@@ -1,4 +1,6 @@
+import pickle
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -314,3 +316,50 @@ def test_unrepresentable_energies_or_heats_raise_without_warning():
         with pytest.raises(o.InvalidField, match="heat or work"):
             measurement(o.SubstanceSpec.qubit(),
                         o.damping_channel(2, 1.0, sink=0), Bi=1.0, Bf=1.7e308)
+
+
+# A cooling measurement on the two-qubit substance, and the calls that run
+# it; each lambda is the code that calls the library.
+COOLING = o.Measurement(o.damping_channel(4, 0.9, 3))
+XXZ = o.SubstanceSpec.xxz(0.5, 0.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: o.run_cycle(o.CycleConfig(XXZ, 3, 4, o.BathSpec(0.1), COOLING)),
+    lambda: o.run_cycle_batch([XXZ], 3, 4, o.BathSpec(0.1), COOLING),
+    lambda: o.sweep_qutrit_extreme(3, 4, 1, o.SweepRange(3.5, 3.5, 1)),
+], ids=["run_cycle", "run_cycle_batch", "sweep_qutrit_extreme"])
+def test_cooling_warning_points_at_the_calling_line(call):
+    with pytest.warns(o.MeasurementCoolsWarning) as caught:
+        call()
+    assert [(w.filename, w.lineno) for w in caught] == [
+        (call.__code__.co_filename, call.__code__.co_firstlineno)]
+
+
+# Each call takes the numbers 1/2 and 3, as Fractions or as floats.
+@pytest.mark.parametrize("call", [
+    lambda half, three: o.run_cycle(o.CycleConfig(
+        o.SubstanceSpec.qutrit(1.0), 3.0, 4.0, o.BathSpec(half),
+        o.TwoBath(o.BathSpec(0.5)))),
+    lambda half, three: o.sweep_qutrit_two_bath(
+        3.0, 4.0, half, half, o.SweepRange(0.0, 2.0, 5)),
+    lambda half, three: o.su3_projective_channel(o.Su3Angles(half, 1, 1, 1)),
+    lambda half, three: o.run_cycle(o.CycleConfig(
+        o.SubstanceSpec.qutrit(half), three, 4.0, o.BathSpec(1.0),
+        o.TwoBath(o.BathSpec(0.5)))),
+    lambda half, three: o.labelled_spectrum(o.SubstanceSpec.qutrit(1.0),
+                                            three),
+    lambda half, three: o.sweep_qutrit_contour(
+        three, 4.0, 1.0, "theta-phi", o.SweepRange(0.0, PI, 3),
+        o.SweepRange(half, 2.0, 4)),
+    lambda half, three: o.closed_form_two_bath_qutrit(half, three, 4, 1,
+                                                      half),
+    lambda half, three: o.detect_level_crossing(o.SubstanceSpec.qutrit(three),
+                                                three, 4),
+], ids=["run_cycle-beta", "sweep_qutrit_two_bath", "su3_projective_channel",
+        "run_cycle-Bi-J", "labelled_spectrum", "sweep_qutrit_contour",
+        "closed_form_two_bath_qutrit", "detect_level_crossing"])
+def test_exact_numbers_give_the_bits_of_their_float_twins(call):
+    # the checked float is the number used, fields and .meta included
+    assert pickle.dumps(call(Fraction(1, 2), Fraction(3))) == \
+        pickle.dumps(call(0.5, 3.0))

@@ -1,4 +1,6 @@
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,6 +38,7 @@ def test_sweep_range_validation():
     (0.0, 1.0, 2.5), (0.0, 1.0, 3.0), (0.0, 1.0, "3"), (0.0, 1.0, None),
     (0.0, float("inf"), 5), (float("-inf"), 1.0, 5), (float("nan"), 1.0, 1),
     (0.0, float("nan"), 5), (-1e308, 1e308, 5), ("0", 1.0, 5),
+    pytest.param(-10**308, 10**308, 3, id="int-span-beyond-float"),
 ])
 def test_sweep_range_rejects_non_finite_and_non_integral(start, stop, steps):
     with warnings.catch_warnings():
@@ -234,8 +237,9 @@ def test_write_csv_blank_cell_for_none(tmp_path):
 
 @pytest.mark.skipif(hypothesis is None, reason="needs hypothesis")
 def test_write_csv_matches_format_value_per_cell(tmp_path):
-    # cell kinds: write_csv formats rows of the first four in bulk, and
-    # sends a row holding any of the others through format_value
+    # cell kinds: write_csv writes every row with one % format per row
+    # shape, built from format_value's rule; rows mix the first four
+    # kinds only, or all of them, None and numpy scalars included
     special = [-0.0, float("nan"), float("inf"), float("-inf"), 5e-324,
                -2.5e-310, 1e300]
     kinds = [st.floats(), st.sampled_from(special),
@@ -269,6 +273,23 @@ def test_write_csv_matches_format_value_per_cell(tmp_path):
         assert path.read_bytes() == want.encode()
 
     check()
+
+
+@pytest.mark.parametrize("cell", ["x", 1j, [1.0], Fraction(10**400)],
+                         ids=["str", "complex", "list", "huge-Fraction"])
+def test_write_csv_rejects_a_cell_that_is_no_number(tmp_path, cell):
+    table = o.SweepTable(("a", "b"), [[1.0, 2], [3.0, cell]], {})
+    with pytest.raises(o.OttoSimError, match=r"rows\[1\], column 'b'"):
+        o.write_csv(str(tmp_path / "x.csv"), table)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_csv_writes_exact_numbers_as_their_floats(tmp_path):
+    cells = [Decimal("0.1"), Fraction(1, 3), Decimal(-7), Fraction(10**20)]
+    path = tmp_path / "exact.csv"
+    o.write_csv(str(path), o.SweepTable(("a", "b", "c", "d"), [cells], {}))
+    assert path.read_text() == "a,b,c,d\n" + ",".join(
+        "%.17g" % float(v) for v in cells) + "\n"
 
 
 # Every measurement sweep, at several grid sizes. Each entry gives the
