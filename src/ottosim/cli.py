@@ -15,7 +15,9 @@ a bad one before any work.
 _COMMANDS gives each command's options and _SWEEPS each sweep's library
 call. Before any work a sweep must name its --out file, and a command
 may ask for at most MAX_POINTS rows (the product of its *_steps options)
-or theorem1 samples; otherwise it exits 1.
+or theorem1 samples; otherwise it exits 1. A cooling measurement's
+MeasurementCoolsWarning (one per sweep) is printed as one plain
+"warning: ..." line on stderr.
 """
 
 from __future__ import annotations
@@ -23,11 +25,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import sweeps
-from .errors import OttoSimError
+from .errors import MeasurementCoolsWarning, OttoSimError
 from .measurements import SpinDirection, Su3Angles
 from .sweeps import SweepRange, write_csv
 
@@ -75,8 +78,10 @@ class Opt:
 
 # Largest row count of a sweep (theta_steps * j_steps for the contour) and
 # largest theorem1 sample count: 100 times the largest grid the benchmark
-# runs (2001 rows). At the cap a contour takes about 8 s and 200 MiB, and
-# theorem1 about 14 s and 44 MiB (2-vCPU x86-64 host, numpy 2.4).
+# runs (2001 rows). At the cap a 400 x 500 contour takes 3.3-4.5 s and
+# 200 MiB peak RSS, most of it the table's rows (50 kernel calls of 4000
+# rows each), and theorem1 about 14 s and 44 MiB (2-vCPU x86-64 host,
+# Python 3.11, numpy 2.4).
 MAX_POINTS = 200_000
 
 
@@ -199,7 +204,14 @@ def _run(name: str, ns: argparse.Namespace) -> int:
             with sweeps._replacing(out) as (f,):
                 f.write(text)
         return 0 if report.passed else 1
-    table = _SWEEPS[name](vals)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", MeasurementCoolsWarning)
+        table = _SWEEPS[name](vals)
+    for w in caught:
+        if issubclass(w.category, MeasurementCoolsWarning):
+            print(f"warning: {w.message}", file=sys.stderr)
+        else:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     if vals["seed"] is not None:
         table.meta["seed"] = vals["seed"]
     write_csv(out, table)

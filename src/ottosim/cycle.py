@@ -11,10 +11,11 @@ and q_c[l] = -E_l(Bi) dp_l, so conservation W = -(Qh + Qc), the flux
 decompositions, and the idle passthrough q_c = -q_h hold to rounding.
 
 _run_cycles is the one cycle kernel: it runs N cycles of one kind table,
-given as an (N, c) coupling array, as (N, d) arrays. _run_specs is its
-entry for SubstanceSpecs, which run_cycle_batch and run_cycle (a batch
-of one) both call, so a warning of the kernel sits the same number of
-frames below each public entry, the sweeps included.
+given as an (N, c) coupling array, as (N, d) arrays, with one stroke-3
+protocol per block of rows (a sweep's outer point). Its callers warn:
+_run_specs, the entry for SubstanceSpecs that run_cycle_batch and
+run_cycle (a batch of one) both call, and sweeps._sweep each call
+_warn_cooling once, the same number of frames below each public entry.
 """
 
 from __future__ import annotations
@@ -62,21 +63,20 @@ class CycleConfig:
     protocol: Protocol
 
     def __post_init__(self):
-        fields = _check_cycle(self.spec.dim, self.Bi, self.Bf, self.protocol)
+        fields = _check_fields(self.Bi, self.Bf)
+        _check_protocol(self.spec.dim, self.protocol)
         for name, value in zip(("Bi", "Bf"), fields):
             object.__setattr__(self, name, value)
 
 
-def _check_cycle(dim: int, Bi: float, Bf: float, protocol: Protocol):
-    """Field and protocol checks of a cycle on a substance of dim levels;
-    returns Bi and Bf as floats."""
-    fields = _check_fields(Bi, Bf)
+def _check_protocol(dim: int, protocol: Protocol) -> None:
+    """InvalidField or DimensionMismatch unless protocol can drive stroke 3
+    of a substance of dim levels."""
     if not isinstance(protocol, (TwoBath, Measurement)):
         raise InvalidField(f"unknown protocol {protocol!r}")
     if isinstance(protocol, Measurement) and protocol.channel.dim != dim:
         raise DimensionMismatch(
             f"channel dim {protocol.channel.dim} vs substance dim {dim}")
-    return fields
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,8 @@ class CycleRecord:
 
 @dataclass(frozen=True)
 class CycleBatch:
-    """Accounting for N cycles that differ only in their substance couplings.
+    """Accounting for N cycles of one substance kind at common fields and
+    cold bath; run_cycle_batch's cycles differ only in their couplings.
 
     Row k of every array belongs to the k-th substance of the batch;
     per-level arrays have shape (N, d) with columns in label order.
@@ -185,27 +186,65 @@ def _run_specs(specs, Bi: float, Bf: float, cold: BathSpec,
     if any(s.kind is not specs[0].kind for s in specs):
         raise InvalidField("substances of one batch must share one kind")
     kind = _KINDS[specs[0].kind]
-    return _run_cycles(kind, _couplings(kind, specs), Bi, Bf, cold, protocol)
+    # one block; a tuple or list passed as protocol fails its check
+    batch = _run_cycles(kind, _couplings(kind, specs), Bi, Bf, cold,
+                        (protocol,))
+    if isinstance(protocol, Measurement):
+        _warn_cooling(int(np.count_nonzero(batch.Qh < 0.0)), len(specs))
+    return batch
+
+
+def _warn_cooling(cooled: int, total: int) -> None:
+    """One MeasurementCoolsWarning if a measurement cooled in cooled of
+    total cycles; called by _run_specs and sweeps._sweep."""
+    # stacklevel 4: the caller of run_cycle, run_cycle_batch or a sweep
+    if cooled:
+        warnings.warn(f"measurement stroke removed energy (Qh < 0) in "
+                      f"{cooled} of {total} cycles",
+                      MeasurementCoolsWarning, stacklevel=4)
 
 
 def _run_cycles(kind, couplings: np.ndarray, Bi: float, Bf: float,
-                cold: BathSpec, protocol: Protocol) -> CycleBatch:
+                cold: BathSpec, protocol) -> CycleBatch:
     """run_cycle_batch for N substances of one kind (a substances._Kind),
-    given as their couplings, shape (N, c) in the kind's coupling order."""
-    Bi, Bf = _check_cycle(len(kind.labels), Bi, Bf, protocol)
+    given as their couplings, shape (N, c) in the kind's coupling order.
+
+    protocol is one Protocol for every row, or a tuple or list of B
+    protocols of one type: the b-th drives the b-th of B consecutive
+    blocks of N/B rows. Every protocol is checked, and each row gets the
+    bits it would get in a call of its block alone. No warning is raised.
+    """
+    protocols = (tuple(protocol) if isinstance(protocol, (tuple, list))
+                 else (protocol,))
+    Bi, Bf = _check_fields(Bi, Bf)
+    dim = len(kind.labels)
+    for p in protocols:
+        _check_protocol(dim, p)
+    if not protocols or len(couplings) % len(protocols):
+        raise OttoSimError(f"{len(couplings)} rows do not split into "
+                           f"{len(protocols)} equal blocks")
+    if any(type(p) is not type(protocols[0]) for p in protocols):
+        raise InvalidField("the protocols of one batch must share one type")
     if not np.isfinite(couplings).all():
         raise InvalidField("couplings must be finite")
     offsets, (ei, ef) = _level_energies(kind, couplings, (Bi, Bf))
+    # (block, row of the block, level); block b runs under protocols[b]
+    blocks = (len(protocols), len(couplings) // len(protocols), dim)
     # Overflow is caught by the check on W below, not by numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         p_cold = boltzmann_populations(ei, cold.beta)
-        if isinstance(protocol, TwoBath):
-            p_hot = boltzmann_populations(ef, protocol.hot.beta)
+        if isinstance(protocols[0], TwoBath):
+            betas = np.array([[[p.hot.beta]] for p in protocols])
+            p_hot = boltzmann_populations(ef.reshape(blocks),
+                                          betas).reshape(ef.shape)
         else:
             # The input state is diagonal in the labelled basis, so only
-            # the diagonal transfer p' = T p matters.
-            t = _transfer_entries(protocol.channel, kind.basis)
-            p_hot = row_sum(t * p_cold[:, None, :])
+            # the diagonal transfer p' = T p matters; each row is
+            # multiplied by its block's T, entry by entry.
+            t = np.array([_transfer_entries(p.channel, kind.basis)
+                          for p in protocols])
+            p_hot = row_sum(t[:, None] * p_cold.reshape(blocks)[..., None, :]
+                            ).reshape(ef.shape)
             # Levels the channel leaves alone must not pick up rounding
             # noise: a stray 1e-16 would make a no-op stroke an engine.
             still = np.abs(p_hot - p_cold) <= TOL.population_snap
@@ -223,13 +262,6 @@ def _run_cycles(kind, couplings: np.ndarray, Bi: float, Bf: float,
     eta_raw = -W / np.where(Qh != 0.0, Qh, np.nan)
     fields = _crossing_fields(kind, offsets)
     crossing = ((Bi <= fields) & (fields <= Bf)).any(axis=1)
-
-    # stacklevel 4: the caller of run_cycle, run_cycle_batch or a sweep
-    cooled = int(np.count_nonzero(Qh < 0.0))
-    if isinstance(protocol, Measurement) and cooled:
-        warnings.warn(f"measurement stroke removed energy (Qh < 0) in "
-                      f"{cooled} of {len(Qh)} cycles",
-                      MeasurementCoolsWarning, stacklevel=4)
 
     return CycleBatch(
         labels=kind.labels,

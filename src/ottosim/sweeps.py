@@ -12,14 +12,15 @@ included, and write_csv joins it into one format per row shape and
 writes every row with one % operation. The same parameters give the
 same bytes, moved into place once both files are whole.
 
-Every sweep is one call to _sweep, the loop they share. It builds the
-channel once per point of the outer axes (once per sweep, once per theta
-for the contour) and hands one coupling array for the whole grid to
-the cycle kernel, which works row by row in a fixed order, so each row
-holds the same bits as run_cycle at that grid point, whatever the grid
-size. Each batch gives one list of (column, values), from which both
-the header and the rows are read. A cooling measurement warns once per
-batch, not once per row.
+Every sweep is one call to _sweep, the loop they share. It builds and
+checks the channel once per point of the outer axes (once per theta for
+the contour) and runs the whole grid as one cycle kernel call, with one
+protocol per block of rows that share an outer point; a grid of more
+than _SWEEP_ROWS rows takes one call per group of whole points. The
+kernel works row by row in a fixed order, so each row holds the bits of
+run_cycle at its grid point, whatever the split. Each call gives one
+list of (column, values), read for both the header and the rows. A
+cooling measurement warns once per sweep, counting the whole grid.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .channels import (_apply_kraus, _check_trace_preserving,
 from .core import (BathSpec, _dagger, _densities, _eigensystems, _energies,
                    _finite, _hermitian_part, _real, boltzmann_populations,
                    row_sum)
-from .cycle import Measurement, TwoBath, _run_cycles
+from .cycle import Measurement, TwoBath, _run_cycles, _warn_cooling
 from .errors import InvalidField, OttoSimError
 from .measurements import (SpinDirection, Su3Angles, local_spin_channel,
                            su3_projective_channel)
@@ -87,32 +88,50 @@ class SweepTable(NamedTuple):
     meta: dict
 
 
+# Most rows one kernel call of _sweep holds. A call takes whole points of
+# the outer axes, so a swept axis longer than this is one call per point.
+# The arrays and column lists of one call then stay a few megabytes, and
+# the peak memory of a large contour is that of its rows.
+_SWEEP_ROWS = 4096
+
+
 def _sweep(meta, Bi, Bf, beta_c, axes, kind, protocol) -> SweepTable:
-    """The loop all sweeps share: a cycle batch per outer grid point.
+    """The loop all sweeps share: one cycle kernel call for the whole grid,
+    or one per _SWEEP_ROWS rows of it.
 
     axes: (column, meta prefix, SweepRange) per axis; the last, which runs
     fastest, sets the coupling of kind its column names (others stay 0).
-    protocol(*point) is the stroke-3 protocol at a point of the outer axes.
+    protocol(*point) is the stroke-3 protocol at a point of the outer axes;
+    the kernel runs each point's rows as one block under its protocol.
     """
     Bi, Bf = _check_fields(Bi, Bf)
     *outer, (swept, _, grid) = axes
     table = _KINDS[kind]
+    points = itertools.product(*(r.values().tolist() for _, _, r in outer))
     cs = grid.values().tolist()
-    couplings = np.zeros((len(cs), len(table.couplings)))
-    couplings[:, table.couplings.index(swept)] = cs
+    step = min(math.prod(r.steps for _, _, r in outer),
+               max(1, _SWEEP_ROWS // len(cs)))
+    couplings = np.zeros((step * len(cs), len(table.couplings)))
+    couplings[:, table.couplings.index(swept)] = cs * step
     cold = BathSpec(beta_c)
-    rows = []
-    for point in itertools.product(*(r.values().tolist()
-                                     for _, _, r in outer)):
-        batch = _run_cycles(table, couplings, Bi, Bf, cold, protocol(*point))
-        columns = [(column, [v] * len(cs))
-                   for (column, _, _), v in zip(outer, point)]
+    rows, cooled = [], 0
+    while chunk := list(itertools.islice(points, step)):
+        n = len(chunk) * len(cs)
+        blocks = [protocol(*point) for point in chunk]
+        batch = _run_cycles(table, couplings[:n], Bi, Bf, cold, blocks)
+        if isinstance(blocks[0], Measurement):
+            cooled += int(np.count_nonzero(batch.Qh < 0.0))
+        # Cells of one value share one float object, as the rows of a
+        # large grid take most of a sweep's memory.
+        columns = [(column, [v for v in coords for _ in cs])
+                   for (column, _, _), coords in zip(outer, zip(*chunk))]
         columns += [
-            (swept, cs), ("Qh", batch.Qh.tolist()), ("Qc", batch.Qc.tolist()),
+            (swept, cs * len(chunk)),
+            ("Qh", batch.Qh.tolist()), ("Qc", batch.Qc.tolist()),
             ("W", batch.W.tolist()),
             ("eta_raw", [None if math.isnan(v) else v
                          for v in batch.eta_raw.tolist()]),
-            ("eta0", [batch.eta0] * len(cs)),
+            ("eta0", [batch.eta0] * n),
             ("engine_mode", batch.engine_mode.astype(int).tolist()),
             ("crossing", batch.crossing.astype(int).tolist()),
         ]
@@ -127,6 +146,7 @@ def _sweep(meta, Bi, Bf, beta_c, axes, kind, protocol) -> SweepTable:
                            per_level.T.tolist())
         header, values = zip(*columns)
         rows.extend(map(list, zip(*values)))
+    _warn_cooling(cooled, len(rows))
     meta = dict(meta, bi=Bi, bf=Bf, beta_c=cold.beta)
     for _, prefix, r in axes:
         meta.update({f"{prefix}_min": r.start, f"{prefix}_max": r.stop,

@@ -352,3 +352,28 @@ def test_outputs_get_the_mode_of_a_plain_open(tmp_path):
                  "--out", str(tmp_path / "t1.txt")]) == 0
     for name in ("x.csv", "x.csv.meta", "t1.txt"):
         assert (tmp_path / name).stat().st_mode == mode
+
+
+def test_cooling_contour_prints_one_plain_warning_line(tmp_path, capsys):
+    # J crosses Bi = 2.5, so some of the 5 x 4 measurement cycles cool
+    grid = ["--bi", "2.5", "--bf", "4", "--beta-c", "1", "--theta-min", "2",
+            "--theta-max", "2.6", "--theta-steps", "5", "--j-min", "2.4",
+            "--j-max", "3", "--j-steps", "4"]
+    out = tmp_path / "c.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["qutrit-contour"] + grid + ["--out", str(out)]) == 0
+    lines = _lines(out)
+    qh = lines[0].split(",").index("Qh")
+    cooled = sum(float(line.split(",")[qh]) < 0.0 for line in lines[1:])
+    assert cooled > 0
+    assert capsys.readouterr().err == (
+        f"warning: measurement stroke removed energy (Qh < 0) in {cooled} of "
+        f"{5 * 4} cycles\n")
+    # the library still warns, and the CLI wrote the library's table
+    with pytest.warns(o.MeasurementCoolsWarning):
+        table = o.sweep_qutrit_contour(2.5, 4.0, 1.0, "theta-phi",
+                                       o.SweepRange(2.0, 2.6, 5),
+                                       o.SweepRange(2.4, 3.0, 4))
+    o.write_csv(str(tmp_path / "lib.csv"), table)
+    assert out.read_bytes() == (tmp_path / "lib.csv").read_bytes()

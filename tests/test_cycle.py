@@ -7,6 +7,8 @@ import pytest
 
 import ottosim as o
 from helpers import measurement, random_direction, su3, two_bath
+from ottosim.cycle import _run_cycles
+from ottosim.substances import _KINDS
 
 PI = np.pi
 
@@ -363,3 +365,49 @@ def test_exact_numbers_give_the_bits_of_their_float_twins(call):
     # the checked float is the number used, fields and .meta included
     assert pickle.dumps(call(Fraction(1, 2), Fraction(3))) == \
         pickle.dumps(call(0.5, 3.0))
+
+
+def _qutrit_blocks(rows):
+    """The qutrit kind and the couplings of len(rows) blocks, J per row."""
+    return (_KINDS[o.SubstanceKind.QUTRIT],
+            np.array([[J] for block in rows for J in block]))
+
+
+@pytest.mark.parametrize("protocols", [
+    [o.Measurement(su3(0.3 * k, 0.7, 1.1 * k, 0.2)) for k in range(3)],
+    [o.TwoBath(o.BathSpec(beta)) for beta in (0.2, 0.5, 3.0)],
+], ids=["measurement", "two-bath"])
+def test_kernel_blocks_hold_the_bits_of_their_own_calls(protocols):
+    js = [[-0.5, 0.4, 1.7, 3.5], [0.0, 1.0, 2.0, 3.0], [2.9, 0.1, 1.3, 2.2]]
+    kind, couplings = _qutrit_blocks(js)
+    cold = o.BathSpec(0.8)
+    # the kernel leaves warnings to its callers
+    whole = _run_cycles(kind, couplings, 3.0, 4.0, cold, protocols)
+    parts = [_run_cycles(kind, couplings[4 * b:4 * b + 4], 3.0, 4.0, cold,
+                         protocol)
+             for b, protocol in enumerate(protocols)]
+    for k in range(12):
+        assert pickle.dumps(whole.record(k)) == \
+            pickle.dumps(parts[k // 4].record(k % 4))
+
+
+def test_kernel_checks_every_block():
+    kind, couplings = _qutrit_blocks([[0.5, 1.0]] * 3)
+    good = o.Measurement(su3(0.7 * PI, 0.7 * PI, 0.5 * PI, 0.5 * PI))
+    args = (kind, couplings, 3.0, 4.0, o.BathSpec(1.0))
+    with pytest.raises(o.DimensionMismatch):
+        _run_cycles(*args, [good, good,
+                            o.Measurement(o.damping_channel(2, 0.5, 0))])
+    with pytest.raises(o.InvalidField, match="unknown protocol"):
+        _run_cycles(*args, [good, good, "two-bath"])
+    with pytest.raises(o.InvalidField, match="one type"):
+        _run_cycles(*args, [good, good, o.TwoBath(o.BathSpec(0.5))])
+    # 6 rows split into 1, 2, 3 or 6 blocks, not into 4 or 0
+    with pytest.raises(o.OttoSimError, match="6 rows"):
+        _run_cycles(*args, [good] * 4)
+    with pytest.raises(o.OttoSimError, match="6 rows"):
+        _run_cycles(*args, [])
+    # the public entries take one protocol, not blocks of them
+    with pytest.raises(o.InvalidField, match="unknown protocol"):
+        o.run_cycle_batch([o.SubstanceSpec.qutrit(0.5)] * 2, 3.0, 4.0,
+                          o.BathSpec(1.0), [good, good])

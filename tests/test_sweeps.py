@@ -478,3 +478,98 @@ def test_channel_built_once_per_sweep_or_theta(monkeypatch):
     assert len(table.rows) == 20
     assert [(a.theta, a.phi, a.chi, a.psi) for a in built] == [
         (t, t, t, 0.5 * np.pi) for t in np.linspace(0.0, np.pi, 4).tolist()]
+
+
+def _counting_kernel(monkeypatch):
+    """Replace the sweeps' cycle kernel by a wrapper; returns its call log
+    (the row count of each call)."""
+    calls = []
+    real = o.sweeps._run_cycles
+
+    def counted(kind, couplings, *args):
+        calls.append(len(couplings))
+        return real(kind, couplings, *args)
+
+    monkeypatch.setattr(o.sweeps, "_run_cycles", counted)
+    return calls
+
+
+def test_contour_is_one_kernel_call_at_benchmark_size(monkeypatch):
+    calls = _counting_kernel(monkeypatch)
+    for mode in o.sweeps.CONTOUR_MODES:
+        table = o.sweep_qutrit_contour(BI, BF, BETA_C, mode,
+                                       o.SweepRange(0.0, np.pi, 41),
+                                       o.SweepRange(0.2, 2.8, 27))
+        assert len(table.rows) == 41 * 27
+    assert calls == [41 * 27] * 2
+
+
+# A contour whose J range crosses Bi = 2.5: 5 of its 20 rows cool, spread
+# over two values of theta.
+COOLING_CONTOUR = (2.5, 4.0, 1.0, "theta-phi", o.SweepRange(2.0, 2.6, 5),
+                   o.SweepRange(2.4, 3.0, 4))
+
+
+@pytest.mark.parametrize("limit", [None, 8, 1],
+                         ids=["one-call", "two-thetas-per-call", "row-limit-1"])
+def test_cooling_contour_warns_once_with_the_grid_count(monkeypatch, limit):
+    if limit is not None:
+        monkeypatch.setattr(o.sweeps, "_SWEEP_ROWS", limit)
+    with pytest.warns(o.MeasurementCoolsWarning) as caught:
+        table = o.sweep_qutrit_contour(*COOLING_CONTOUR)
+    qh = table.header.index("Qh")
+    cooling = [row[0] for row in table.rows if row[qh] < 0.0]
+    assert sorted(set(cooling)) == [2.3, 2.45]
+    assert [str(w.message) for w in caught] == [
+        f"measurement stroke removed energy (Qh < 0) in {len(cooling)} of "
+        f"20 cycles"]
+
+
+def test_grid_beyond_the_row_limit_gives_the_bytes_of_one_call(
+        monkeypatch, tmp_path):
+    # 160 x 27 = 4320 rows: two kernel calls of whole thetas
+    args = (BI, BF, BETA_C, "theta-phi-chi", o.SweepRange(0.0, np.pi, 160),
+            o.SweepRange(0.2, 2.8, 27))
+    calls = _counting_kernel(monkeypatch)
+    o.write_csv(str(tmp_path / "split.csv"), o.sweep_qutrit_contour(*args))
+    assert calls == [151 * 27, 9 * 27]
+    calls.clear()
+    monkeypatch.setattr(o.sweeps, "_SWEEP_ROWS", 160 * 27)
+    o.write_csv(str(tmp_path / "one.csv"), o.sweep_qutrit_contour(*args))
+    assert calls == [160 * 27]
+    for suffix in ("", ".meta"):
+        assert (tmp_path / f"split.csv{suffix}").read_bytes() == \
+            (tmp_path / f"one.csv{suffix}").read_bytes()
+
+
+def test_swept_axis_beyond_the_row_limit_is_one_call_per_point(monkeypatch):
+    monkeypatch.setattr(o.sweeps, "_SWEEP_ROWS", 3)
+    calls = _counting_kernel(monkeypatch)
+    split = o.sweep_qutrit_contour(BI, BF, BETA_C, "theta-phi",
+                                   o.SweepRange(0.0, np.pi, 3),
+                                   o.SweepRange(0.2, 2.8, 5))
+    line = o.sweep_qutrit_two_bath(BI, BF, BETA_C, 0.5,
+                                   o.SweepRange(0.2, 2.8, 5))
+    assert calls == [5, 5, 5, 5]
+    monkeypatch.undo()
+    assert split == o.sweep_qutrit_contour(BI, BF, BETA_C, "theta-phi",
+                                           o.SweepRange(0.0, np.pi, 3),
+                                           o.SweepRange(0.2, 2.8, 5))
+    assert line == o.sweep_qutrit_two_bath(BI, BF, BETA_C, 0.5,
+                                           o.SweepRange(0.2, 2.8, 5))
+
+
+def test_channels_are_built_call_by_call(monkeypatch):
+    # a call's channels exist only while it runs, so memory stays flat
+    events = []
+    channel, kernel = o.sweeps.su3_projective_channel, o.sweeps._run_cycles
+    monkeypatch.setattr(o.sweeps, "su3_projective_channel",
+                        lambda angles: events.append("channel")
+                        or channel(angles))
+    monkeypatch.setattr(o.sweeps, "_run_cycles",
+                        lambda *args: events.append("kernel") or kernel(*args))
+    monkeypatch.setattr(o.sweeps, "_SWEEP_ROWS", 10)
+    o.sweep_qutrit_contour(BI, BF, BETA_C, "theta-phi",
+                           o.SweepRange(0.0, np.pi, 3),
+                           o.SweepRange(0.2, 2.8, 5))
+    assert events == ["channel", "channel", "kernel", "channel", "kernel"]
