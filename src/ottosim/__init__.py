@@ -7,11 +7,12 @@ measurement. Per-level heat fluxes expose how idle energy levels carry
 heat between the strokes and move the efficiency away from 1 - Bi/Bf.
 """
 
-from .channels import (KrausChannel, TransferMatrix, apply_channel,
-                       channel_populations, damping_channel, energy_change,
-                       is_minimally_disturbing, is_unital, kraus_channel,
-                       projective_channel, random_unital_channel,
-                       rearrangement_oracle, transfer_matrix)
+from .channels import (KrausChannel, Theorem1Report, TransferMatrix,
+                       apply_channel, channel_populations, damping_channel,
+                       energy_change, is_minimally_disturbing, is_unital,
+                       kraus_channel, projective_channel,
+                       random_unital_channel, rearrangement_oracle,
+                       theorem1_suite, transfer_matrix)
 from .core import (BathSpec, DensityMatrix, HermitianOperator,
                    boltzmann_populations, energy_expectation, gibbs_state,
                    hermitian_eigensystem, is_passive, populations_in_basis)
@@ -29,10 +30,10 @@ from .substances import (LabelledSpectrum, Level, SubstanceKind,
                          SubstanceSpec, build_hamiltonian,
                          check_uniform_gap_ratio, detect_level_crossing,
                          labelled_basis, labelled_spectrum)
-from .sweeps import (EXTREME_ANGLES, SweepRange, SweepTable, Theorem1Report,
-                     format_value, sweep_qutrit_contour, sweep_qutrit_extreme,
+from .sweeps import (EXTREME_ANGLES, SweepRange, SweepTable, format_value,
+                     sweep_qutrit_contour, sweep_qutrit_extreme,
                      sweep_qutrit_measurement, sweep_qutrit_two_bath,
-                     sweep_xxz, theorem1_suite, write_csv)
+                     sweep_xxz, write_csv)
 from .tolerances import TOL, Tolerances
 
 __version__ = "0.1.0"

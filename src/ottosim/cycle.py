@@ -205,17 +205,15 @@ def _warn_cooling(cooled: int, total: int) -> None:
 
 
 def _run_cycles(kind, couplings: np.ndarray, Bi: float, Bf: float,
-                cold: BathSpec, protocol) -> CycleBatch:
+                cold: BathSpec, protocols) -> CycleBatch:
     """run_cycle_batch for N substances of one kind (a substances._Kind),
     given as their couplings, shape (N, c) in the kind's coupling order.
 
-    protocol is one Protocol for every row, or a tuple or list of B
-    protocols of one type: the b-th drives the b-th of B consecutive
-    blocks of N/B rows. Every protocol is checked, and each row gets the
-    bits it would get in a call of its block alone. No warning is raised.
+    protocols is a sequence of B >= 1 Protocols of one type: the b-th
+    drives the b-th of B consecutive blocks of N/B rows. Every protocol
+    is checked, and each row gets the bits it would get in a call of its
+    block alone. No warning is raised.
     """
-    protocols = (tuple(protocol) if isinstance(protocol, (tuple, list))
-                 else (protocol,))
     Bi, Bf = _check_fields(Bi, Bf)
     dim = len(kind.labels)
     for p in protocols:
@@ -225,8 +223,6 @@ def _run_cycles(kind, couplings: np.ndarray, Bi: float, Bf: float,
                            f"{len(protocols)} equal blocks")
     if any(type(p) is not type(protocols[0]) for p in protocols):
         raise InvalidField("the protocols of one batch must share one type")
-    if not np.isfinite(couplings).all():
-        raise InvalidField("couplings must be finite")
     offsets, (ei, ef) = _level_energies(kind, couplings, (Bi, Bf))
     # (block, row of the block, level); block b runs under protocols[b]
     blocks = (len(protocols), len(couplings) // len(protocols), dim)

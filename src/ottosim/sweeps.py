@@ -28,7 +28,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
-import numbers
 import operator
 import os
 from dataclasses import asdict, dataclass
@@ -36,18 +35,14 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .channels import (_apply_kraus, _check_trace_preserving,
-                       _damping_operators, _draw_unitary_mixture,
-                       _random_matrix, _unitary_mixture)
-from .core import (BathSpec, _dagger, _densities, _eigensystems, _energies,
-                   _finite, _hermitian_part, _real, boltzmann_populations,
-                   row_sum)
+# theorem1 lives in channels; the CLI, a test oracle and perfbench use these
+from .channels import _MIXTURE, _PROJECTIVE, _theorem1_schedule, theorem1_suite
+from .core import BathSpec, _real, row_sum
 from .cycle import Measurement, TwoBath, _run_cycles, _warn_cooling
 from .errors import InvalidField, OttoSimError
 from .measurements import (SpinDirection, Su3Angles, local_spin_channel,
                            su3_projective_channel)
 from .substances import _KINDS, SubstanceKind, _check_fields
-from .tolerances import TOL
 
 
 @dataclass(frozen=True)
@@ -243,253 +238,6 @@ def sweep_xxz(model: str, protocol: str, Bi: float, Bf: float, beta_c: float,
     swept = "Jxy" if model == "xx" else "Jz"
     return _sweep(meta, Bi, Bf, beta_c, [(swept, "j", coupling_range)],
                   SubstanceKind.XXZ, lambda: proto)
-
-
-@dataclass(frozen=True)
-class Theorem1Report:
-    """Outcome of the unital-channel energy-gain property suite.
-
-    min_unital is the smallest energy change over the unital samples other
-    than the identity. max_identity is the largest |energy change| over
-    the identity-channel samples, which must leave every energy exactly
-    unchanged.
-    """
-
-    samples: int
-    dims: tuple
-    seed: int
-    min_unital: float
-    control_samples: int
-    min_control: float
-    control_negative_found: bool
-    passed: bool
-    max_identity: float = 0.0
-
-    def lines(self):
-        if self.max_identity == 0.0:
-            identity = "identity-channel row: energy change 0 (exact)"
-        else:
-            identity = (f"identity-channel row: max |energy change| "
-                        f"{self.max_identity:.6e} (expected exactly 0)")
-        return [
-            f"unital-channel suite: {self.samples} samples, dims "
-            f"{','.join(str(d) for d in self.dims)}, seed {self.seed}",
-            f"min energy change over non-identity unital channels on "
-            f"passive states: "
-            f"{self.min_unital:.6e} (floor {-TOL.theorem_slack:g})",
-            identity,
-            f"non-unital control group: {self.control_samples} samples, "
-            f"min energy change {self.min_control:.6e}, expected-negative "
-            f"found: {'yes' if self.control_negative_found else 'no'}",
-            f"result: {'PASS' if self.passed else 'FAIL'}",
-        ]
-
-
-# Samples drawn and computed per array pass of theorem1_suite. The stacks
-# of one pass take well under a megabyte, so memory does not grow with the
-# sample count.
-_THEOREM1_BLOCK = 256
-
-# Channel kinds of the unital samples. A mixture draws 1 to 4 unitaries and
-# a projective channel has d <= 4 projectors, so 4 Kraus slots hold any
-# channel; unused slots stay zero.
-_MIXTURE, _PROJECTIVE, _IDENTITY = range(3)
-_KRAUS_SLOTS = 4
-
-
-def _theorem1_schedule(dims, samples):
-    """(dim, channel kind, Gibbs state?) of each unital sample, in order.
-
-    The samples cycle through every combination: the dimension changes
-    fastest, then the channel kind, then the state (Gibbs, then sorted).
-    """
-    combos = [(dim, kind, gibbs) for gibbs in (True, False)
-              for kind in (_MIXTURE, _PROJECTIVE, _IDENTITY) for dim in dims]
-    return [combos[i % len(combos)] for i in range(samples)]
-
-
-def _draw_unital(rng, kind, gibbs, dim):
-    """Random numbers of one unital sample: Hamiltonian, state, channel.
-
-    The state is a Gibbs beta or passive populations (sorted descending
-    against ascending energies); the channel is the draws of a unitary
-    mixture, the matrix behind a projective basis, or None.
-    """
-    h = _random_matrix(rng, dim)
-    if gibbs:
-        state = float(rng.uniform(0.05, 5.0))
-    else:
-        pops = np.sort(rng.random(dim) + 1e-3)[::-1]
-        state = pops / pops.sum()
-    if kind == _MIXTURE:
-        seed = int(rng.integers(2 ** 31))
-        channel = _draw_unitary_mixture(dim, seed, int(rng.integers(1, 5)))
-    elif kind == _PROJECTIVE:
-        channel = _random_matrix(rng, dim)
-    else:
-        channel = None
-    return h, kind, state, channel
-
-
-def _unital_changes(dim, draws):
-    """Energy changes of unital samples of one dimension, as stacks."""
-    matrices, kinds, states, channels = zip(*draws)
-    h, vals, vecs = _eigensystems(_finite(_hermitian_part(np.array(matrices))))
-    n = len(draws)
-    pops = np.empty((n, dim))
-    gibbs = [k for k in range(n) if isinstance(states[k], float)]
-    drawn = [k for k in range(n) if not isinstance(states[k], float)]
-    if drawn:
-        pops[drawn] = [states[k] for k in drawn]
-    if gibbs:
-        betas = np.array([states[k] for k in gibbs])
-        pops[gibbs] = boltzmann_populations(vals[gibbs], betas[:, None])
-
-    kraus = np.zeros((n, _KRAUS_SLOTS, dim, dim), dtype=complex)
-    mix = [k for k in range(n) if kinds[k] == _MIXTURE]
-    proj = [k for k in range(n) if kinds[k] == _PROJECTIVE]
-    kraus[[k for k in range(n) if kinds[k] == _IDENTITY], 0] = np.eye(dim)
-    if mix or proj:
-        # One eigensystem call for every channel basis of the group.
-        stack = [channels[k][1] for k in mix] + [channels[k][None] for k in proj]
-        bases = _eigensystems(_finite(_hermitian_part(np.concatenate(stack))))[2]
-        counts = [len(channels[k][0]) for k in mix]
-        r = sum(counts)
-        if mix:
-            ops = _unitary_mixture(
-                np.concatenate([channels[k][0] for k in mix]), bases[:r],
-                np.concatenate([channels[k][2] for k in mix]))
-            kraus[np.repeat(mix, counts),
-                  np.concatenate([np.arange(c) for c in counts])] = ops
-        if proj:
-            # Projector k of a basis is the outer product of its column k.
-            cols = bases[r:].swapaxes(-1, -2)
-            kraus[proj, :dim] = cols[..., :, None] * cols.conj()[..., None, :]
-    return _passive_energy_changes(h, vecs, pops, kraus)
-
-
-def _draw_control(rng, dim):
-    """Random numbers of one control sample: level energies, beta, damping."""
-    energies = np.sort(rng.uniform(-2.0, 2.0, size=dim))
-    beta = float(rng.uniform(0.2, 1.0))
-    ground = int(np.argmin(energies))
-    kraus = _damping_operators(dim, float(rng.uniform(0.3, 0.9)), ground)
-    return energies, beta, kraus
-
-
-def _control_changes(dim, draws):
-    """Energy changes of damped thermal states of one dimension, as stacks."""
-    energies, betas, kraus = zip(*draws)
-    diag = np.zeros((len(draws), dim, dim), dtype=complex)
-    diag[:, range(dim), range(dim)] = energies
-    h, vals, vecs = _eigensystems(_finite(diag))
-    pops = boltzmann_populations(vals, np.array(betas)[:, None])
-    return _passive_energy_changes(h, vecs, pops, np.array(kraus))
-
-
-def _passive_energy_changes(h, vecs, pops, kraus):
-    """Tr[(E(rho) - rho) H] for rho = sum_n pops_n |v_n><v_n|, per sample.
-
-    h (n, d, d) with eigenvectors vecs, pops (n, d), Kraus stacks
-    kraus (n, r, d, d). Both states pass the DensityMatrix checks and the
-    channels the trace-preservation check.
-    """
-    rho = _densities(_finite((vecs * pops[:, None, :]) @ _dagger(vecs)))
-    _check_trace_preserving(_finite(kraus))
-    post = _densities(_finite(_apply_kraus(kraus, rho)))
-    return _energies(post, h) - _energies(rho, h)
-
-
-def _in_blocks(count, draw, compute):
-    """Per-sample energy changes, drawn in order and computed in blocks.
-
-    draw(i) returns (dim, draws of sample i); each block of samples is
-    drawn in full, then compute(dim, list of draws) runs once per
-    dimension present.
-    """
-    out = np.empty(count)
-    for start in range(0, count, _THEOREM1_BLOCK):
-        groups = {}
-        for i in range(start, min(count, start + _THEOREM1_BLOCK)):
-            dim, draws = draw(i)
-            index, block = groups.setdefault(dim, ([], []))
-            index.append(i)
-            block.append(draws)
-        for dim, (index, block) in groups.items():
-            out[index] = compute(dim, block)
-    return out
-
-
-def _theorem1_energy_changes(dims, samples, seed):
-    """Schedule and per-sample energy changes of theorem1_suite.
-
-    Returns the schedule, the unital samples' changes (one per schedule
-    entry) and the control group's changes.
-    """
-    rng = np.random.default_rng(seed)
-    schedule = _theorem1_schedule(dims, samples)
-
-    def unital(i):
-        dim, kind, gibbs = schedule[i]
-        return dim, _draw_unital(rng, kind, gibbs, dim)
-
-    def control(i):
-        dim = dims[i % len(dims)]
-        return dim, _draw_control(rng, dim)
-
-    changes = _in_blocks(samples, unital, _unital_changes)
-    control_changes = _in_blocks(max(10, samples // 20), control,
-                                 _control_changes)
-    return schedule, changes, control_changes
-
-
-def theorem1_suite(dims=(2, 3, 4), samples: int = 1000,
-                   seed: int = 1) -> Theorem1Report:
-    """Property suite: unital channels never drain passive states.
-
-    Draws (channel, passive state, Hamiltonian) triples across the given
-    dimensions, mixing unitary-mixture channels, random projective
-    channels, and the identity; records the minimum energy change over
-    the non-identity channels and requires every identity sample to
-    change the energy by exactly 0.
-    The control group applies non-unital ground-sink damping to excited
-    thermal states and must find a strictly negative energy change.
-
-    The random numbers are drawn sample by sample from one generator;
-    blocks of _THEOREM1_BLOCK samples are then validated and computed as
-    stacks, one per dimension, with every check of the scalar calls
-    (hermitian_eigensystem, kraus_channel, DensityMatrix,
-    energy_expectation) applied to each sample. Each energy change holds
-    the bits of the scalar route through those calls.
-    """
-    try:
-        given = list(dims)
-    except TypeError:
-        given = []
-    if not given or not all(isinstance(d, numbers.Integral) and 2 <= d <= 4
-                            for d in given):
-        raise OttoSimError(f"dims must be integers in {{2,3,4}}, got {dims!r}")
-    dims = tuple(sorted({int(d) for d in given}))
-    if not (isinstance(samples, numbers.Integral) and samples >= 1):
-        raise OttoSimError(f"samples must be an integer >= 1, got {samples!r}")
-    if not (isinstance(seed, numbers.Integral) and not isinstance(seed, bool)
-            and seed >= 0):
-        raise OttoSimError(f"seed must be an integer >= 0, got {seed!r}")
-    schedule, changes, control = _theorem1_energy_changes(dims, samples, seed)
-    identity = np.array([kind == _IDENTITY for _, kind, _ in schedule])
-    max_identity = float(np.abs(changes[identity]).max(initial=0.0))
-    # the first sample is always a mixture, so this is never empty
-    min_unital = float(changes[~identity].min())
-    min_control = float(control.min())
-    found = min_control < -1e-6
-    passed = ((min_unital >= -TOL.theorem_slack) and found
-              and max_identity == 0.0)
-    return Theorem1Report(samples=samples, dims=dims, seed=seed,
-                          min_unital=min_unital,
-                          control_samples=len(control),
-                          min_control=min_control,
-                          control_negative_found=found, passed=passed,
-                          max_identity=max_identity)
 
 
 def _cell_format(t: type) -> str:

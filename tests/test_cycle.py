@@ -384,7 +384,7 @@ def test_kernel_blocks_hold_the_bits_of_their_own_calls(protocols):
     # the kernel leaves warnings to its callers
     whole = _run_cycles(kind, couplings, 3.0, 4.0, cold, protocols)
     parts = [_run_cycles(kind, couplings[4 * b:4 * b + 4], 3.0, 4.0, cold,
-                         protocol)
+                         [protocol])
              for b, protocol in enumerate(protocols)]
     for k in range(12):
         assert pickle.dumps(whole.record(k)) == \

@@ -29,7 +29,7 @@ def test_suite_floor_is_the_theorem_slack(monkeypatch):
     assert "(floor -1e-10)" in rep.lines()[1]
     assert rep.passed
     # a floor above the observed minimum fails the suite
-    monkeypatch.setattr(o.sweeps, "TOL",
+    monkeypatch.setattr(o.channels, "TOL",
                         o.Tolerances(theorem_slack=-1.0))
     rep = o.theorem1_suite(dims=(2,), samples=30, seed=2)
     assert "(floor 1)" in rep.lines()[1]
@@ -128,24 +128,24 @@ def _bits(x):
 def test_batched_changes_equal_scalar_oracle_bitwise(monkeypatch, dims,
                                                      samples, seed, block):
     if block is not None:
-        monkeypatch.setattr(o.sweeps, "_THEOREM1_BLOCK", block)
-    _, unital, control = o.sweeps._theorem1_energy_changes(dims, samples,
-                                                          seed)
+        monkeypatch.setattr(o.channels, "_THEOREM1_BLOCK", block)
+    _, unital, control = o.channels._theorem1_energy_changes(dims, samples,
+                                                             seed)
     want_unital, want_control = oracle_theorem1_energies(dims, samples, seed)
     assert _bits(unital) == _bits(want_unital)
     assert _bits(control) == _bits(want_control)
 
 
 def test_blocks_bound_the_stacks(monkeypatch):
-    monkeypatch.setattr(o.sweeps, "_THEOREM1_BLOCK", 16)
+    monkeypatch.setattr(o.channels, "_THEOREM1_BLOCK", 16)
     sizes = []
-    compute = o.sweeps._unital_changes
+    compute = o.channels._unital_changes
 
     def recording(dim, draws):
         sizes.append(len(draws))
         return compute(dim, draws)
 
-    monkeypatch.setattr(o.sweeps, "_unital_changes", recording)
+    monkeypatch.setattr(o.channels, "_unital_changes", recording)
     rep = o.theorem1_suite(dims=(2, 3, 4), samples=16 * 5 + 3, seed=4)
     assert rep.passed
     assert max(sizes) <= 16 and sum(sizes) == 16 * 5 + 3
@@ -154,12 +154,12 @@ def test_blocks_bound_the_stacks(monkeypatch):
 @pytest.mark.parametrize("dims", [(2,), (3, 4), (2, 3, 4)])
 def test_schedule_covers_every_combination(dims):
     combos = {(d, kind, gibbs) for d in dims
-              for kind in (o.sweeps._MIXTURE, o.sweeps._PROJECTIVE,
-                           o.sweeps._IDENTITY)
+              for kind in (o.channels._MIXTURE, o.channels._PROJECTIVE,
+                           o.channels._IDENTITY)
               for gibbs in (True, False)}
-    assert set(o.sweeps._theorem1_schedule(dims, len(combos))) == combos
+    assert set(o.channels._theorem1_schedule(dims, len(combos))) == combos
     # over a long run every combination is drawn equally often, within one
-    schedule = o.sweeps._theorem1_schedule(dims, 500)
+    schedule = o.channels._theorem1_schedule(dims, 500)
     counts = [schedule.count(c) for c in combos]
     assert max(counts) - min(counts) <= 1
     # the first samples already span every dimension
@@ -171,15 +171,15 @@ def test_identity_row_is_checked(monkeypatch):
     assert rep.max_identity == 0.0
     assert rep.lines()[2] == "identity-channel row: energy change 0 (exact)"
 
-    changes = o.sweeps._theorem1_energy_changes
+    changes = o.channels._theorem1_energy_changes
 
     def nudged(dims, samples, seed):
         schedule, unital, control = changes(dims, samples, seed)
-        first = [kind for _, kind, _ in schedule].index(o.sweeps._IDENTITY)
+        first = [kind for _, kind, _ in schedule].index(o.channels._IDENTITY)
         unital[first] = 5e-324
         return schedule, unital, control
 
-    monkeypatch.setattr(o.sweeps, "_theorem1_energy_changes", nudged)
+    monkeypatch.setattr(o.channels, "_theorem1_energy_changes", nudged)
     rep = o.theorem1_suite(dims=(2, 3), samples=60, seed=2)
     assert rep.max_identity == 5e-324
     assert not rep.passed
@@ -188,10 +188,10 @@ def test_identity_row_is_checked(monkeypatch):
 
 
 def test_min_unital_is_over_the_non_identity_samples():
-    schedule, changes, _ = o.sweeps._theorem1_energy_changes((2, 3, 4), 500,
-                                                             1)
+    schedule, changes, _ = o.channels._theorem1_energy_changes((2, 3, 4),
+                                                               500, 1)
     rest = [c for (_, kind, _), c in zip(schedule, changes)
-            if kind != o.sweeps._IDENTITY]
+            if kind != o.channels._IDENTITY]
     rep = o.theorem1_suite(dims=(2, 3, 4), samples=500, seed=1)
     assert rep.min_unital == min(rest)
     assert rep.min_unital != 0.0
