@@ -23,6 +23,7 @@ MeasurementCoolsWarning (one per sweep) is printed as one plain
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import warnings
@@ -135,17 +136,22 @@ _COMMANDS = {
 
 
 def _read_config(path: str) -> dict:
-    """key=value lines; '#' comments and blank lines ignored."""
+    """UTF-8 key=value lines; '#' comments and blank lines ignored."""
     values = {}
     with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise OttoSimError(f"{path}:{lineno}: expected key=value")
-            key, _, raw = text.partition("=")
-            values[key.strip().replace("-", "_")] = raw.strip()
+        try:
+            lines = f.readlines()
+        except UnicodeDecodeError as exc:
+            raise OttoSimError(
+                f"{path}: not UTF-8 text ({exc.reason})") from None
+    for lineno, line in enumerate(lines, start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise OttoSimError(f"{path}:{lineno}: expected key=value")
+        key, _, raw = text.partition("=")
+        values[key.strip().replace("-", "_")] = raw.strip()
     return values
 
 
@@ -220,6 +226,13 @@ def _run(name: str, ns: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of every command; main reuses one, built on first use.
+
+    Reuse is safe because a parse leaves the parser as it was: every
+    option defaults to None, _Parser.error looks up sys.stderr when it
+    runs, and argparse builds its help formatter, which reads the
+    terminal width, at print time.
+    """
     parser = _Parser(prog="ottosim",
                      description="Quantum Otto engine parameter sweeps")
     sub = parser.add_subparsers(dest="command")
@@ -234,8 +247,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     ns = parser.parse_args(argv)
     if not ns.command:
         parser.print_help()

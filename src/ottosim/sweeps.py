@@ -26,6 +26,7 @@ cooling measurement warns once per sweep, counting the whole grid.
 from __future__ import annotations
 
 import contextlib
+import errno
 import itertools
 import math
 import operator
@@ -258,7 +259,8 @@ def _replacing(*paths):
 
     Each is a new temp file next to its target, created by open() as a
     plain write would create it. If anything fails first, every temp is
-    removed and no target changes.
+    removed and no target changes. A target that is a directory, which
+    os.replace would refuse, fails before the first target is replaced.
     """
     temps = []
     try:
@@ -270,6 +272,10 @@ def _replacing(*paths):
                     open(temp, "x", encoding="utf-8", newline="")))
                 temps.append(temp)
             yield files
+        for path in paths:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR,
+                                        os.strerror(errno.EISDIR), path)
         for temp, path in zip(temps, paths):
             os.replace(temp, path)
     except BaseException:

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,8 @@ import pytest
 import ottosim as o
 from ottosim import cli
 from ottosim.cli import main
+
+SRC = str(Path(o.__file__).resolve().parents[1])
 
 
 def _lines(path):
@@ -122,6 +128,16 @@ def test_config_rejects_malformed_line(tmp_path):
     cfg.write_text("just words\n")
     assert main(["qutrit-two-bath", "--config", str(cfg),
                  "--out", str(tmp_path / "o.csv")]) == 1
+
+
+def test_config_that_is_not_utf8_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"bi=\xff\xfe3\n")
+    assert main(["qutrit-meas", "--config", str(cfg),
+                 "--out", str(tmp_path / "o.csv")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: not UTF-8 text (invalid start byte)\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
 
 
 def test_missing_config_file_is_io_error(tmp_path):
@@ -341,6 +357,19 @@ def test_output_onto_a_directory_exits_two_and_leaves_no_temp(tmp_path,
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 
+def test_meta_onto_a_directory_keeps_the_earlier_csv(tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    out.write_bytes(b"OLD\n")
+    (tmp_path / "o.csv.meta").mkdir()
+    assert main(["qutrit-meas", "--j-steps", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("io error: ") and "o.csv.meta" in err
+    assert out.read_bytes() == b"OLD\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["o.csv",
+                                                          "o.csv.meta"]
+    assert not any((tmp_path / "o.csv.meta").iterdir())
+
+
 def test_outputs_get_the_mode_of_a_plain_open(tmp_path):
     plain = tmp_path / "plain"
     with open(plain, "w"):
@@ -377,3 +406,59 @@ def test_cooling_contour_prints_one_plain_warning_line(tmp_path, capsys):
                                        o.SweepRange(2.4, 3.0, 4))
     o.write_csv(str(tmp_path / "lib.csv"), table)
     assert out.read_bytes() == (tmp_path / "lib.csv").read_bytes()
+
+
+# Calls made one after another in one process: two kinds of sweep, a
+# usage error and the help text between them, the theorem1 report, and
+# the first call again, which must not see anything the others left.
+SEQUENCE = [
+    ["qutrit-meas", "--j-steps", "5", "--out", "meas.csv"],
+    ["qutrit-meas", "--bogus"],
+    [],
+    ["xxz", "--protocol", "meas", "--j-steps", "4", "--out", "xxz.csv"],
+    ["theorem1", "--samples", "20"],
+    ["qutrit-meas", "--j-steps", "5", "--out", "meas.csv"],
+]
+
+
+def test_one_parser_serves_every_call_as_a_fresh_process_would(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")  # the help text's width
+    env = {**os.environ, "PYTHONPATH": SRC}
+    built, used = [], []
+    init, parse_args = cli._Parser.__init__, cli._Parser.parse_args
+
+    def spy_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    def spy_parse_args(self, *args, **kwargs):
+        used.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", spy_init)
+    monkeypatch.setattr(cli._Parser, "parse_args", spy_parse_args)
+    codes = []
+    for index, argv in enumerate(SEQUENCE):
+        here, fresh = tmp_path / f"main{index}", tmp_path / f"fresh{index}"
+        here.mkdir()
+        fresh.mkdir()
+        monkeypatch.chdir(here)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "ottosim", *argv],
+                              cwd=fresh, env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert (code, out, err) == (proc.returncode, proc.stdout,
+                                    proc.stderr), argv
+        assert {p.name: p.read_bytes() for p in here.iterdir()} == \
+            {p.name: p.read_bytes() for p in fresh.iterdir()}, argv
+        codes.append(code)
+    assert codes == [0, 1, 1, 0, 0, 0]
+    assert built.count("ottosim") <= 1
+    assert len(used) == len(SEQUENCE)
+    assert all(parser is used[0] for parser in used)
+    assert cli.build_parser() is not cli.build_parser()
