@@ -11,17 +11,17 @@ verify it without trusting the main code path.
 from __future__ import annotations
 
 import itertools
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (DensityMatrix, HermitianOperator, _dagger, _densities,
                    _eigensystems, _energies, _finite, _hermitian_part,
-                   as_complex_matrix, boltzmann_populations,
-                   energy_expectation, populations_in_basis)
-from .errors import (DimensionMismatch, DimensionTooLarge, LengthMismatch,
-                     NotTracePreserving, OttoSimError)
+                   _integer, _paired, _real, as_complex_matrix,
+                   boltzmann_populations, energy_expectation,
+                   populations_in_basis)
+from .errors import (DimensionMismatch, DimensionTooLarge, NotTracePreserving,
+                     OttoSimError)
 from .tolerances import TOL
 
 
@@ -149,13 +149,16 @@ def damping_channel(dim: int, gamma: float, sink: int = 0) -> KrausChannel:
     Non-unital for gamma > 0; the standard counterexample family for
     claims that hold only for unital channels.
     """
+    dim = _integer("dim", dim, 1)
+    sink = _integer("sink", sink, 0, dim - 1)
+    gamma = _real("gamma", gamma)
+    if not 0 <= gamma <= 1:
+        raise OttoSimError(f"gamma must lie in [0, 1], got {gamma}")
     return kraus_channel(_damping_operators(dim, gamma, sink))
 
 
 def _damping_operators(dim: int, gamma: float, sink: int) -> np.ndarray:
     """The dim Kraus operators of damping_channel, stacked: keep, then jumps."""
-    if not 0 <= gamma <= 1:
-        raise OttoSimError(f"gamma must lie in [0, 1], got {gamma}")
     ops = np.zeros((dim, dim, dim), dtype=complex)
     keep = np.full(dim, np.sqrt(1.0 - gamma), dtype=complex)
     keep[sink] = 1.0
@@ -171,8 +174,9 @@ def random_unital_channel(dim: int, seed: int, mix_count: int) -> KrausChannel:
     Each U_j comes from diagonalizing a random Hermitian matrix and
     multiplying its eigenvector matrix by a random diagonal phase.
     """
-    if dim < 2 or mix_count < 1:
-        raise OttoSimError("need dim >= 2 and mix_count >= 1")
+    dim = _integer("dim", dim, 2)
+    seed = _integer("seed", seed, 0)
+    mix_count = _integer("mix_count", mix_count, 1)
     weights, matrices, angles = _draw_unitary_mixture(dim, seed, mix_count)
     bases = _eigensystems(_finite(_hermitian_part(matrices)))[2]
     return kraus_channel(list(_unitary_mixture(weights, bases, angles)))
@@ -221,10 +225,7 @@ def rearrangement_oracle(pops, energies) -> float:
     The passive arrangement (largest populations on smallest energies)
     attains this minimum; enumeration is capped at d <= 6.
     """
-    p = np.asarray(pops, dtype=float)
-    e = np.asarray(energies, dtype=float)
-    if p.shape != e.shape or p.ndim != 1:
-        raise LengthMismatch(f"pops shape {p.shape} vs energies shape {e.shape}")
+    p, e = _paired(pops, energies)
     if len(p) > 6:
         raise DimensionTooLarge(f"refusing {len(p)}! permutations (cap is 6)")
     return min(float(np.dot(e, np.take(p, perm)))
@@ -458,15 +459,11 @@ def theorem1_suite(dims=(2, 3, 4), samples: int = 1000,
         given = list(dims)
     except TypeError:
         given = []
-    if not given or not all(isinstance(d, numbers.Integral) and 2 <= d <= 4
-                            for d in given):
+    if not given:
         raise OttoSimError(f"dims must be integers in {{2,3,4}}, got {dims!r}")
-    dims = tuple(sorted({int(d) for d in given}))
-    if not (isinstance(samples, numbers.Integral) and samples >= 1):
-        raise OttoSimError(f"samples must be an integer >= 1, got {samples!r}")
-    if not (isinstance(seed, numbers.Integral) and not isinstance(seed, bool)
-            and seed >= 0):
-        raise OttoSimError(f"seed must be an integer >= 0, got {seed!r}")
+    dims = tuple(sorted({_integer("dims", d, 2, 4) for d in given}))
+    samples = _integer("samples", samples, 1)
+    seed = _integer("seed", seed, 0)
     schedule, changes, control = _theorem1_energy_changes(dims, samples, seed)
     identity = np.array([kind == _IDENTITY for _, kind, _ in schedule])
     max_identity = float(np.abs(changes[identity]).max(initial=0.0))

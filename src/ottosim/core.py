@@ -20,7 +20,10 @@ from .tolerances import TOL
 
 def as_complex_matrix(entries) -> np.ndarray:
     """Validate and return a finite square complex matrix."""
-    m = np.asarray(entries, dtype=complex)
+    try:
+        m = np.asarray(entries, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise OttoSimError(f"matrix entries must be numbers: {exc}") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     return _finite(m)
@@ -43,6 +46,28 @@ def _real(name: str, value, positive: bool = False) -> float:
         raise InvalidField(f"{name} must be a finite {'positive ' * positive}"
                            f"number, got {value!r}")
     return float(value)
+
+
+def _integer(name: str, value, low: int, high=None) -> int:
+    """int(value), checked to be an integer, not a bool, in [low, high]."""
+    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+            or value < low or high is not None and value > high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise InvalidField(f"{name} must be an integer {bound}, got {value!r}")
+    return int(value)
+
+
+def _paired(pops, energies):
+    """pops and energies as float vectors of one length."""
+    try:
+        p = np.asarray(pops, dtype=float)
+        e = np.asarray(energies, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise OttoSimError(f"pops and energies must be real numbers: "
+                           f"{exc}") from None
+    if p.shape != e.shape or p.ndim != 1:
+        raise LengthMismatch(f"pops shape {p.shape} vs energies shape {e.shape}")
+    return p, e
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:
@@ -241,10 +266,7 @@ def is_passive(pops, energies) -> bool:
     Ties in energy impose no ordering constraint; comparisons carry a small
     slack so Gibbs states built through floating-point arithmetic pass.
     """
-    p = np.asarray(pops, dtype=float)
-    e = np.asarray(energies, dtype=float)
-    if p.shape != e.shape or p.ndim != 1:
-        raise LengthMismatch(f"pops shape {p.shape} vs energies shape {e.shape}")
+    p, e = _paired(pops, energies)
     if p.min() < -TOL.population or abs(p.sum() - 1.0) > TOL.population:
         raise OttoSimError("pops is not a probability vector")
     for i in range(len(p)):

@@ -13,14 +13,15 @@ decompositions, and the idle passthrough q_c = -q_h hold to rounding.
 _run_cycles is the one cycle kernel: it runs N cycles of one kind table,
 given as an (N, c) coupling array, as (N, d) arrays, with one stroke-3
 protocol per block of rows (a sweep's outer point). Its callers warn:
-_run_specs, the entry for SubstanceSpecs that run_cycle_batch and
-run_cycle (a batch of one) both call, and sweeps._sweep each call
-_warn_cooling once, the same number of frames below each public entry.
+run_cycle_batch (which run_cycle calls as a batch of one) and
+sweeps._sweep each call _warn_cooling once, and the warning names the
+line of the first caller outside the ottosim package.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
@@ -174,12 +175,6 @@ def run_cycle_batch(specs, Bi: float, Bf: float, cold: BathSpec,
     (Qh < 0 in any row) raises one MeasurementCoolsWarning per call.
     Energies, heats or work too large to represent raise InvalidField.
     """
-    return _run_specs(specs, Bi, Bf, cold, protocol)
-
-
-def _run_specs(specs, Bi: float, Bf: float, cold: BathSpec,
-               protocol: Protocol) -> CycleBatch:
-    """run_cycle_batch, one frame below each public entry."""
     specs = tuple(specs)
     if not specs:
         raise OttoSimError("a cycle batch needs at least one substance")
@@ -196,12 +191,16 @@ def _run_specs(specs, Bi: float, Bf: float, cold: BathSpec,
 
 def _warn_cooling(cooled: int, total: int) -> None:
     """One MeasurementCoolsWarning if a measurement cooled in cooled of
-    total cycles; called by _run_specs and sweeps._sweep."""
-    # stacklevel 4: the caller of run_cycle, run_cycle_batch or a sweep
+    total cycles, naming the first caller outside the package; called by
+    run_cycle_batch and sweeps._sweep."""
     if cooled:
+        frame, level = sys._getframe(), 1
+        while frame is not None and frame.f_globals.get(
+                "__name__", "").partition(".")[0] == __package__:
+            frame, level = frame.f_back, level + 1
         warnings.warn(f"measurement stroke removed energy (Qh < 0) in "
                       f"{cooled} of {total} cycles",
-                      MeasurementCoolsWarning, stacklevel=4)
+                      MeasurementCoolsWarning, stacklevel=level)
 
 
 def _run_cycles(kind, couplings: np.ndarray, Bi: float, Bf: float,
@@ -278,8 +277,8 @@ def run_cycle(cfg: CycleConfig) -> CycleRecord:
     A batch of one, run as run_cycle_batch runs it; a cooling measurement
     (Qh < 0) raises MeasurementCoolsWarning but still returns the record.
     """
-    return _run_specs((cfg.spec,), cfg.Bi, cfg.Bf, cfg.cold,
-                      cfg.protocol).record(0)
+    return run_cycle_batch((cfg.spec,), cfg.Bi, cfg.Bf, cfg.cold,
+                           cfg.protocol).record(0)
 
 
 class ClosedForm(NamedTuple):

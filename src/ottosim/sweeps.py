@@ -7,10 +7,11 @@ eta0; engine_mode and crossing as 0/1; q1_plus_q2, the summed hot flux
 of the idle levels, for a kind with more than one idle level (xxz);
 then q_h, q_c, dp, p_cold and p_post per level label. One rule maps a
 cell's type to its % format (blank for None, %d for integers, else
-%.17g): format_value applies it to one value, the .meta floats
-included, and write_csv joins it into one format per row shape and
-writes every row with one % operation. The same parameters give the
-same bytes, moved into place once both files are whole.
+%.17g): format_value applies it to one value, every .meta value that is
+not text included, and write_csv joins it into one format per row shape
+and writes every row with one % operation. The same parameters give the
+same bytes, moved into place once both files are whole. An output path
+is resolved through its symlinks, and only a regular file is replaced.
 
 Every sweep is one call to _sweep, the loop they share. It builds and
 checks the channel once per point of the outer axes (once per theta for
@@ -20,17 +21,17 @@ than _SWEEP_ROWS rows takes one call per group of whole points. The
 kernel works row by row in a fixed order, so each row holds the bits of
 run_cycle at its grid point, whatever the split. Each call gives one
 list of (column, values), read for both the header and the rows. A
-cooling measurement warns once per sweep, counting the whole grid.
+cooling measurement warns once per sweep, counting the whole grid, and
+the warning names the line that called the sweep.
 """
 
 from __future__ import annotations
 
 import contextlib
-import errno
 import itertools
 import math
-import operator
 import os
+import stat
 from dataclasses import asdict, dataclass
 from typing import NamedTuple, Optional
 
@@ -38,7 +39,7 @@ import numpy as np
 
 # theorem1 lives in channels; the CLI, a test oracle and perfbench use these
 from .channels import _MIXTURE, _PROJECTIVE, _theorem1_schedule, theorem1_suite
-from .core import BathSpec, _real, row_sum
+from .core import BathSpec, _integer, _real, row_sum
 from .cycle import Measurement, TwoBath, _run_cycles, _warn_cooling
 from .errors import InvalidField, OttoSimError
 from .measurements import (SpinDirection, Su3Angles, local_spin_channel,
@@ -60,12 +61,7 @@ class SweepRange:
             object.__setattr__(self, name, _real(name, getattr(self, name)))
         if not math.isfinite(self.stop - self.start):
             raise InvalidField("range span is too large to represent")
-        try:
-            operator.index(self.steps)
-        except TypeError:
-            raise InvalidField(f"steps must be an integer, got {self.steps!r}")
-        if self.steps < 1:
-            raise InvalidField(f"steps must be >= 1, got {self.steps}")
+        object.__setattr__(self, "steps", _integer("steps", self.steps, 1))
         if self.steps == 1:
             if self.start > self.stop:
                 raise InvalidField("single-point range needs start <= stop")
@@ -257,11 +253,20 @@ def format_value(v) -> str:
 def _replacing(*paths):
     """Text files that replace paths only once all are written and closed.
 
-    Each is a new temp file next to its target, created by open() as a
-    plain write would create it. If anything fails first, every temp is
-    removed and no target changes. A target that is a directory, which
-    os.replace would refuse, fails before the first target is replaced.
+    Each target is a path with its symlinks resolved, so a link keeps
+    pointing where it did. A target must be absent or a regular file, or
+    OSError names it before any temp exists. Each temp is a new file next
+    to its target, created by open() as a plain write would create it. If
+    anything fails first, every temp is removed and no target changes.
     """
+    paths = [os.path.realpath(path) for path in paths]
+    for path in paths:
+        try:
+            mode = os.stat(path).st_mode
+        except FileNotFoundError:
+            continue
+        if not stat.S_ISREG(mode):
+            raise OSError(f"{path} is not a regular file; it is not replaced")
     temps = []
     try:
         with contextlib.ExitStack() as stack:
@@ -272,10 +277,6 @@ def _replacing(*paths):
                     open(temp, "x", encoding="utf-8", newline="")))
                 temps.append(temp)
             yield files
-        for path in paths:
-            if os.path.isdir(path):
-                raise IsADirectoryError(errno.EISDIR,
-                                        os.strerror(errno.EISDIR), path)
         for temp, path in zip(temps, paths):
             os.replace(temp, path)
     except BaseException:
@@ -295,7 +296,15 @@ def write_csv(path: str, table: SweepTable) -> None:
     written with one % format, joined from the cells' formats (the rule
     of format_value) and built once per row shape, the tuple of cell
     types. A cell that is not a number or None raises OttoSimError.
+
+    The .meta sidecar has one key=value line per key, in sorted order: a
+    text value as it is, any other through format_value. A key holding
+    "=" or a line break, a text value holding a line break, or a value
+    format_value cannot write raises OttoSimError before any file is
+    written.
     """
+    meta_text = "".join(_meta_line(key, value)
+                        for key, value in sorted(table.meta.items()))
     formats = {}
     with _replacing(path, path + ".meta") as (f, meta):
         f.write(",".join(table.header) + "\n")
@@ -311,9 +320,24 @@ def write_csv(path: str, table: SweepTable) -> None:
             except (TypeError, OverflowError):
                 _check_cells(table.header, index, cells)
                 raise
-        for key, value in sorted(table.meta.items()):
-            text = format_value(value) if isinstance(value, float) else value
-            meta.write(f"{key}={text!s}\n")
+        meta.write(meta_text)
+
+
+def _meta_line(key, value) -> str:
+    """The .meta line key=value; OttoSimError if it would not read back."""
+    key = str(key)
+    if any(c in key for c in "=\r\n"):
+        raise OttoSimError(f"meta key {key!r} holds '=' or a line break")
+    if isinstance(value, str):
+        if any(c in value for c in "\r\n"):
+            raise OttoSimError(f"meta {key!r}: {value!r} holds a line break")
+        return f"{key}={value}\n"
+    try:
+        return f"{key}={format_value(value)}\n"
+    except (TypeError, OverflowError) as exc:
+        raise OttoSimError(f"meta {key!r}: cannot write a "
+                           f"{type(value).__name__} as a number: {exc}"
+                           ) from None
 
 
 def _check_cells(header, index, cells):

@@ -370,6 +370,33 @@ def test_meta_onto_a_directory_keeps_the_earlier_csv(tmp_path, capsys):
     assert not any((tmp_path / "o.csv.meta").iterdir())
 
 
+def test_symlink_output_keeps_its_link_and_fills_its_target(tmp_path):
+    args = ["qutrit-meas", "--j-steps", "2", "--out"]
+    assert main(args + [str(tmp_path / "plain.csv")]) == 0
+    real = tmp_path / "real.csv"
+    real.write_bytes(b"OLD\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to("real.csv")
+    assert main(args + [str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == "real.csv"
+    assert real.read_bytes() == (tmp_path / "plain.csv").read_bytes()
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("args", [
+    ["qutrit-meas", "--j-steps", "2"],
+    ["theorem1", "--samples", "20"],
+])
+def test_fifo_output_exits_two_and_stays_a_fifo(tmp_path, capsys, args):
+    fifo = tmp_path / "f.csv"
+    os.mkfifo(fifo)
+    assert main(args + ["--out", str(fifo)]) == 2
+    assert "f.csv" in capsys.readouterr().err
+    assert fifo.is_fifo()
+    assert [p.name for p in tmp_path.iterdir()] == ["f.csv"]
+
+
 def test_outputs_get_the_mode_of_a_plain_open(tmp_path):
     plain = tmp_path / "plain"
     with open(plain, "w"):

@@ -115,10 +115,24 @@ QUTRIT = o.SubstanceSpec.qutrit(1.0)
     lambda: o.check_uniform_gap_ratio(QUTRIT, "1", 2),
     lambda: o.closed_form_two_bath_qutrit("1", 3, 4, 1, 1),
     lambda: o.theorem1_suite(samples="5"),
+    lambda: o.theorem1_suite(samples=True),
+    lambda: o.SweepRange(0, 1, True),
+    lambda: o.damping_channel(2, "0.5"),
+    lambda: o.damping_channel(0, 0.5),
+    lambda: o.damping_channel(2, 0.5, sink=5),
+    lambda: o.damping_channel(2, 0.5, sink=-1),
+    lambda: o.random_unital_channel("3", 1, 2),
+    lambda: o.random_unital_channel(3, 1, 2.5),
+    lambda: o.random_unital_channel(3, -1, 2),
+    lambda: o.is_passive("ab", [1, 2]),
+    lambda: o.kraus_channel([[["a"]]]),
 ], ids=["spec-J-text", "spec-J-None", "bath-text", "bath-None", "angle-text",
         "spin-text", "spin-overflow", "hamiltonian-B-text",
         "spectrum-B-text", "gap-ratio-Bi-text", "closed-form-J-text",
-        "theorem1-samples-text"])
+        "theorem1-samples-text", "theorem1-samples-bool", "range-steps-bool",
+        "damping-gamma-text", "damping-dim-0", "damping-sink-5",
+        "damping-sink-minus-1", "unital-dim-text", "unital-mix-count-float",
+        "unital-seed-negative", "passive-pops-text", "kraus-entry-text"])
 def test_non_numbers_raise_ottosim_error(call):
     with pytest.raises(o.OttoSimError):
         call()

@@ -9,6 +9,7 @@ import ottosim as o
 from helpers import measurement, random_direction, su3, two_bath
 from ottosim.cycle import _run_cycles
 from ottosim.substances import _KINDS
+from test_sweeps import COOLING_CONTOUR
 
 PI = np.pi
 
@@ -324,13 +325,19 @@ def test_unrepresentable_energies_or_heats_raise_without_warning():
 # it; each lambda is the code that calls the library.
 COOLING = o.Measurement(o.damping_channel(4, 0.9, 3))
 XXZ = o.SubstanceSpec.xxz(0.5, 0.0)
+# A qutrit measurement sweep that cools in 3 of its 4 cycles
+COOLING_SWEEP = (2.5, 4.0, 1.0, o.Su3Angles(2.3, 2.3, PI / 2, PI / 2),
+                 o.SweepRange(2.4, 3.0, 4))
 
 
 @pytest.mark.parametrize("call", [
     lambda: o.run_cycle(o.CycleConfig(XXZ, 3, 4, o.BathSpec(0.1), COOLING)),
     lambda: o.run_cycle_batch([XXZ], 3, 4, o.BathSpec(0.1), COOLING),
     lambda: o.sweep_qutrit_extreme(3, 4, 1, o.SweepRange(3.5, 3.5, 1)),
-], ids=["run_cycle", "run_cycle_batch", "sweep_qutrit_extreme"])
+    lambda: o.sweep_qutrit_measurement(*COOLING_SWEEP),
+    lambda: o.sweep_qutrit_contour(*COOLING_CONTOUR),
+], ids=["run_cycle", "run_cycle_batch", "sweep_qutrit_extreme",
+        "sweep_qutrit_measurement", "sweep_qutrit_contour"])
 def test_cooling_warning_points_at_the_calling_line(call):
     with pytest.warns(o.MeasurementCoolsWarning) as caught:
         call()

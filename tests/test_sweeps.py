@@ -235,6 +235,28 @@ def test_write_csv_blank_cell_for_none(tmp_path):
     assert path.read_text().splitlines()[1] == "1,"
 
 
+def test_write_csv_meta_writes_text_as_is_and_other_values_as_cells(
+        tmp_path):
+    meta = {"text": "a,b", "none": None, "int": 3, "float": 0.1,
+            "bool": True, "numpy": np.float64(2.5)}
+    o.write_csv(str(tmp_path / "m.csv"), o.SweepTable(("a",), [[1.0]], meta))
+    assert (tmp_path / "m.csv.meta").read_text().splitlines() == [
+        "bool=1", "float=0.10000000000000001", "int=3", "none=",
+        "numpy=2.5", "text=a,b"]
+
+
+@pytest.mark.parametrize("meta", [
+    {"k": "x\ny=1"}, {"k": "x\r"}, {"k=v": 1.0}, {"k\n": "x"}, {"k": 1j},
+    {"k": "ok", "z": [1.0]},
+], ids=["value-newline", "value-return", "key-equals", "key-newline",
+        "complex", "list"])
+def test_write_csv_rejects_meta_that_would_not_read_back(tmp_path, meta):
+    with pytest.raises(o.OttoSimError, match="meta"):
+        o.write_csv(str(tmp_path / "m.csv"),
+                    o.SweepTable(("a",), [[1.0]], meta))
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.skipif(hypothesis is None, reason="needs hypothesis")
 def test_write_csv_matches_format_value_per_cell(tmp_path):
     # cell kinds: write_csv writes every row with one % format per row
