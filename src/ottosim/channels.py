@@ -171,40 +171,33 @@ def _damping_operators(dim: int, gamma: float, sink: int) -> np.ndarray:
 def random_unital_channel(dim: int, seed: int, mix_count: int) -> KrausChannel:
     """Random mixture of unitaries {sqrt(q_j) U_j}; deterministic per seed.
 
-    Each U_j comes from diagonalizing a random Hermitian matrix and
-    multiplying its eigenvector matrix by a random diagonal phase.
+    default_rng(seed) draws q (mix_count uniforms + 0.1, then normalized),
+    then for each j the real and then the imaginary parts of a Gaussian
+    d x d matrix a_j, and d angles in [0, 2 pi). U_j is the eigenvector
+    matrix of (a_j + a_j^dag)/2 times diag(e^(i angles)).
     """
     dim = _integer("dim", dim, 2)
     seed = _integer("seed", seed, 0)
     mix_count = _integer("mix_count", mix_count, 1)
-    weights, matrices, angles = _draw_unitary_mixture(dim, seed, mix_count)
-    bases = _eigensystems(_finite(_hermitian_part(matrices)))[2]
+    weights, normals, angles = _draw_unitary_mixture(dim, seed, mix_count)
+    bases = _eigensystems(_finite(_hermitian_part(_complex(normals))))[2]
     return kraus_channel(list(_unitary_mixture(weights, bases, angles)))
 
 
 def _draw_unitary_mixture(dim: int, seed: int, mix_count: int):
-    """The random numbers behind random_unital_channel, in the order drawn.
-
-    Returns the mixing weights q (r,), the matrices a (r, d, d) whose
-    Hermitian parts (a + a^dag)/2 give the eigenbases, and the phase
-    angles (r, d), for r = mix_count.
-    """
+    """The draws of random_unital_channel in its order, as stacks: q (r,),
+    the normals of each a_j (r, 2, d, d) and the angles (r, d)."""
     rng = np.random.default_rng(seed)
     weights = rng.random(mix_count) + 0.1
-    weights /= weights.sum()
-    matrices = np.empty((mix_count, dim, dim), dtype=complex)
-    angles = np.empty((mix_count, dim))
-    for j in range(mix_count):
-        matrices[j] = _random_matrix(rng, dim)
-        angles[j] = rng.uniform(0.0, 2.0 * np.pi, size=dim)
-    return weights, matrices, angles
+    normals, angles = zip(*[(rng.standard_normal((2, dim, dim)),
+                             rng.uniform(0.0, 2.0 * np.pi, size=dim))
+                            for _ in range(mix_count)])
+    return weights / weights.sum(), np.array(normals), np.array(angles)
 
 
-def _random_matrix(rng, dim: int) -> np.ndarray:
-    """Complex Gaussian d x d matrix: the real parts are drawn first, then
-    the imaginary parts (one draw of both gives the same stream)."""
-    re_im = rng.standard_normal((2, dim, dim))
-    return re_im[0] + 1j * re_im[1]
+def _complex(normals: np.ndarray) -> np.ndarray:
+    """re + 1j im of normals (..., 2, d, d), drawn real parts first."""
+    return normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
 
 
 def _unitary_mixture(weights: np.ndarray, bases: np.ndarray,
@@ -302,38 +295,40 @@ def _theorem1_schedule(dims, samples):
 
 
 def _draw_unital(rng, kind, gibbs, dim):
-    """Random numbers of one unital sample: Hamiltonian, state, channel.
+    """Random numbers of one unital sample as drawn, and nothing more.
 
-    The state is a Gibbs beta or passive populations (sorted descending
-    against ascending energies); the channel is the draws of a unitary
-    mixture, the matrix behind a projective basis, or None.
+    The Hamiltonian's normals (2, d, d); a Gibbs beta or the d uniforms
+    behind passive populations; the draws of a unitary mixture, the
+    normals (2, d, d) behind a projective basis, or None.
     """
-    h = _random_matrix(rng, dim)
-    if gibbs:
-        state = float(rng.uniform(0.05, 5.0))
-    else:
-        pops = np.sort(rng.random(dim) + 1e-3)[::-1]
-        state = pops / pops.sum()
+    h = rng.standard_normal((2, dim, dim))
+    state = float(rng.uniform(0.05, 5.0)) if gibbs else rng.random(dim)
     if kind == _MIXTURE:
         seed = int(rng.integers(2 ** 31))
         channel = _draw_unitary_mixture(dim, seed, int(rng.integers(1, 5)))
     elif kind == _PROJECTIVE:
-        channel = _random_matrix(rng, dim)
+        channel = rng.standard_normal((2, dim, dim))
     else:
         channel = None
     return h, kind, state, channel
 
 
 def _unital_changes(dim, draws):
-    """Energy changes of unital samples of one dimension, as stacks."""
-    matrices, kinds, states, channels = zip(*draws)
-    h, vals, vecs = _eigensystems(_finite(_hermitian_part(np.array(matrices))))
+    """Energy changes of unital samples of one dimension, as stacks.
+
+    Drawn uniforms u become passive populations: sort(u + 1e-3) descending
+    against ascending energies, normalized.
+    """
+    normals, kinds, states, channels = zip(*draws)
+    h, vals, vecs = _eigensystems(
+        _finite(_hermitian_part(_complex(np.array(normals)))))
     n = len(draws)
     pops = np.empty((n, dim))
     gibbs = [k for k in range(n) if isinstance(states[k], float)]
     drawn = [k for k in range(n) if not isinstance(states[k], float)]
     if drawn:
-        pops[drawn] = [states[k] for k in drawn]
+        passive = np.sort(np.array([states[k] for k in drawn]) + 1e-3)[:, ::-1]
+        pops[drawn] = passive / passive.sum(axis=1, keepdims=True)
     if gibbs:
         betas = np.array([states[k] for k in gibbs])
         pops[gibbs] = boltzmann_populations(vals[gibbs], betas[:, None])
@@ -345,7 +340,8 @@ def _unital_changes(dim, draws):
     if mix or proj:
         # One eigensystem call for every channel basis of the group.
         stack = [channels[k][1] for k in mix] + [channels[k][None] for k in proj]
-        bases = _eigensystems(_finite(_hermitian_part(np.concatenate(stack))))[2]
+        bases = _eigensystems(_finite(_hermitian_part(
+            _complex(np.concatenate(stack)))))[2]
         counts = [len(channels[k][0]) for k in mix]
         r = sum(counts)
         if mix:
@@ -449,11 +445,12 @@ def theorem1_suite(dims=(2, 3, 4), samples: int = 1000,
     thermal states and must find a strictly negative energy change.
 
     The random numbers are drawn sample by sample from one generator;
-    blocks of _THEOREM1_BLOCK samples are then validated and computed as
-    stacks, one per dimension, with every check of the scalar calls
-    (hermitian_eigensystem, kraus_channel, DensityMatrix,
-    energy_expectation) applied to each sample. Each energy change holds
-    the bits of the scalar route through those calls.
+    the unital draws are kept as drawn. Blocks of _THEOREM1_BLOCK samples
+    then become complex matrices and passive populations, and are
+    validated and computed as stacks, one per dimension, with every check
+    of the scalar calls (hermitian_eigensystem, kraus_channel,
+    DensityMatrix, energy_expectation) applied to each sample. Each energy
+    change holds the bits of the scalar route through those calls.
     """
     try:
         given = list(dims)

@@ -81,7 +81,7 @@ class Opt:
 # largest theorem1 sample count: 100 times the largest grid the benchmark
 # runs (2001 rows). At the cap a 400 x 500 contour takes 3.3-4.5 s and
 # 200 MiB peak RSS, most of it the table's rows (50 kernel calls of 4000
-# rows each), and theorem1 about 14 s and 44 MiB (2-vCPU x86-64 host,
+# rows each), and theorem1 10.5-12.8 s and 43 MiB (2-vCPU x86-64 host,
 # Python 3.11, numpy 2.4).
 MAX_POINTS = 200_000
 

@@ -58,7 +58,7 @@ def _integer(name: str, value, low: int, high=None) -> int:
 
 
 def _paired(pops, energies):
-    """pops and energies as float vectors of one length."""
+    """pops and energies as finite float vectors of one length."""
     try:
         p = np.asarray(pops, dtype=float)
         e = np.asarray(energies, dtype=float)
@@ -67,6 +67,8 @@ def _paired(pops, energies):
                            f"{exc}") from None
     if p.shape != e.shape or p.ndim != 1:
         raise LengthMismatch(f"pops shape {p.shape} vs energies shape {e.shape}")
+    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(e))):
+        raise OttoSimError("pops and energies must be finite numbers")
     return p, e
 
 

@@ -186,6 +186,32 @@ def test_random_unital_channel_contract():
         o.random_unital_channel(1, seed=0, mix_count=2)
 
 
+@pytest.mark.parametrize("dim,seed,mix_count", [
+    (2, 0, 1), (2, 7, 4), (3, 42, 3), (3, 2 ** 31 - 1, 2), (4, 5, 4),
+    (4, 123456, 1), (3, 9, 6),
+])
+def test_random_unital_channel_follows_its_draw_order_bitwise(dim, seed,
+                                                              mix_count):
+    # Plain numpy, following the documented draw order. theorem1's oracle
+    # builds its mixtures with random_unital_channel itself, so only this
+    # test would see a change to the stream behind it.
+    rng = np.random.default_rng(seed)
+    q = rng.random(mix_count) + 0.1
+    q = q / q.sum()
+    want = []
+    for j in range(mix_count):
+        re = rng.standard_normal((dim, dim))
+        im = rng.standard_normal((dim, dim))
+        angles = rng.uniform(0.0, 2.0 * np.pi, size=dim)
+        a = re + 1j * im
+        _, v = np.linalg.eigh(0.5 * (a + a.conj().T))
+        want.append(np.sqrt(q[j]) * (v @ np.diag(np.exp(1j * angles))))
+    got = o.random_unital_channel(dim, seed, mix_count).operators
+    assert len(got) == mix_count
+    for g, w in zip(got, want):
+        assert g.view(np.uint64).tolist() == w.view(np.uint64).tolist()
+
+
 def test_rearrangement_oracle_examples():
     assert o.rearrangement_oracle([0.7, 0.3], [0.0, 1.0]) == pytest.approx(0.3)
     assert o.rearrangement_oracle([0.3, 0.7], [0.0, 1.0]) == pytest.approx(0.3)

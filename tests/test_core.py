@@ -233,6 +233,19 @@ def test_is_passive_validation():
         o.is_passive([0.5, 0.6], [0.0, 1.0])
 
 
+@pytest.mark.parametrize("function", [o.is_passive, o.rearrangement_oracle])
+@pytest.mark.parametrize("bad", [None, np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["pops", "energies"])
+def test_non_finite_pops_or_energies_raise(function, bad, where):
+    pops, energies = [0.5, 0.5], [0.0, 1.0]
+    if where == "pops":
+        pops = [bad, 1.0]
+    else:
+        energies = [bad, 1.0]
+    with pytest.raises(o.OttoSimError, match="finite"):
+        function(pops, energies)
+
+
 def test_density_matrix_validation():
     with pytest.raises(o.NotHermitian):
         o.DensityMatrix([[0.5, 1.0], [0.0, 0.5]])
