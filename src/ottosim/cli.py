@@ -79,9 +79,9 @@ class Opt:
 
 # Largest row count of a sweep (theta_steps * j_steps for the contour) and
 # largest theorem1 sample count: 100 times the largest grid the benchmark
-# runs (2001 rows). At the cap a 400 x 500 contour takes 3.3-4.5 s and
-# 200 MiB peak RSS, most of it the table's rows (50 kernel calls of 4000
-# rows each), and theorem1 10.5-12.8 s and 43 MiB (2-vCPU x86-64 host,
+# runs (2001 rows). At the cap a 400 x 500 contour takes 2.4-2.6 s and
+# 197.5 MiB peak RSS, most of it the table's rows (50 kernel calls of 4000
+# rows each), and theorem1 10.5-13.3 s and 43 MiB (2-vCPU x86-64 host,
 # Python 3.11, numpy 2.4).
 MAX_POINTS = 200_000
 
@@ -136,9 +136,10 @@ _COMMANDS = {
 
 
 def _read_config(path: str) -> dict:
-    """UTF-8 key=value lines; '#' comments and blank lines ignored."""
+    """UTF-8 key=value lines, a leading byte order mark allowed; '#'
+    comments and blank lines ignored."""
     values = {}
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8-sig") as f:
         try:
             lines = f.readlines()
         except UnicodeDecodeError as exc:
@@ -208,7 +209,7 @@ def _run(name: str, ns: argparse.Namespace) -> int:
         sys.stdout.write(text)
         if out:
             with sweeps._replacing(out) as (f,):
-                f.write(text)
+                f.write(text.encode())
         return 0 if report.passed else 1
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", MeasurementCoolsWarning)

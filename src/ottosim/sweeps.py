@@ -1,6 +1,6 @@
 """Parameter sweeps over cycles, tabulated for CSV output.
 
-Each sweep function returns a SweepTable: a header, rows in
+Each sweep function returns a SweepTable: a header, rows (tuples) in
 deterministic order, and a metadata mapping recording every parameter.
 Its columns: the swept axes; Qh, Qc, W; eta_raw (None where Qh == 0);
 eta0; engine_mode and crossing as 0/1; q1_plus_q2, the summed hot flux
@@ -8,10 +8,12 @@ of the idle levels, for a kind with more than one idle level (xxz);
 then q_h, q_c, dp, p_cold and p_post per level label. One rule maps a
 cell's type to its % format (blank for None, %d for integers, else
 %.17g): format_value applies it to one value, every .meta value that is
-not text included, and write_csv joins it into one format per row shape
-and writes every row with one % operation. The same parameters give the
-same bytes, moved into place once both files are whole. An output path
-is resolved through its symlinks, and only a regular file is replaced.
+not text included. write_csv gives blocks of _CSV_CELLS cells to
+text.cell_text, which writes the same text for floats, ints, bools and
+None with numpy, and writes the cells it leaves through format_value.
+The same parameters give the same bytes, moved into place once both
+files are whole. An output path is resolved through its symlinks, and
+only a regular file is replaced.
 
 Every sweep is one call to _sweep, the loop they share. It builds and
 checks the channel once per point of the outer axes (once per theta for
@@ -45,6 +47,7 @@ from .errors import InvalidField, OttoSimError
 from .measurements import (SpinDirection, Su3Angles, local_spin_channel,
                            su3_projective_channel)
 from .substances import _KINDS, SubstanceKind, _check_fields
+from .text import cell_text
 
 
 @dataclass(frozen=True)
@@ -113,8 +116,8 @@ def _sweep(meta, Bi, Bf, beta_c, axes, kind, protocol) -> SweepTable:
         batch = _run_cycles(table, couplings[:n], Bi, Bf, cold, blocks)
         if isinstance(blocks[0], Measurement):
             cooled += int(np.count_nonzero(batch.Qh < 0.0))
-        # Cells of one value share one float object, as the rows of a
-        # large grid take most of a sweep's memory.
+        # Cells of one value share one float object, and rows are tuples,
+        # as the rows of a large grid take most of a sweep's memory.
         columns = [(column, [v for v in coords for _ in cs])
                    for (column, _, _), coords in zip(outer, zip(*chunk))]
         columns += [
@@ -137,7 +140,7 @@ def _sweep(meta, Bi, Bf, beta_c, axes, kind, protocol) -> SweepTable:
             columns += zip([f"{prefix}_{label}" for label in batch.labels],
                            per_level.T.tolist())
         header, values = zip(*columns)
-        rows.extend(map(list, zip(*values)))
+        rows.extend(zip(*values))
     _warn_cooling(cooled, len(rows))
     meta = dict(meta, bi=Bi, bf=Bf, beta_c=cold.beta)
     for _, prefix, r in axes:
@@ -237,27 +240,23 @@ def sweep_xxz(model: str, protocol: str, Bi: float, Bf: float, beta_c: float,
                   SubstanceKind.XXZ, lambda: proto)
 
 
-def _cell_format(t: type) -> str:
-    """format_value's % format for a cell of type t (%.0s: a blank)."""
-    if t is type(None):
-        return "%.0s"
-    return "%d" if issubclass(t, (int, np.integer)) else "%.17g"
-
-
 def format_value(v) -> str:
     """CSV cell: blank for None, %d for integers (bools too), else %.17g."""
-    return _cell_format(type(v)) % (v,)
+    if v is None:
+        return ""
+    return ("%d" if issubclass(type(v), (int, np.integer)) else "%.17g") % (v,)
 
 
 @contextlib.contextmanager
 def _replacing(*paths):
-    """Text files that replace paths only once all are written and closed.
+    """Binary files that replace paths only once all are written and closed.
 
     Each target is a path with its symlinks resolved, so a link keeps
     pointing where it did. A target must be absent or a regular file, or
     OSError names it before any temp exists. Each temp is a new file next
-    to its target, created by open() as a plain write would create it. If
-    anything fails first, every temp is removed and no target changes.
+    to its target, created by open() as a plain write would create it; an
+    OSError from creating one names its target, not the temp. If anything
+    fails first, every temp is removed and no target changes.
     """
     paths = [os.path.realpath(path) for path in paths]
     for path in paths:
@@ -273,8 +272,11 @@ def _replacing(*paths):
             files = []
             for path in paths:
                 temp = f"{path}.{os.urandom(8).hex()}.tmp"
-                files.append(stack.enter_context(
-                    open(temp, "x", encoding="utf-8", newline="")))
+                try:
+                    files.append(stack.enter_context(open(temp, "xb")))
+                except OSError as exc:
+                    exc.filename = path
+                    raise
                 temps.append(temp)
             yield files
         for temp, path in zip(temps, paths):
@@ -287,15 +289,28 @@ def _replacing(*paths):
         raise
 
 
+# Cells write_csv gives text.cell_text at a time, in whole rows. Their
+# 36-byte slots, 129,600 bytes, stay below glibc's default 128 KiB mmap
+# threshold: a block mmapped and freed raises that threshold for the rest
+# of the process, and with 4096-cell blocks the benchmark's thermal-sweep
+# then took a 1 MiB step of peak RSS in about one run of four. The arrays
+# peak at about 120 bytes a cell. Blocks of 2048 cells took about 15%
+# more time per cell; 4096 and 8192 the same as 3600, within noise
+# (2-vCPU x86-64 host, numpy 2.4).
+_CSV_CELLS = 3600
+
+
 def write_csv(path: str, table: SweepTable) -> None:
     """Write the table as UTF-8 CSV with Unix newlines, plus a .meta sidecar.
 
     Output is byte-identical for identical parameters: full-precision
     floats, deterministic row order, no timestamps. Both files replace
-    any earlier output only once both are fully written. Every row is
-    written with one % format, joined from the cells' formats (the rule
-    of format_value) and built once per row shape, the tuple of cell
-    types. A cell that is not a number or None raises OttoSimError.
+    any earlier output only once both are fully written. Each cell is the
+    text format_value gives it, made _CSV_CELLS cells at a time by
+    text.cell_text, or by format_value for the cells it leaves. A header
+    name holding "," or a line break raises OttoSimError before any file
+    is written. A cell that is not a number or None raises OttoSimError
+    naming its row and column, and no target changes.
 
     The .meta sidecar has one key=value line per key, in sorted order: a
     text value as it is, any other through format_value. A key holding
@@ -303,24 +318,50 @@ def write_csv(path: str, table: SweepTable) -> None:
     format_value cannot write raises OttoSimError before any file is
     written.
     """
+    for name in table.header:
+        if any(c in name for c in ",\r\n"):
+            raise OttoSimError(f"header name {name!r} holds ',' or a line "
+                               "break")
     meta_text = "".join(_meta_line(key, value)
                         for key, value in sorted(table.meta.items()))
-    formats = {}
+    rows = iter(table.rows)
+    step = max(1, _CSV_CELLS // max(1, len(table.header)))
     with _replacing(path, path + ".meta") as (f, meta):
-        f.write(",".join(table.header) + "\n")
-        for index, row in enumerate(table.rows):
-            cells = tuple(row)
-            shape = tuple(map(type, cells))
-            fmt = formats.get(shape)
-            if fmt is None:
-                fmt = formats[shape] = (",".join(map(_cell_format, shape))
-                                        + "\n")
-            try:
-                f.write(fmt % cells)
-            except (TypeError, OverflowError):
-                _check_cells(table.header, index, cells)
-                raise
-        meta.write(meta_text)
+        f.write((",".join(table.header) + "\n").encode())
+        first = 0
+        while block := list(itertools.islice(rows, step)):
+            f.write(_csv_lines(table.header, first, block))
+            first += len(block)
+        meta.write(meta_text.encode())
+
+
+def _csv_lines(header, first, rows) -> bytes:
+    """The CSV lines of rows, which are table.rows[first:]: text.cell_text
+    writes the cells it can, format_value the others. OttoSimError names a
+    cell format_value cannot write."""
+    rows = [row if isinstance(row, (list, tuple)) else tuple(row)
+            for row in rows]
+    if not all(rows):
+        # an empty row is one line break, as a row of one blank cell
+        rows = [row or (None,) for row in rows]
+    cells = list(itertools.chain.from_iterable(rows))
+    ends = np.cumsum(list(map(len, rows)))
+    text, rest = cell_text(cells, ends - 1)
+    pieces, start = [], 0
+    for i, offset in rest:
+        try:
+            cell = format_value(cells[i])
+        except (TypeError, OverflowError) as exc:
+            row = int(np.searchsorted(ends, i, side="right"))
+            column = i - int(ends[row]) + len(rows[row])
+            name = header[column] if column < len(header) else column
+            raise OttoSimError(f"table.rows[{first + row}], column "
+                               f"{name!r}: cannot write a "
+                               f"{type(cells[i]).__name__} as a number: "
+                               f"{exc}") from None
+        pieces += [text[start:offset], cell.encode()]
+        start = offset
+    return b"".join(pieces + [text[start:]]) if pieces else text
 
 
 def _meta_line(key, value) -> str:
@@ -338,16 +379,3 @@ def _meta_line(key, value) -> str:
         raise OttoSimError(f"meta {key!r}: cannot write a "
                            f"{type(value).__name__} as a number: {exc}"
                            ) from None
-
-
-def _check_cells(header, index, cells):
-    """OttoSimError for the first cell of table.rows[index] that
-    format_value cannot write."""
-    for column, value in enumerate(cells):
-        try:
-            format_value(value)
-        except (TypeError, OverflowError) as exc:
-            name = header[column] if column < len(header) else column
-            raise OttoSimError(f"table.rows[{index}], column {name!r}: "
-                               f"cannot write a {type(value).__name__} as "
-                               f"a number: {exc}") from None

@@ -489,3 +489,28 @@ def test_one_parser_serves_every_call_as_a_fresh_process_would(
     assert len(used) == len(SEQUENCE)
     assert all(parser is used[0] for parser in used)
     assert cli.build_parser() is not cli.build_parser()
+
+
+@pytest.mark.parametrize("command", [["qutrit-meas", "--j-steps", "3"],
+                                     ["theorem1", "--samples", "5"]])
+def test_io_error_names_the_target_not_a_temp(tmp_path, capsys, command):
+    target = tmp_path / "nodir" / "o.csv"
+    assert main(command + ["--out", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("io error: [Errno 2] No such file or directory: "
+                   f"{os.path.realpath(target)!r}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_config_with_a_byte_order_mark_reads_as_the_flag(tmp_path):
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfbi=2.5\n")
+    by_config, by_flag = tmp_path / "config.csv", tmp_path / "flag.csv"
+    assert main(["qutrit-meas", "--config", str(cfg), "--j-steps", "3",
+                 "--out", str(by_config)]) == 0
+    assert main(["qutrit-meas", "--bi", "2.5", "--j-steps", "3",
+                 "--out", str(by_flag)]) == 0
+    assert by_config.read_bytes() == by_flag.read_bytes()
+    assert (tmp_path / "config.csv.meta").read_bytes() == \
+        (tmp_path / "flag.csv.meta").read_bytes()
+    assert "bi=2.5\n" in (tmp_path / "flag.csv.meta").read_text()
