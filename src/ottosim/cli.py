@@ -79,10 +79,11 @@ class Opt:
 
 # Largest row count of a sweep (theta_steps * j_steps for the contour) and
 # largest theorem1 sample count: 100 times the largest grid the benchmark
-# runs (2001 rows). At the cap a 400 x 500 contour takes 2.4-2.6 s and
-# 197.5 MiB peak RSS, most of it the table's rows (50 kernel calls of 4000
-# rows each), and theorem1 10.5-13.3 s and 43 MiB (2-vCPU x86-64 host,
-# Python 3.11, numpy 2.4).
+# runs (2001 rows). At the cap a 400 x 500 contour takes 1.0-1.1 s and
+# 69 MiB peak RSS (ru_maxrss of a fresh process; 30 MiB after import),
+# most of the rest its 36.6 MiB float64 table, filled by 50 kernel calls
+# of 4000 rows each; theorem1 takes 10.5-13.3 s and 43 MiB (2-vCPU x86-64
+# host, Python 3.11, numpy 2.4).
 MAX_POINTS = 200_000
 
 

@@ -1,30 +1,35 @@
 """Parameter sweeps over cycles, tabulated for CSV output.
 
-Each sweep function returns a SweepTable: a header, rows (tuples) in
+Each sweep function returns a SweepTable: a header, rows in
 deterministic order, and a metadata mapping recording every parameter.
-Its columns: the swept axes; Qh, Qc, W; eta_raw (None where Qh == 0);
-eta0; engine_mode and crossing as 0/1; q1_plus_q2, the summed hot flux
-of the idle levels, for a kind with more than one idle level (xxz);
-then q_h, q_c, dp, p_cold and p_post per level label. One rule maps a
-cell's type to its % format (blank for None, %d for integers, else
-%.17g): format_value applies it to one value, every .meta value that is
-not text included. write_csv gives blocks of _CSV_CELLS cells to
-text.cell_text, which writes the same text for floats, ints, bools and
-None with numpy, and writes the cells it leaves through format_value.
-The same parameters give the same bytes, moved into place once both
-files are whole. An output path is resolved through its symlinks, and
-only a regular file is replaced.
+A sweep holds its cells as one float64 table of typed columns, and its
+rows are a view of that table that gives each row as a tuple of Python
+floats, ints (the 0/1 flags) and None (a blank eta_raw). Its columns:
+the swept axes; Qh, Qc, W; eta_raw (None where Qh == 0); eta0;
+engine_mode and crossing as 0/1; q1_plus_q2, the summed hot flux of the
+idle levels, for a kind with more than one idle level (xxz); then q_h,
+q_c, dp, p_cold and p_post per level label. One rule maps a cell's type
+to its % format (blank for None, %d for integers, else %.17g):
+format_value applies it to one value, every .meta value that is not text
+included. write_csv gives blocks of _CSV_CELLS cells to text.block_text,
+which writes the same text with numpy: a sweep's cells straight from its
+table, any other row list through text.cell_text's object front end. It
+writes the cells block_text leaves through format_value. The same
+parameters give the same bytes, moved into place once both files are
+whole. An output path is resolved through its symlinks, and only a
+regular file is replaced.
 
-Every sweep is one call to _sweep, the loop they share. It builds and
-checks the channel once per point of the outer axes (once per theta for
-the contour) and runs the whole grid as one cycle kernel call, with one
-protocol per block of rows that share an outer point; a grid of more
-than _SWEEP_ROWS rows takes one call per group of whole points. The
-kernel works row by row in a fixed order, so each row holds the bits of
-run_cycle at its grid point, whatever the split. Each call gives one
-list of (column, values), read for both the header and the rows. A
-cooling measurement warns once per sweep, counting the whole grid, and
-the warning names the line that called the sweep.
+Every sweep is one call to _sweep, the loop they share. It allocates the
+table first, then builds and checks the channel once per point of the
+outer axes (once per theta for the contour) and runs the whole grid as
+one cycle kernel call, with one protocol per block of rows that share an
+outer point; a grid of more than _SWEEP_ROWS rows takes one call per
+group of whole points. The kernel works row by row in a fixed order, so
+each row holds the bits of run_cycle at its grid point, whatever the
+split. Each call fills its rows of the table in place. A grid whose
+table cannot be allocated raises OttoSimError before any channel is
+built. A cooling measurement warns once per sweep, counting the whole
+grid, and the warning names the line that called the sweep.
 """
 
 from __future__ import annotations
@@ -32,9 +37,11 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import operator
 import os
 import stat
 from dataclasses import asdict, dataclass
+from collections.abc import MutableSequence, Sequence
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -47,7 +54,7 @@ from .errors import InvalidField, OttoSimError
 from .measurements import (SpinDirection, Su3Angles, local_spin_channel,
                            su3_projective_channel)
 from .substances import _KINDS, SubstanceKind, _check_fields
-from .text import cell_text
+from .text import block_text, cell_text
 
 
 @dataclass(frozen=True)
@@ -79,20 +86,77 @@ class SweepRange:
 
 class SweepTable(NamedTuple):
     header: tuple
-    rows: list
+    rows: Sequence  # of rows; a list, or a sweep's view of its columns
     meta: dict
+
+
+class _Rows(MutableSequence):
+    """The rows of a sweep table, read from its float64 cells of shape
+    (rows, columns): each a tuple of a Python int for a column in integer
+    (0/1 flags), None for a NaN in a column in blank (eta_raw), else a
+    Python float. Two are equal when their rows are. Any change turns
+    the view into a plain list of its rows, which write_csv then writes
+    as it writes any row list; until then it writes the cells."""
+
+    def __init__(self, cells, integer, blank):
+        self.cells, self.integer, self.blank = cells, integer, blank
+        self._list = None
+
+    def _tuples(self, block):
+        cells = block.astype(object)
+        cells[:, self.integer] = block[:, self.integer].astype(int)
+        cells[np.isnan(block) & self.blank] = None
+        return list(map(tuple, cells.tolist()))
+
+    def __len__(self):
+        return len(self.cells if self._list is None else self._list)
+
+    def __getitem__(self, index):
+        if self._list is not None:
+            return self._list[index]
+        if isinstance(index, slice):
+            return self._tuples(self.cells[index])
+        return self._tuples(self.cells[operator.index(index)][None])[0]
+
+    def __iter__(self):
+        if self._list is not None:
+            yield from self._list
+            return
+        # a block at a time, so iterating holds few tuples at once
+        for start in range(0, len(self.cells), 1024):
+            yield from self._tuples(self.cells[start:start + 1024])
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, _Rows)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def _as_list(self):
+        if self._list is None:
+            self._list, self.cells = list(self), None
+        return self._list
+
+    def __setitem__(self, index, row):
+        self._as_list()[index] = row
+
+    def __delitem__(self, index):
+        del self._as_list()[index]
+
+    def insert(self, index, row):
+        self._as_list().insert(index, row)
 
 
 # Most rows one kernel call of _sweep holds. A call takes whole points of
 # the outer axes, so a swept axis longer than this is one call per point.
-# The arrays and column lists of one call then stay a few megabytes, and
-# the peak memory of a large contour is that of its rows.
+# The arrays of one call then stay a few megabytes beside the table they
+# fill, which holds 8 bytes a cell.
 _SWEEP_ROWS = 4096
 
 
 def _sweep(meta, Bi, Bf, beta_c, axes, kind, protocol) -> SweepTable:
     """The loop all sweeps share: one cycle kernel call for the whole grid,
-    or one per _SWEEP_ROWS rows of it.
+    or one per _SWEEP_ROWS rows of it, each filling its rows of one
+    float64 table allocated first.
 
     axes: (column, meta prefix, SweepRange) per axis; the last, which runs
     fastest, sets the coupling of kind its column names (others stay 0).
@@ -102,51 +166,55 @@ def _sweep(meta, Bi, Bf, beta_c, axes, kind, protocol) -> SweepTable:
     Bi, Bf = _check_fields(Bi, Bf)
     *outer, (swept, _, grid) = axes
     table = _KINDS[kind]
+    extra = ("q1_plus_q2",) if np.count_nonzero(table.idle) > 1 else ()
+    header = (*(column for column, _, _ in outer), swept, "Qh", "Qc", "W",
+              "eta_raw", "eta0", "engine_mode", "crossing", *extra,
+              *(f"{prefix}_{label}"
+                for prefix in ("q_h", "q_c", "dp", "p_cold", "p_post")
+                for label in table.labels))
+    count = math.prod(r.steps for _, _, r in axes)
+    try:
+        cells = np.empty((count, len(header)))
+    except (MemoryError, ValueError):
+        raise OttoSimError(f"a sweep of {count} rows is too large to hold "
+                           "in memory") from None
+    integer = np.isin(header, ("engine_mode", "crossing"))
+    blank = np.isin(header, ("eta_raw",))
     points = itertools.product(*(r.values().tolist() for _, _, r in outer))
-    cs = grid.values().tolist()
+    cs = grid.values()
     step = min(math.prod(r.steps for _, _, r in outer),
                max(1, _SWEEP_ROWS // len(cs)))
     couplings = np.zeros((step * len(cs), len(table.couplings)))
-    couplings[:, table.couplings.index(swept)] = cs * step
+    couplings[:, table.couplings.index(swept)] = np.tile(cs, step)
     cold = BathSpec(beta_c)
-    rows, cooled = [], 0
+    done, cooled = 0, 0
     while chunk := list(itertools.islice(points, step)):
         n = len(chunk) * len(cs)
         blocks = [protocol(*point) for point in chunk]
         batch = _run_cycles(table, couplings[:n], Bi, Bf, cold, blocks)
         if isinstance(blocks[0], Measurement):
             cooled += int(np.count_nonzero(batch.Qh < 0.0))
-        # Cells of one value share one float object, and rows are tuples,
-        # as the rows of a large grid take most of a sweep's memory.
-        columns = [(column, [v for v in coords for _ in cs])
-                   for (column, _, _), coords in zip(outer, zip(*chunk))]
-        columns += [
-            (swept, cs * len(chunk)),
-            ("Qh", batch.Qh.tolist()), ("Qc", batch.Qc.tolist()),
-            ("W", batch.W.tolist()),
-            ("eta_raw", [None if math.isnan(v) else v
-                         for v in batch.eta_raw.tolist()]),
-            ("eta0", [batch.eta0] * n),
-            ("engine_mode", batch.engine_mode.astype(int).tolist()),
-            ("crossing", batch.crossing.astype(int).tolist()),
-        ]
-        if np.count_nonzero(table.idle) > 1:
-            columns.append(("q1_plus_q2",
-                            row_sum(batch.flux_hot[:, table.idle]).tolist()))
-        for prefix, per_level in zip(
-                ("q_h", "q_c", "dp", "p_cold", "p_post"),
-                (batch.flux_hot, batch.flux_cold, batch.delta_p, batch.p_cold,
-                 batch.p_hot)):
-            columns += zip([f"{prefix}_{label}" for label in batch.labels],
-                           per_level.T.tolist())
-        header, values = zip(*columns)
-        rows.extend(zip(*values))
-    _warn_cooling(cooled, len(rows))
+        rows = cells[done:done + n]
+        grid_rows = rows.reshape(len(chunk), len(cs), len(header))
+        grid_rows[:, :, :len(outer)] = np.array(chunk)[:, None]
+        grid_rows[:, :, len(outer)] = cs
+        columns = [batch.Qh, batch.Qc, batch.W, batch.eta_raw, batch.eta0,
+                   batch.engine_mode, batch.crossing]
+        if extra:
+            columns.append(row_sum(batch.flux_hot[:, table.idle]))
+        for per_level in (batch.flux_hot, batch.flux_cold, batch.delta_p,
+                          batch.p_cold, batch.p_hot):
+            columns += list(per_level.T)
+        for k, column in enumerate(columns, len(outer) + 1):
+            rows[:, k] = column
+        done += n
+    _warn_cooling(cooled, count)
     meta = dict(meta, bi=Bi, bf=Bf, beta_c=cold.beta)
     for _, prefix, r in axes:
         meta.update({f"{prefix}_min": r.start, f"{prefix}_max": r.stop,
                      f"{prefix}_steps": r.steps})
-    return SweepTable(header=header, rows=rows, meta=meta)
+    return SweepTable(header=header, rows=_Rows(cells, integer, blank),
+                      meta=meta)
 
 
 def sweep_qutrit_two_bath(Bi: float, Bf: float, beta_c: float, beta_h: float,
@@ -227,17 +295,19 @@ def sweep_xxz(model: str, protocol: str, Bi: float, Bf: float, beta_c: float,
     if protocol == "two-bath":
         if beta_h is None:
             raise OttoSimError("two-bath protocol needs beta_h")
-        proto = TwoBath(hot=BathSpec(beta_h))
-        meta["beta_h"] = proto.hot.beta
+        hot = TwoBath(hot=BathSpec(beta_h))
+        meta["beta_h"] = hot.hot.beta
+        proto = lambda: hot
     else:
         if n is None or m is None:
             raise OttoSimError("measurement protocol needs directions n and m")
-        proto = Measurement(local_spin_channel(n, m))
+        # built in _sweep, once the table is allocated
+        proto = lambda: Measurement(local_spin_channel(n, m))
         meta["n"] = f"{n.nx},{n.ny},{n.nz}"
         meta["m"] = f"{m.nx},{m.ny},{m.nz}"
     swept = "Jxy" if model == "xx" else "Jz"
     return _sweep(meta, Bi, Bf, beta_c, [(swept, "j", coupling_range)],
-                  SubstanceKind.XXZ, lambda: proto)
+                  SubstanceKind.XXZ, proto)
 
 
 def format_value(v) -> str:
@@ -307,7 +377,8 @@ def write_csv(path: str, table: SweepTable) -> None:
     floats, deterministic row order, no timestamps. Both files replace
     any earlier output only once both are fully written. Each cell is the
     text format_value gives it, made _CSV_CELLS cells at a time by
-    text.cell_text, or by format_value for the cells it leaves. A header
+    text.block_text (a sweep's straight from its table, others through
+    text.cell_text), or by format_value for the cells it leaves. A header
     name holding "," or a line break raises OttoSimError before any file
     is written. A cell that is not a number or None raises OttoSimError
     naming its row and column, and no target changes.
@@ -324,15 +395,34 @@ def write_csv(path: str, table: SweepTable) -> None:
                                "break")
     meta_text = "".join(_meta_line(key, value)
                         for key, value in sorted(table.meta.items()))
-    rows = iter(table.rows)
+    rows = table.rows
     step = max(1, _CSV_CELLS // max(1, len(table.header)))
     with _replacing(path, path + ".meta") as (f, meta):
         f.write((",".join(table.header) + "\n").encode())
-        first = 0
-        while block := list(itertools.islice(rows, step)):
-            f.write(_csv_lines(table.header, first, block))
-            first += len(block)
+        if isinstance(rows, _Rows) and rows.cells is not None:
+            for first in range(0, len(rows), step):
+                f.write(_column_lines(rows, first, step))
+        else:
+            rows = iter(rows)
+            first = 0
+            while block := list(itertools.islice(rows, step)):
+                f.write(_csv_lines(table.header, first, block))
+                first += len(block)
         meta.write(meta_text.encode())
+
+
+def _column_lines(rows, first, count) -> bytes:
+    """The CSV lines of rows[first:first + count], from the cells of a
+    sweep's rows: text.block_text writes the cells it can, format_value
+    the others, as the row tuples hold them."""
+    cells = rows.cells[first:first + count]
+    n, width = cells.shape
+    text, rest = block_text(cells.ravel(), np.tile(rows.integer, n),
+                            (np.isnan(cells) & rows.blank).ravel(),
+                            np.arange(width - 1, n * width, width))
+    return _spliced(text, rest, {
+        i: format_value(rows[first + i // width][i % width])
+        for i, _ in rest})
 
 
 def _csv_lines(header, first, rows) -> bytes:
@@ -347,10 +437,9 @@ def _csv_lines(header, first, rows) -> bytes:
     cells = list(itertools.chain.from_iterable(rows))
     ends = np.cumsum(list(map(len, rows)))
     text, rest = cell_text(cells, ends - 1)
-    pieces, start = [], 0
-    for i, offset in rest:
+    for i, _ in rest:
         try:
-            cell = format_value(cells[i])
+            cells[i] = format_value(cells[i])
         except (TypeError, OverflowError) as exc:
             row = int(np.searchsorted(ends, i, side="right"))
             column = i - int(ends[row]) + len(rows[row])
@@ -359,7 +448,15 @@ def _csv_lines(header, first, rows) -> bytes:
                                f"{name!r}: cannot write a "
                                f"{type(cells[i]).__name__} as a number: "
                                f"{exc}") from None
-        pieces += [text[start:offset], cell.encode()]
+    return _spliced(text, rest, cells)
+
+
+def _spliced(text, rest, cells) -> bytes:
+    """text with the text cells[i] put in at offset, for each (i, offset)
+    of rest."""
+    pieces, start = [], 0
+    for i, offset in rest:
+        pieces += [text[start:offset], cells[i].encode()]
         start = offset
     return b"".join(pieces + [text[start:]]) if pieces else text
 

@@ -1,15 +1,18 @@
 """The CSV text of numbers, a block of cells at a time.
 
-cell_text(cells, ends) writes each cell as sweeps.format_value does:
-'%.17g' % x for a float x, '%d' % v for an int or bool v, nothing for
-None. It works on numpy arrays of the whole block. A float's 17 digits
-are exact: its 53-bit mantissa times a power of five is a 128-bit product
-in two uint64 limbs, shifted with the half-even rounding that a correctly
-rounded printf (CPython's dtoa among them) uses. Each cell's text is laid
-out in a slot of fixed bytes, and one bytearray.translate drops the bytes
-no text keeps. The cells it does not write (other types, floats outside its
-range, ints of 17 digits or more) go back to the caller, to be written by
-format_value.
+block_text(x, integer, blank, ends) writes float64 cells as
+sweeps.format_value writes the values they stand for: '%.17g' % x for a
+float, '%d' % v for an integer cell, nothing for a blank one. It works on
+numpy arrays of the whole block. A float's 17 digits are exact: its
+53-bit mantissa times a power of five is a 128-bit product in two uint64
+limbs, shifted with the half-even rounding that a correctly rounded
+printf (CPython's dtoa among them) uses. Each cell's text is laid out in
+a slot of fixed bytes, and one bytearray.translate drops the bytes no
+text keeps. The cells it does not write (NaN, inf, floats outside its
+range, integers of 17 digits or more) go back to the caller, to be
+written by format_value. cell_text(cells, ends) is its front end for a
+list of Python objects: it sorts them into floats, integer cells and
+blanks, and leaves every other cell to the caller.
 
 A slot is 36 bytes, nine uint32 words, with room for the sign, the lead
 "0.000" of a 0.000ddd, digit columns 3 to 19 of an integer U < 10**17 (a
@@ -190,33 +193,38 @@ def cell_text(cells, ends):
     (i, offset) for each cell i not written, in order, whose text goes at
     byte offset of text, before its separator.
 
-    Written here: floats in _digits's range, 0.0, ints below 10**17 in
-    magnitude, bools and None.
+    The object front end of block_text: floats keep their value, ints and
+    bools below 2**53 in magnitude (exact as floats) are integer cells,
+    None is blank, and every other cell is NaN, which block_text leaves.
     """
     n = len(cells)
     obj = np.fromiter(cells, object, n)
     types = np.fromiter(map(type, cells), object, n)
     floats = types == float
-    x = np.zeros(n)
+    integer = (types == int) | (types == bool)
+    x = np.full(n, np.nan)
     x[floats] = obj[floats].astype(np.float64)
+    x[integer] = [v if -2 ** 53 < v < 2 ** 53 else math.nan
+                  for v in obj[integer]]
+    return block_text(x, integer, types == type(None), ends)
+
+
+def block_text(x, integer, blank, ends):
+    """(text, rest), as cell_text gives them, for the float64 cells x:
+    integer marks the cells written as %d of their value (integral), blank
+    the cells written as nothing; each other cell is a float.
+
+    Written here: floats in _digits's range, zeros, integer cells below
+    10**17 in magnitude and blanks. The rest (NaN, inf, other floats,
+    larger integers) is left to the caller.
+    """
+    n = len(x)
     U, X, ok = _digits(x)
     U[~ok] = 0
     negative = np.signbit(x)
-    others = np.flatnonzero(~floats)
-    kinds = types[others]
-    ints = others[(kinds == int) | (kinds == bool)]
-    try:
-        values = obj[ints].astype(_I64)
-    except OverflowError:
-        ints = ints[[-2 ** 63 <= v < 2 ** 63 for v in obj[ints]]]
-        values = obj[ints].astype(_I64)
-    small = (values > -10 ** 17) & (values < 10 ** 17)
-    ints, values = ints[small], values[small]
-    negative[ints] = values < 0
-    U[ints] = np.abs(values)
-    whole = np.concatenate([ints, np.flatnonzero(floats & (x == 0.0))])
-    blank = others[kinds == type(None)]
-    del obj, types, floats, x, others, kinds, values, small
+    integer = integer & (np.abs(x) < 1e17)
+    U[integer] = np.abs(x[integer]).astype(_I64)
+    whole = integer | (x == 0.0)
     # an int's first digit column less 3, from its digit count
     first = 16 - np.searchsorted(_TENS, U[whole], side="right")
     # U's digits: d3, then c1 to c4 of four each
@@ -237,7 +245,8 @@ def cell_text(cells, ends):
     code = ((X - _X_MIN) * 17 + last - 3) * 2 + negative
     code[~ok] = _BLANK
     code[whole] = _WHOLE + 2 * first + negative[whole]
-    del U, X, ok, negative, trailing, last
+    code[blank] = _BLANK
+    del U, X, ok, negative, trailing, last, integer, whole, first
     buffer = bytearray(36 * n)
     slots = np.frombuffer(buffer, dtype=_U32).reshape(n, 9)
     np.take(_SLOTS, code, axis=0, out=slots, mode="clip")
@@ -254,7 +263,7 @@ def cell_text(cells, ends):
         np.asarray(ends) * 36 + _SEP] = ord("\n")
     text = buffer.translate(None, b"\0")
     left = code == _BLANK
-    left[blank] = False
+    left &= ~blank
     if not left.any():
         return text, []
     rest = np.flatnonzero(left)
