@@ -40,8 +40,8 @@ import math
 import operator
 import os
 import stat
-from dataclasses import asdict, dataclass
 from collections.abc import MutableSequence, Sequence
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
