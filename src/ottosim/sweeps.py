@@ -8,16 +8,13 @@ floats, ints (the 0/1 flags) and None (a blank eta_raw). Its columns:
 the swept axes; Qh, Qc, W; eta_raw (None where Qh == 0); eta0;
 engine_mode and crossing as 0/1; q1_plus_q2, the summed hot flux of the
 idle levels, for a kind with more than one idle level (xxz); then q_h,
-q_c, dp, p_cold and p_post per level label. One rule maps a cell's type
-to its % format (blank for None, %d for integers, else %.17g):
-format_value applies it to one value, every .meta value that is not text
-included. write_csv gives blocks of _CSV_CELLS cells to text.block_text,
-which writes the same text with numpy: a sweep's cells straight from its
-table, any other row list through text.cell_text's object front end. It
-writes the cells block_text leaves through format_value. The same
-parameters give the same bytes, moved into place once both files are
-whole. An output path is resolved through its symlinks, and only a
-regular file is replaced.
+q_c, dp, p_cold and p_post per level label. format_value is the one rule
+from a cell to its text (blank for None, %d for integers, else %.17g),
+every .meta value that is not text included. write_csv writes the rows
+_CSV_CELLS cells at a time with the numpy kernels of text, and the cells
+they leave through format_value. The same parameters give the same
+bytes, moved into place once both files are whole. An output path is
+resolved through its symlinks, and only a regular file is replaced.
 
 Every sweep is one call to _sweep, the loop they share. It allocates the
 table first, then builds and checks the channel once per point of the
@@ -359,8 +356,8 @@ def _replacing(*paths):
         raise
 
 
-# Cells write_csv gives text.cell_text at a time, in whole rows. Their
-# 36-byte slots, 129,600 bytes, stay below glibc's default 128 KiB mmap
+# Cells write_csv writes at a time, in whole rows. Their 36-byte text
+# slots, 129,600 bytes, stay below glibc's default 128 KiB mmap
 # threshold: a block mmapped and freed raises that threshold for the rest
 # of the process, and with 4096-cell blocks the benchmark's thermal-sweep
 # then took a 1 MiB step of peak RSS in about one run of four. The arrays
@@ -376,12 +373,10 @@ def write_csv(path: str, table: SweepTable) -> None:
     Output is byte-identical for identical parameters: full-precision
     floats, deterministic row order, no timestamps. Both files replace
     any earlier output only once both are fully written. Each cell is the
-    text format_value gives it, made _CSV_CELLS cells at a time by
-    text.block_text (a sweep's straight from its table, others through
-    text.cell_text), or by format_value for the cells it leaves. A header
-    name holding "," or a line break raises OttoSimError before any file
-    is written. A cell that is not a number or None raises OttoSimError
-    naming its row and column, and no target changes.
+    text format_value gives it. A header name holding "," or a line break
+    raises OttoSimError before any file is written. A cell that is not a
+    number or None raises OttoSimError naming its row and column, and no
+    target changes.
 
     The .meta sidecar has one key=value line per key, in sorted order: a
     text value as it is, any other through format_value. A key holding
@@ -397,66 +392,53 @@ def write_csv(path: str, table: SweepTable) -> None:
                         for key, value in sorted(table.meta.items()))
     rows = table.rows
     step = max(1, _CSV_CELLS // max(1, len(table.header)))
+    if isinstance(rows, _Rows) and rows.cells is not None:
+        blocks = (rows.cells[first:first + step]
+                  for first in range(0, len(rows), step))
+    else:
+        listed = iter(rows)
+        blocks = iter(lambda: list(itertools.islice(listed, step)), [])
     with _replacing(path, path + ".meta") as (f, meta):
         f.write((",".join(table.header) + "\n").encode())
-        if isinstance(rows, _Rows) and rows.cells is not None:
-            for first in range(0, len(rows), step):
-                f.write(_column_lines(rows, first, step))
-        else:
-            rows = iter(rows)
-            first = 0
-            while block := list(itertools.islice(rows, step)):
-                f.write(_csv_lines(table.header, first, block))
-                first += len(block)
+        first = 0
+        for block in blocks:
+            f.write(_lines(table.header, first, block, rows))
+            first += len(block)
         meta.write(meta_text.encode())
 
 
-def _column_lines(rows, first, count) -> bytes:
-    """The CSV lines of rows[first:first + count], from the cells of a
-    sweep's rows: text.block_text writes the cells it can, format_value
-    the others, as the row tuples hold them."""
-    cells = rows.cells[first:first + count]
-    n, width = cells.shape
-    text, rest = block_text(cells.ravel(), np.tile(rows.integer, n),
-                            (np.isnan(cells) & rows.blank).ravel(),
-                            np.arange(width - 1, n * width, width))
-    return _spliced(text, rest, {
-        i: format_value(rows[first + i // width][i % width])
-        for i, _ in rest})
-
-
-def _csv_lines(header, first, rows) -> bytes:
-    """The CSV lines of rows, which are table.rows[first:]: text.cell_text
-    writes the cells it can, format_value the others. OttoSimError names a
-    cell format_value cannot write."""
-    rows = [row if isinstance(row, (list, tuple)) else tuple(row)
-            for row in rows]
-    if not all(rows):
+def _lines(header, first, block, rows) -> bytes:
+    """The CSV lines of block, which holds rows[first:first + len(block)]:
+    a slice of a sweep's float64 cells, or a list of rows. The kernels of
+    text write the cells they can; format_value writes the others, a
+    sweep's as its row tuples hold them. OttoSimError names a cell
+    format_value cannot write."""
+    if isinstance(block, np.ndarray):
+        n, width = block.shape
+        ends = np.arange(width - 1, n * width, width)
+        text, rest = block_text(block.ravel(), np.tile(rows.integer, n),
+                                (np.isnan(block) & rows.blank).ravel(), ends)
+    else:
         # an empty row is one line break, as a row of one blank cell
-        rows = [row or (None,) for row in rows]
-    cells = list(itertools.chain.from_iterable(rows))
-    ends = np.cumsum(list(map(len, rows)))
-    text, rest = cell_text(cells, ends - 1)
-    for i, _ in rest:
+        block = [(row if isinstance(row, (list, tuple)) else tuple(row))
+                 or (None,) for row in block]
+        cells = list(itertools.chain.from_iterable(block))
+        ends = np.cumsum(list(map(len, block))) - 1
+        text, rest = cell_text(cells, ends)
+    pieces, start = [], 0
+    for i, offset in rest:
+        row = int(np.searchsorted(ends, i))
+        column = i - (int(ends[row - 1]) + 1 if row else 0)
+        value = (block[row] if isinstance(block, list)
+                 else rows[first + row])[column]
         try:
-            cells[i] = format_value(cells[i])
+            pieces += [text[start:offset], format_value(value).encode()]
         except (TypeError, OverflowError) as exc:
-            row = int(np.searchsorted(ends, i, side="right"))
-            column = i - int(ends[row]) + len(rows[row])
             name = header[column] if column < len(header) else column
             raise OttoSimError(f"table.rows[{first + row}], column "
                                f"{name!r}: cannot write a "
-                               f"{type(cells[i]).__name__} as a number: "
+                               f"{type(value).__name__} as a number: "
                                f"{exc}") from None
-    return _spliced(text, rest, cells)
-
-
-def _spliced(text, rest, cells) -> bytes:
-    """text with the text cells[i] put in at offset, for each (i, offset)
-    of rest."""
-    pieces, start = [], 0
-    for i, offset in rest:
-        pieces += [text[start:offset], cells[i].encode()]
         start = offset
     return b"".join(pieces + [text[start:]]) if pieces else text
 
