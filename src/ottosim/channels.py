@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DensityMatrix, HermitianOperator, _dagger, _densities,
-                   _eigensystems, _energies, _finite, _hermitian_part,
+                   _eigensystems, _empty, _energies, _finite, _hermitian_part,
                    _integer, _paired, _real, as_complex_matrix,
                    boltzmann_populations, energy_expectation,
                    populations_in_basis)
@@ -56,11 +56,13 @@ def kraus_channel(operators) -> KrausChannel:
 def _check_trace_preserving(kraus: np.ndarray) -> None:
     """Require sum_a M_a^dag M_a = 1 for Kraus stacks of shape (..., r, d, d).
 
-    Zero operators may pad a stack: they add exact zeros to every sum.
+    Zero operators may pad a stack: they add exact zeros to every sum. A
+    sum too large to represent fails the check.
     """
-    tp = (_dagger(kraus) @ kraus).sum(axis=-3)
-    defect = float(np.max(np.abs(tp - np.eye(kraus.shape[-1]))))
-    if defect > TOL.channel:
+    with np.errstate(over="ignore", invalid="ignore"):
+        tp = (_dagger(kraus) @ kraus).sum(axis=-3)
+        defect = float(np.max(np.abs(tp - np.eye(kraus.shape[-1]))))
+    if not defect <= TOL.channel:
         raise NotTracePreserving(f"sum M^dag M deviates from 1 by {defect:.3e}")
 
 
@@ -124,9 +126,9 @@ def transfer_matrix(ch: KrausChannel, h: HermitianOperator) -> TransferMatrix:
     if ch.dim != h.dim:
         raise DimensionMismatch(f"channel dim {ch.dim} vs operator dim {h.dim}")
     t = _transfer_entries(ch, h.eigenvectors)
-    if np.max(np.abs(t.sum(axis=0) - 1.0)) > TOL.channel:
+    if not np.max(np.abs(t.sum(axis=0) - 1.0)) <= TOL.channel:
         raise OttoSimError("transfer matrix is not column-stochastic")
-    if ch.unital and np.max(np.abs(t.sum(axis=1) - 1.0)) > TOL.channel:
+    if ch.unital and not np.max(np.abs(t.sum(axis=1) - 1.0)) <= TOL.channel:
         raise OttoSimError("unital channel produced a non-bistochastic transfer")
     return TransferMatrix(entries=t, dim=ch.dim)
 
@@ -139,8 +141,14 @@ def energy_change(ch: KrausChannel, rho: DensityMatrix,
 
 def projective_channel(states) -> KrausChannel:
     """Channel of rank-1 projectors onto a complete orthonormal set."""
-    vecs = [np.asarray(s, dtype=complex).reshape(-1) for s in states]
-    return kraus_channel([np.outer(v, v.conj()) for v in vecs])
+    try:
+        vecs = [np.asarray(s, dtype=complex).reshape(-1) for s in states]
+    except (TypeError, ValueError) as exc:
+        raise OttoSimError(f"states must be vectors of numbers: {exc}") from None
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a projector too large to represent fails kraus_channel's checks
+        projectors = [np.outer(v, v.conj()) for v in vecs]
+    return kraus_channel(projectors)
 
 
 def damping_channel(dim: int, gamma: float, sink: int = 0) -> KrausChannel:
@@ -159,7 +167,8 @@ def damping_channel(dim: int, gamma: float, sink: int = 0) -> KrausChannel:
 
 def _damping_operators(dim: int, gamma: float, sink: int) -> np.ndarray:
     """The dim Kraus operators of damping_channel, stacked: keep, then jumps."""
-    ops = np.zeros((dim, dim, dim), dtype=complex)
+    ops = _empty(f"a damping channel of dim {dim}", (dim, dim, dim), complex)
+    ops.fill(0)
     keep = np.full(dim, np.sqrt(1.0 - gamma), dtype=complex)
     keep[sink] = 1.0
     ops[0] = np.diag(keep)
@@ -186,13 +195,17 @@ def random_unital_channel(dim: int, seed: int, mix_count: int) -> KrausChannel:
 
 def _draw_unitary_mixture(dim: int, seed: int, mix_count: int):
     """The draws of random_unital_channel in its order, as stacks: q (r,),
-    the normals of each a_j (r, 2, d, d) and the angles (r, d)."""
+    the normals of each a_j (r, 2, d, d) and the angles (r, d). The
+    stacks are allocated before the first draw."""
+    what = f"a mixture of {mix_count} unitaries of dim {dim}"
+    normals = _empty(what, (mix_count, 2, dim, dim))
+    angles = _empty(what, (mix_count, dim))
     rng = np.random.default_rng(seed)
     weights = rng.random(mix_count) + 0.1
-    normals, angles = zip(*[(rng.standard_normal((2, dim, dim)),
-                             rng.uniform(0.0, 2.0 * np.pi, size=dim))
-                            for _ in range(mix_count)])
-    return weights / weights.sum(), np.array(normals), np.array(angles)
+    for j in range(mix_count):
+        rng.standard_normal(out=normals[j])
+        angles[j] = rng.uniform(0.0, 2.0 * np.pi, size=dim)
+    return weights / weights.sum(), normals, angles
 
 
 def _complex(normals: np.ndarray) -> np.ndarray:
@@ -389,14 +402,15 @@ def _passive_energy_changes(h, vecs, pops, kraus):
     return _energies(post, h) - _energies(rho, h)
 
 
-def _in_blocks(count, draw, compute):
-    """Per-sample energy changes, drawn in order and computed in blocks.
+def _in_blocks(out, draw, compute):
+    """Fill out with the per-sample energy changes, drawn in order and
+    computed in blocks.
 
     draw(i) returns (dim, draws of sample i); each block of samples is
     drawn in full, then compute(dim, list of draws) runs once per
     dimension present.
     """
-    out = np.empty(count)
+    count = len(out)
     for start in range(0, count, _THEOREM1_BLOCK):
         groups = {}
         for i in range(start, min(count, start + _THEOREM1_BLOCK)):
@@ -406,15 +420,18 @@ def _in_blocks(count, draw, compute):
             block.append(draws)
         for dim, (index, block) in groups.items():
             out[index] = compute(dim, block)
-    return out
 
 
 def _theorem1_energy_changes(dims, samples, seed):
     """Schedule and per-sample energy changes of theorem1_suite.
 
     Returns the schedule, the unital samples' changes (one per schedule
-    entry) and the control group's changes.
+    entry) and the control group's changes. Their arrays are allocated
+    before the schedule and the first draw.
     """
+    what = f"a theorem1 suite of {samples} samples"
+    changes = _empty(what, samples)
+    control_changes = _empty(what, max(10, samples // 20))
     rng = np.random.default_rng(seed)
     schedule = _theorem1_schedule(dims, samples)
 
@@ -426,9 +443,8 @@ def _theorem1_energy_changes(dims, samples, seed):
         dim = dims[i % len(dims)]
         return dim, _draw_control(rng, dim)
 
-    changes = _in_blocks(samples, unital, _unital_changes)
-    control_changes = _in_blocks(max(10, samples // 20), control,
-                                 _control_changes)
+    _in_blocks(changes, unital, _unital_changes)
+    _in_blocks(control_changes, control, _control_changes)
     return schedule, changes, control_changes
 
 

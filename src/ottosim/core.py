@@ -48,6 +48,15 @@ def _real(name: str, value, positive: bool = False) -> float:
     return float(value)
 
 
+def _empty(what: str, shape, dtype=float) -> np.ndarray:
+    """np.empty(shape, dtype), or OttoSimError naming what if it cannot be
+    allocated; the allocation fails before any memory is taken."""
+    try:
+        return np.empty(shape, dtype)
+    except (MemoryError, ValueError):
+        raise OttoSimError(f"{what} is too large to hold in memory") from None
+
+
 def _integer(name: str, value, low: int, high=None) -> int:
     """int(value), checked to be an integer, not a bool, in [low, high]."""
     if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
@@ -78,16 +87,23 @@ def _dagger(m: np.ndarray) -> np.ndarray:
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    """(m + m^dag)/2 of a matrix or of each matrix in a stack."""
-    return 0.5 * (m + _dagger(m))
+    """(m + m^dag)/2 of a finite matrix or of each matrix in a stack;
+    halved before the sum if the sum overflows (beyond about 9e307)."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return 0.5 * (m + _dagger(m))
+    except FloatingPointError:
+        return 0.5 * m + 0.5 * _dagger(m)
 
 
 def hermitian_defect(m: np.ndarray) -> float:
-    """Max-norm distance from m to its conjugate transpose.
+    """Max-norm distance from m to its conjugate transpose, inf where it
+    is too large to represent.
 
     m may be a stack of shape (..., d, d); the worst matrix counts.
     """
-    return float(np.max(np.abs(m - _dagger(m))))
+    with np.errstate(over="ignore"):
+        return float(np.max(np.abs(m - _dagger(m))))
 
 
 @dataclass(frozen=True)
@@ -134,20 +150,22 @@ def hermitian_eigensystem(entries) -> HermitianOperator:
 def _eigensystems(m: np.ndarray):
     """hermitian_eigensystem over a finite stack m of shape (..., d, d).
 
-    Every check applies to each matrix of the stack. Returns the
-    symmetrized matrices, the ascending eigenvalues (..., d) and the
-    eigenvectors (..., d, d), column n belonging to eigenvalue n.
+    Every check applies to each matrix of the stack, and a NaN fails it.
+    Returns the symmetrized matrices, the ascending eigenvalues (..., d)
+    and the eigenvectors (..., d, d), column n belonging to eigenvalue n.
     """
     defect = hermitian_defect(m)
-    if defect > TOL.hermitian:
+    if not defect <= TOL.hermitian:
         raise NotHermitian(f"Hermiticity defect {defect:.3e} exceeds {TOL.hermitian}")
     m = _hermitian_part(m)
     vals, vecs = np.linalg.eigh(m)
     gram = _dagger(vecs) @ vecs
-    if np.max(np.abs(gram - np.eye(m.shape[-1]))) > TOL.orthonormal:
+    if not np.max(np.abs(gram - np.eye(m.shape[-1]))) <= TOL.orthonormal:
         raise OttoSimError("eigenvector orthonormality check failed")
-    rebuilt = (vecs * vals[..., None, :]) @ _dagger(vecs)
-    if np.max(np.abs(rebuilt - m)) > TOL.reconstruction:
+    with np.errstate(over="ignore", invalid="ignore"):
+        rebuilt = (vecs * vals[..., None, :]) @ _dagger(vecs)
+        worst = np.max(np.abs(rebuilt - m))
+    if not worst <= TOL.reconstruction:
         raise OttoSimError("spectral reconstruction check failed")
     return m, vals, vecs
 
@@ -171,18 +189,20 @@ def _densities(m: np.ndarray) -> np.ndarray:
     """DensityMatrix validation over a finite stack m of shape (..., d, d).
 
     Checks each matrix for Hermiticity, unit trace and positivity, and
-    returns the stack of Hermitian parts.
+    returns the stack of Hermitian parts. A NaN fails every check.
     """
     defect = hermitian_defect(m)
-    if defect > TOL.hermitian:
+    if not defect <= TOL.hermitian:
         raise NotHermitian(f"density matrix defect {defect:.3e}")
-    tr = np.trace(m, axis1=-2, axis2=-1).reshape(-1)
-    worst = int(np.argmax(np.abs(tr - 1.0)))
-    if abs(tr[worst] - 1.0) > TOL.trace:
+    with np.errstate(over="ignore", invalid="ignore"):
+        tr = np.trace(m, axis1=-2, axis2=-1).reshape(-1)
+        off = np.abs(tr - 1.0)
+    worst = int(np.argmax(off))
+    if not off[worst] <= TOL.trace:
         raise OttoSimError(f"trace {complex(tr[worst])} is not 1 within {TOL.trace}")
     sym = _hermitian_part(m)
     smallest = float(np.linalg.eigvalsh(sym).min())
-    if smallest < -TOL.positivity:
+    if not smallest >= -TOL.positivity:
         raise OttoSimError(f"negative eigenvalue {smallest:.3e}")
     return sym
 
@@ -216,10 +236,17 @@ def boltzmann_populations(energies, beta: float) -> np.ndarray:
 
     energies is one spectrum of shape (d,) or a stack of spectra of shape
     (..., d); each spectrum along the last axis is normalised on its own.
+    A weight too small to represent is 0; OttoSimError if a population is
+    not finite (a non-finite energy or beta).
     """
     e = np.asarray(energies, dtype=float)
-    w = np.exp(-beta * (e - e.min(axis=-1, keepdims=True)))
-    return w / row_sum(w)[..., None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.exp(-beta * (e - e.min(axis=-1, keepdims=True)))
+        p = w / row_sum(w)[..., None]
+    if not np.isfinite(p).all():
+        raise OttoSimError("Boltzmann populations need finite energies and "
+                           "a finite beta")
+    return p
 
 
 def gibbs_state(h: HermitianOperator, bath: BathSpec) -> DensityMatrix:
@@ -241,11 +268,15 @@ def energy_expectation(rho: DensityMatrix, h: HermitianOperator) -> float:
 
 
 def _energies(rho: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Tr[rho H] over stacks (..., d, d), real parts after the residue check."""
-    val = np.trace(rho @ h, axis1=-2, axis2=-1)
+    """Tr[rho H] over stacks (..., d, d), real parts after the residue
+    check; OttoSimError if one is too large to represent."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = np.trace(rho @ h, axis1=-2, axis2=-1)
     residue = float(np.max(np.abs(val.imag)))
-    if residue > TOL.imag_residue:
+    if not residue <= TOL.imag_residue:
         raise OttoSimError(f"imaginary residue {residue:.3e} in energy expectation")
+    if not np.isfinite(val.real).all():
+        raise OttoSimError("energy expectation is too large to represent")
     return val.real
 
 
@@ -255,9 +286,10 @@ def populations_in_basis(rho: DensityMatrix, h: HermitianOperator) -> np.ndarray
         raise DimensionMismatch(f"state dim {rho.dim} vs operator dim {h.dim}")
     v = h.eigenvectors
     pops = np.real(np.einsum("in,ij,jn->n", v.conj(), rho.matrix, v))
-    if pops.min() < -TOL.population or pops.max() > 1 + TOL.population:
+    if not (pops.min() >= -TOL.population
+            and pops.max() <= 1 + TOL.population):
         raise OttoSimError(f"population out of range: {pops}")
-    if abs(pops.sum() - 1.0) > TOL.population:
+    if not abs(pops.sum() - 1.0) <= TOL.population:
         raise OttoSimError(f"populations sum to {pops.sum()}, not 1")
     return pops
 
@@ -269,7 +301,10 @@ def is_passive(pops, energies) -> bool:
     slack so Gibbs states built through floating-point arithmetic pass.
     """
     p, e = _paired(pops, energies)
-    if p.min() < -TOL.population or abs(p.sum() - 1.0) > TOL.population:
+    with np.errstate(over="ignore"):
+        total = p.sum()
+    if not (p.min() >= -TOL.population
+            and abs(total - 1.0) <= TOL.population):
         raise OttoSimError("pops is not a probability vector")
     for i in range(len(p)):
         for j in range(len(p)):

@@ -71,8 +71,9 @@ class SpinDirection:
     def __post_init__(self):
         for name in ("nx", "ny", "nz"):
             object.__setattr__(self, name, _real(name, getattr(self, name)))
-        norm = np.hypot.reduce([self.nx, self.ny, self.nz])
-        if abs(norm - 1.0) > TOL.unit_vector:
+        with np.errstate(over="ignore"):
+            norm = np.hypot.reduce([self.nx, self.ny, self.nz])
+        if not abs(norm - 1.0) <= TOL.unit_vector:
             raise NonUnitVector(f"|n| = {norm} is not 1 within {TOL.unit_vector}")
 
     @classmethod

@@ -16,6 +16,7 @@ out, so it stays an independent route to the same spectrum.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -229,9 +230,15 @@ def check_uniform_gap_ratio(spec: SubstanceSpec, Bi: float, Bf: float):
     so the worst pair holds the smallest and the largest offset o."""
     Bi, Bf = _check_fields(Bi, Bf)
     _, offsets, _ = _spec_levels(spec, (Bi, Bf))
-    # times Bi, so that an r too large to represent cannot make a NaN
-    uniform = np.ptp(offsets) * (Bf - Bi) <= TOL.gap_ratio * Bi
-    return Bf / Bi if uniform else None
+    # times Bi, so that an r too large to represent cannot make a NaN; a
+    # product too large to represent is not uniform
+    with np.errstate(over="ignore"):
+        uniform = np.ptp(offsets) * (Bf - Bi) <= TOL.gap_ratio * Bi
+    if not uniform:
+        return None
+    if not math.isfinite(Bf / Bi):
+        raise InvalidField(f"Bf/Bi = {Bf}/{Bi} is too large to represent")
+    return Bf / Bi
 
 
 def detect_level_crossing(spec: SubstanceSpec, Bi: float, Bf: float):

@@ -45,7 +45,7 @@ import numpy as np
 
 # theorem1 lives in channels; the CLI, a test oracle and perfbench use these
 from .channels import _MIXTURE, _PROJECTIVE, _theorem1_schedule, theorem1_suite
-from .core import BathSpec, _integer, _real, row_sum
+from .core import BathSpec, _empty, _integer, _real, row_sum
 from .cycle import Measurement, TwoBath, _run_cycles, _warn_cooling
 from .errors import InvalidField, OttoSimError
 from .measurements import (SpinDirection, Su3Angles, local_spin_channel,
@@ -170,11 +170,7 @@ def _sweep(meta, Bi, Bf, beta_c, axes, kind, protocol) -> SweepTable:
                 for prefix in ("q_h", "q_c", "dp", "p_cold", "p_post")
                 for label in table.labels))
     count = math.prod(r.steps for _, _, r in axes)
-    try:
-        cells = np.empty((count, len(header)))
-    except (MemoryError, ValueError):
-        raise OttoSimError(f"a sweep of {count} rows is too large to hold "
-                           "in memory") from None
+    cells = _empty(f"a sweep of {count} rows", (count, len(header)))
     integer = np.isin(header, ("engine_mode", "crossing"))
     blank = np.isin(header, ("eta_raw",))
     points = itertools.product(*(r.values().tolist() for _, _, r in outer))
