@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import ottosim as o
-from ottosim import channels, core
+from ottosim import core
 
 HUGE = 1e308
 
@@ -199,14 +199,3 @@ def test_projective_channel_states_must_be_numbers(states):
     with pytest.raises(o.OttoSimError, match="states must be vectors"):
         _strict(lambda: o.projective_channel(states))
 
-
-def test_the_mixture_draws_fill_preallocated_stacks_in_order():
-    # the same bits as drawing each array on its own
-    weights, normals, angles = channels._draw_unitary_mixture(3, 11, 4)
-    rng = np.random.default_rng(11)
-    q = rng.random(4) + 0.1
-    for j in range(4):
-        assert normals[j].tobytes() == rng.standard_normal((2, 3, 3)).tobytes()
-        assert angles[j].tobytes() == rng.uniform(0.0, 2.0 * np.pi,
-                                                   size=3).tobytes()
-    assert weights.tobytes() == (q / q.sum()).tobytes()
