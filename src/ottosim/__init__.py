@@ -25,7 +25,8 @@ from .errors import (DimensionMismatch, DimensionTooLarge, InvalidField,
                      NotAnEngine, NotHermitian, NotTracePreserving,
                      OttoSimError)
 from .measurements import (SpinDirection, Su3Angles, local_spin_channel,
-                           su3_projective_channel, su3_states)
+                           su3_projective_channel, su3_projective_channels,
+                           su3_states)
 from .substances import (LabelledSpectrum, Level, SubstanceKind,
                          SubstanceSpec, build_hamiltonian,
                          check_uniform_gap_ratio, detect_level_crossing,
@@ -55,7 +56,8 @@ __all__ = [
     "is_unital", "kraus_channel", "labelled_basis", "labelled_spectrum",
     "local_spin_channel", "populations_in_basis", "projective_channel",
     "random_unital_channel", "rearrangement_oracle", "run_cycle",
-    "run_cycle_batch", "su3_projective_channel", "su3_states",
+    "run_cycle_batch", "su3_projective_channel", "su3_projective_channels",
+    "su3_states",
     "sweep_qutrit_contour",
     "sweep_qutrit_extreme", "sweep_qutrit_measurement",
     "sweep_qutrit_two_bath", "sweep_xxz", "theorem1_suite",

@@ -11,13 +11,14 @@ verify it without trusting the main code path.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (DensityMatrix, HermitianOperator, _dagger, _densities,
                    _eigensystems, _empty, _energies, _finite, _hermitian_part,
-                   _integer, _paired, _real, as_complex_matrix,
+                   _integer, _probabilities, _real, as_complex_matrix,
                    boltzmann_populations, energy_expectation,
                    populations_in_basis)
 from .errors import (DimensionMismatch, DimensionTooLarge, NotTracePreserving,
@@ -38,19 +39,34 @@ def kraus_channel(operators) -> KrausChannel:
     """Validate Kraus operators and construct a channel.
 
     Trace preservation is required; unitality is detected and cached on
-    the returned channel.
+    the returned channel. A stack of one for _kraus_channels.
     """
-    ops = tuple(as_complex_matrix(m) for m in operators)
+    ops = [as_complex_matrix(m) for m in operators]
     if not ops:
         raise OttoSimError("a channel needs at least one Kraus operator")
-    d = ops[0].shape[0]
-    if any(m.shape != (d, d) for m in ops):
+    if any(m.shape != ops[0].shape for m in ops):
         raise DimensionMismatch("Kraus operators must share one square shape")
-    stack = np.asarray(ops)
-    _check_trace_preserving(stack)
-    un = (stack @ _dagger(stack)).sum(axis=0)
-    unital = float(np.max(np.abs(un - np.eye(d)))) <= TOL.channel
-    return KrausChannel(operators=ops, dim=d, unital=unital)
+    return _kraus_channels(np.array(ops)[None])[0]
+
+
+def _kraus_channels(kraus: np.ndarray) -> list:
+    """One KrausChannel per channel of a Kraus stack (..., r, d, d), in
+    row-major order, after the checks of _check_kraus. Each channel's
+    operators are views of the stack."""
+    unital = _check_kraus(kraus).reshape(-1).tolist()
+    flat = kraus.reshape(-1, *kraus.shape[-3:])
+    return [KrausChannel(operators=tuple(ops), dim=kraus.shape[-1], unital=u)
+            for ops, u in zip(flat, unital)]
+
+
+def _check_kraus(kraus: np.ndarray) -> np.ndarray:
+    """Check Kraus stacks of shape (..., r, d, d): every entry finite and
+    every channel trace preserving. Returns each channel's unital flag,
+    sum_a M_a M_a^dag = 1 within TOL.channel, of shape (...)."""
+    _check_trace_preserving(_finite(kraus))
+    un = (kraus @ _dagger(kraus)).sum(axis=-3)
+    return np.abs(un - np.eye(kraus.shape[-1])).max(axis=(-2, -1)) \
+        <= TOL.channel
 
 
 def _check_trace_preserving(kraus: np.ndarray) -> None:
@@ -106,15 +122,16 @@ class TransferMatrix:
     dim: int
 
 
-def _transfer_entries(ch: KrausChannel, basis: np.ndarray) -> np.ndarray:
-    """T[m, n] = sum_a |<v_m|M_a|v_n>|^2 over the columns v of basis.
+def _transfer_entries(kraus: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """T[..., m, n] = sum_a |<v_m|M_a|v_n>|^2 over the columns v of basis,
+    for Kraus stacks of shape (..., r, d, d).
 
     All amplitudes come from one einsum over the stacked Kraus operators,
-    then |.|^2 is summed over the Kraus index.
+    then |.|^2 is summed over the Kraus index in operator order, so zero
+    operators padding a stack leave every entry's bits unchanged.
     """
-    amp = np.einsum("im,aij,jn->amn", basis.conj(), np.asarray(ch.operators),
-                    basis)
-    return (np.abs(amp) ** 2).sum(axis=0)
+    amp = np.einsum("im,...aij,jn->...amn", basis.conj(), kraus, basis)
+    return (np.abs(amp) ** 2).sum(axis=-3)
 
 
 def transfer_matrix(ch: KrausChannel, h: HermitianOperator) -> TransferMatrix:
@@ -125,7 +142,7 @@ def transfer_matrix(ch: KrausChannel, h: HermitianOperator) -> TransferMatrix:
     """
     if ch.dim != h.dim:
         raise DimensionMismatch(f"channel dim {ch.dim} vs operator dim {h.dim}")
-    t = _transfer_entries(ch, h.eigenvectors)
+    t = _transfer_entries(np.asarray(ch.operators), h.eigenvectors)
     if not np.max(np.abs(t.sum(axis=0) - 1.0)) <= TOL.channel:
         raise OttoSimError("transfer matrix is not column-stochastic")
     if ch.unital and not np.max(np.abs(t.sum(axis=1) - 1.0)) <= TOL.channel:
@@ -140,15 +157,28 @@ def energy_change(ch: KrausChannel, rho: DensityMatrix,
 
 
 def projective_channel(states) -> KrausChannel:
-    """Channel of rank-1 projectors onto a complete orthonormal set."""
+    """Channel of rank-1 projectors onto a complete orthonormal set.
+
+    A stack of one for _projective_channels.
+    """
     try:
         vecs = [np.asarray(s, dtype=complex).reshape(-1) for s in states]
     except (TypeError, ValueError) as exc:
         raise OttoSimError(f"states must be vectors of numbers: {exc}") from None
+    if not vecs:
+        raise OttoSimError("a channel needs at least one Kraus operator")
+    if any(v.shape != vecs[0].shape for v in vecs) or not len(vecs[0]):
+        raise DimensionMismatch("Kraus operators must share one square shape")
+    return _projective_channels(np.array(vecs)[None])[0]
+
+
+def _projective_channels(states: np.ndarray) -> list:
+    """_kraus_channels of the rank-1 projectors |s><s| onto the rows s of
+    states (..., r, d), one channel per set of r states."""
     with np.errstate(over="ignore", invalid="ignore"):
-        # a projector too large to represent fails kraus_channel's checks
-        projectors = [np.outer(v, v.conj()) for v in vecs]
-    return kraus_channel(projectors)
+        # a projector too large to represent fails _check_kraus
+        projectors = states[..., :, None] * states.conj()[..., None, :]
+    return _kraus_channels(projectors)
 
 
 def damping_channel(dim: int, gamma: float, sink: int = 0) -> KrausChannel:
@@ -229,13 +259,19 @@ def rearrangement_oracle(pops, energies) -> float:
     """Minimum of sum_n E_n p_sigma(n) over all permutations, by brute force.
 
     The passive arrangement (largest populations on smallest energies)
-    attains this minimum; enumeration is capped at d <= 6.
+    attains this minimum; enumeration is capped at d <= 6. pops must be a
+    probability vector, and a sum too large to represent, under any
+    permutation, raises OttoSimError.
     """
-    p, e = _paired(pops, energies)
+    p, e = _probabilities(pops, energies)
     if len(p) > 6:
         raise DimensionTooLarge(f"refusing {len(p)}! permutations (cap is 6)")
-    return min(float(np.dot(e, np.take(p, perm)))
-               for perm in itertools.permutations(range(len(p))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = [float(np.dot(e, np.take(p, perm)))
+                for perm in itertools.permutations(range(len(p)))]
+    if not all(map(math.isfinite, sums)):
+        raise OttoSimError("an energy sum is too large to represent")
+    return min(sums)
 
 
 def channel_populations(ch: KrausChannel, rho: DensityMatrix,

@@ -81,6 +81,17 @@ def _paired(pops, energies):
     return p, e
 
 
+def _probabilities(pops, energies):
+    """_paired, with pops checked to be a probability vector."""
+    p, e = _paired(pops, energies)
+    with np.errstate(over="ignore"):
+        total = p.sum()
+    if not (p.min() >= -TOL.population
+            and abs(total - 1.0) <= TOL.population):
+        raise OttoSimError("pops is not a probability vector")
+    return p, e
+
+
 def _dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix or of each matrix in a stack."""
     return m.conj().swapaxes(-1, -2)
@@ -151,6 +162,9 @@ def _eigensystems(m: np.ndarray):
     """hermitian_eigensystem over a finite stack m of shape (..., d, d).
 
     Every check applies to each matrix of the stack, and a NaN fails it.
+    Orthonormality is checked against an absolute tolerance, the
+    reconstruction against TOL.reconstruction times max(1, largest
+    |eigenvalue|) of its matrix, the scale of its rounding.
     Returns the symmetrized matrices, the ascending eigenvalues (..., d)
     and the eigenvectors (..., d, d), column n belonging to eigenvalue n.
     """
@@ -164,8 +178,9 @@ def _eigensystems(m: np.ndarray):
         raise OttoSimError("eigenvector orthonormality check failed")
     with np.errstate(over="ignore", invalid="ignore"):
         rebuilt = (vecs * vals[..., None, :]) @ _dagger(vecs)
-        worst = np.max(np.abs(rebuilt - m))
-    if not worst <= TOL.reconstruction:
+        worst = np.abs(rebuilt - m).max(axis=(-2, -1))
+        scale = np.maximum(1.0, np.abs(vals).max(axis=-1))
+    if not (worst <= TOL.reconstruction * scale).all():
         raise OttoSimError("spectral reconstruction check failed")
     return m, vals, vecs
 
@@ -300,12 +315,7 @@ def is_passive(pops, energies) -> bool:
     Ties in energy impose no ordering constraint; comparisons carry a small
     slack so Gibbs states built through floating-point arithmetic pass.
     """
-    p, e = _paired(pops, energies)
-    with np.errstate(over="ignore"):
-        total = p.sum()
-    if not (p.min() >= -TOL.population
-            and abs(total - 1.0) <= TOL.population):
-        raise OttoSimError("pops is not a probability vector")
+    p, e = _probabilities(pops, energies)
     for i in range(len(p)):
         for j in range(len(p)):
             if e[i] < e[j] and p[i] < p[j] - TOL.passivity:

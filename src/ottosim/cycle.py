@@ -235,9 +235,16 @@ def _run_cycles(kind, couplings: np.ndarray, Bi: float, Bf: float,
         else:
             # The input state is diagonal in the labelled basis, so only
             # the diagonal transfer p' = T p matters; each row is
-            # multiplied by its block's T, entry by entry.
-            t = np.array([_transfer_entries(p.channel, kind.basis)
-                          for p in protocols])
+            # multiplied by its block's T, entry by entry. Every block's T
+            # comes from one stack of Kraus operators, a channel of lower
+            # rank padded with zero operators, which leave T's bits as
+            # they are.
+            ops = [p.channel.operators for p in protocols]
+            kraus = np.zeros((len(ops), max(map(len, ops)), dim, dim),
+                             dtype=complex)
+            for b, block_ops in enumerate(ops):
+                kraus[b, :len(block_ops)] = block_ops
+            t = _transfer_entries(kraus, kind.basis)
             p_hot = row_sum(t[:, None] * p_cold.reshape(blocks)[..., None, :]
                             ).reshape(ef.shape)
             # Levels the channel leaves alone must not pick up rounding

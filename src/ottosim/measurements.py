@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, kraus_channel, projective_channel
+from .channels import KrausChannel, _projective_channels, kraus_channel
 from .core import _real
-from .errors import NonUnitVector
+from .errors import InvalidField, NonUnitVector
 from .tolerances import TOL
 
 _PAULI = {
@@ -46,18 +46,50 @@ def su3_states(a: Su3Angles):
     psi_3 carries no phi dependence; the set is orthonormal for every
     choice of angles regardless.
     """
-    ct, st = np.cos(a.theta), np.sin(a.theta)
-    cp, sp = np.cos(a.phi), np.sin(a.phi)
-    ec, ep = np.exp(1j * a.chi), np.exp(1j * a.psi)
-    s1 = np.array([ct * sp * ec, st * sp * ep, cp])
-    s2 = np.array([ct * cp * ec, st * cp * ep, -sp])
-    s3 = np.array([st * ec, -ct * ep, 0.0])
-    return [s1, s2, s3]
+    return list(_su3_states(a.theta, a.phi, a.chi, a.psi))
+
+
+def _su3_states(theta, phi, chi, psi) -> np.ndarray:
+    """su3_states over float arrays of one shape: states (..., 3, 3),
+    state i in row i."""
+    ct, st = np.cos(theta), np.sin(theta)
+    cp, sp = np.cos(phi), np.sin(phi)
+    ec, ep = np.exp(1j * chi), np.exp(1j * psi)
+    s = np.empty(np.shape(theta) + (3, 3), dtype=complex)
+    # The real entries go in as floats: cp, -sp and 0.0 keep their signs.
+    s[..., 0, 0], s[..., 0, 1], s[..., 0, 2] = ct * sp * ec, st * sp * ep, cp
+    s[..., 1, 0], s[..., 1, 1], s[..., 1, 2] = ct * cp * ec, st * cp * ep, -sp
+    s[..., 2, 0], s[..., 2, 1], s[..., 2, 2] = st * ec, -ct * ep, 0.0
+    return s
 
 
 def su3_projective_channel(a: Su3Angles) -> KrausChannel:
     """Channel of the three rank-1 projectors |psi_i><psi_i|."""
-    return projective_channel(su3_states(a))
+    return su3_projective_channels(a.theta, a.phi, a.chi, a.psi)[0]
+
+
+def su3_projective_channels(theta, phi, chi, psi) -> list:
+    """su3_projective_channel for each angle set: the angles are arrays
+    (or numbers) broadcast to one shape, and the channels come in its
+    row-major order. InvalidField names an angle that is not a finite
+    number, before any channel is built."""
+    angles = []
+    for name, value in zip(("theta", "phi", "chi", "psi"),
+                           (theta, phi, chi, psi)):
+        try:
+            array = np.asarray(value)
+        except ValueError:  # a ragged list
+            array = np.array(None)
+        if array.dtype.kind not in "biuf" or not np.isfinite(array).all():
+            raise InvalidField(f"angle {name} must hold finite real numbers, "
+                               f"got {value!r}")
+        angles.append(array.astype(float))
+    try:
+        theta, phi, chi, psi = np.broadcast_arrays(*angles)
+    except ValueError:
+        raise InvalidField("the angle arrays do not broadcast to one shape: "
+                           + ", ".join(str(a.shape) for a in angles)) from None
+    return _projective_channels(_su3_states(theta, phi, chi, psi))
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ import operator
 import os
 import stat
 from collections.abc import MutableSequence, Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -49,7 +49,7 @@ from .core import BathSpec, _empty, _integer, _real, row_sum
 from .cycle import Measurement, TwoBath, _run_cycles, _warn_cooling
 from .errors import InvalidField, OttoSimError
 from .measurements import (SpinDirection, Su3Angles, local_spin_channel,
-                           su3_projective_channel)
+                           su3_projective_channels)
 from .substances import _KINDS, SubstanceKind, _check_fields
 from .text import block_text, cell_text
 
@@ -150,15 +150,17 @@ class _Rows(MutableSequence):
 _SWEEP_ROWS = 4096
 
 
-def _sweep(meta, Bi, Bf, beta_c, axes, kind, protocol) -> SweepTable:
+def _sweep(meta, Bi, Bf, beta_c, axes, kind, protocols) -> SweepTable:
     """The loop all sweeps share: one cycle kernel call for the whole grid,
     or one per _SWEEP_ROWS rows of it, each filling its rows of one
     float64 table allocated first.
 
     axes: (column, meta prefix, SweepRange) per axis; the last, which runs
     fastest, sets the coupling of kind its column names (others stay 0).
-    protocol(*point) is the stroke-3 protocol at a point of the outer axes;
-    the kernel runs each point's rows as one block under its protocol.
+    protocols(points) gives the stroke-3 protocols of one kernel call's
+    points of the outer axes, an array (points, outer axes), one per
+    point, in one call; the kernel runs each point's rows as one block
+    under its protocol.
     """
     Bi, Bf = _check_fields(Bi, Bf)
     *outer, (swept, _, grid) = axes
@@ -182,14 +184,14 @@ def _sweep(meta, Bi, Bf, beta_c, axes, kind, protocol) -> SweepTable:
     cold = BathSpec(beta_c)
     done, cooled = 0, 0
     while chunk := list(itertools.islice(points, step)):
-        n = len(chunk) * len(cs)
-        blocks = [protocol(*point) for point in chunk]
+        n, coords = len(chunk) * len(cs), np.array(chunk)
+        blocks = protocols(coords)
         batch = _run_cycles(table, couplings[:n], Bi, Bf, cold, blocks)
         if isinstance(blocks[0], Measurement):
             cooled += int(np.count_nonzero(batch.Qh < 0.0))
         rows = cells[done:done + n]
         grid_rows = rows.reshape(len(chunk), len(cs), len(header))
-        grid_rows[:, :, :len(outer)] = np.array(chunk)[:, None]
+        grid_rows[:, :, :len(outer)] = coords[:, None]
         grid_rows[:, :, len(outer)] = cs
         columns = [batch.Qh, batch.Qc, batch.W, batch.eta_raw, batch.eta0,
                    batch.engine_mode, batch.crossing]
@@ -216,7 +218,7 @@ def sweep_qutrit_two_bath(Bi: float, Bf: float, beta_c: float, beta_h: float,
     hot = BathSpec(beta_h)
     return _sweep({"command": "qutrit-two-bath", "beta_h": hot.beta},
                   Bi, Bf, beta_c, [("J", "j", j_range)], SubstanceKind.QUTRIT,
-                  lambda: TwoBath(hot))
+                  lambda points: [TwoBath(hot)])
 
 
 def sweep_qutrit_measurement(Bi: float, Bf: float, beta_c: float,
@@ -225,7 +227,13 @@ def sweep_qutrit_measurement(Bi: float, Bf: float, beta_c: float,
     """One row per J for the measurement-driven qutrit cycle."""
     return _sweep({"command": "qutrit-meas", **asdict(angles)},
                   Bi, Bf, beta_c, [("J", "j", j_range)], SubstanceKind.QUTRIT,
-                  lambda: Measurement(su3_projective_channel(angles)))
+                  lambda points: _su3_measurements(*astuple(angles)))
+
+
+def _su3_measurements(theta, phi, chi, psi) -> list:
+    """A Measurement of each channel su3_projective_channels builds."""
+    return [Measurement(channel)
+            for channel in su3_projective_channels(theta, phi, chi, psi)]
 
 
 CONTOUR_MODES = ("theta-phi", "theta-phi-chi")
@@ -246,9 +254,9 @@ def sweep_qutrit_contour(Bi: float, Bf: float, beta_c: float, mode: str,
     return _sweep({"command": "qutrit-contour", "mode": mode}, Bi, Bf, beta_c,
                   [("theta", "theta", theta_range), ("J", "j", j_range)],
                   SubstanceKind.QUTRIT,
-                  lambda t: Measurement(su3_projective_channel(Su3Angles(
-                      theta=t, phi=t, chi=t if tie_chi else half_pi,
-                      psi=half_pi))))
+                  lambda points: _su3_measurements(
+                      points[:, 0], points[:, 0],
+                      points[:, 0] if tie_chi else half_pi, half_pi))
 
 
 EXTREME_ANGLES = Su3Angles(theta=0.75 * np.pi, phi=0.75 * np.pi,
@@ -264,7 +272,7 @@ def sweep_qutrit_extreme(Bi: float, Bf: float, beta_c: float,
     """
     return _sweep({"command": "qutrit-extreme", **asdict(EXTREME_ANGLES)},
                   Bi, Bf, beta_c, [("J", "j", j_range)], SubstanceKind.QUTRIT,
-                  lambda: Measurement(su3_projective_channel(EXTREME_ANGLES)))
+                  lambda points: _su3_measurements(*astuple(EXTREME_ANGLES)))
 
 
 XXZ_MODELS = ("xx", "ising")
@@ -290,12 +298,12 @@ def sweep_xxz(model: str, protocol: str, Bi: float, Bf: float, beta_c: float,
             raise OttoSimError("two-bath protocol needs beta_h")
         hot = TwoBath(hot=BathSpec(beta_h))
         meta["beta_h"] = hot.hot.beta
-        proto = lambda: hot
+        proto = lambda points: [hot]
     else:
         if n is None or m is None:
             raise OttoSimError("measurement protocol needs directions n and m")
         # built in _sweep, once the table is allocated
-        proto = lambda: Measurement(local_spin_channel(n, m))
+        proto = lambda points: [Measurement(local_spin_channel(n, m))]
         meta["n"] = f"{n.nx},{n.ny},{n.nz}"
         meta["m"] = f"{m.nx},{m.ny},{m.nz}"
     swept = "Jxy" if model == "xx" else "Jz"

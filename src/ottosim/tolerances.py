@@ -13,7 +13,7 @@ class Tolerances:
     trace: float = 1e-12            # |Tr(rho) - 1|
     positivity: float = 1e-10       # smallest density-matrix eigenvalue floor
     orthonormal: float = 1e-10      # |<v_i|v_j> - delta_ij|
-    reconstruction: float = 1e-10   # |sum E_n |v_n><v_n| - M| max-norm
+    reconstruction: float = 1e-10   # |sum E_n |v_n><v_n| - M| per max(1, |E|max)
     imag_residue: float = 1e-10     # imaginary part allowed in real expectations
     population: float = 1e-10       # population range and sum checks
     population_snap: float = 1e-14  # sub-rounding measurement noise floor

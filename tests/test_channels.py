@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -235,6 +237,25 @@ def test_rearrangement_oracle_passive_is_optimal():
     assert o.is_passive(pops, energies)
     assert o.rearrangement_oracle(pops, energies) == pytest.approx(
         float(np.dot(pops, energies)), abs=1e-12)
+
+
+@pytest.mark.parametrize("pops, energies", [
+    ([1, 1], [1e308, 1e308]), ([0.7, 0.7], [0, 1]), ([1.5, -0.5], [0, 1])])
+def test_rearrangement_oracle_needs_a_probability_vector(pops, energies):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(o.OttoSimError, match="probability vector"):
+            o.rearrangement_oracle(pops, energies)
+
+
+def test_rearrangement_oracle_sum_too_large_to_represent_raises():
+    # a probability vector within TOL.population whose sum overflows
+    top = np.finfo(float).max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(o.OttoSimError, match="too large"):
+            o.rearrangement_oracle([1 + 1e-11, -1e-11], [top, -top])
+        assert o.rearrangement_oracle([0.5, 0.5], [top, top]) == top
 
 
 def test_rearrangement_oracle_dimension_cap():

@@ -38,6 +38,40 @@ def test_eigensystem_rejects_non_hermitian():
         o.hermitian_eigensystem([[0, 1], [0, 0]])
 
 
+def test_eigensystem_of_large_scale_passes_reconstruction():
+    # rounding in the rebuilt entries scales with the eigenvalues
+    h = o.hermitian_eigensystem([[1e6, 1e6], [1e6, -1e6]])
+    np.testing.assert_allclose(h.eigenvalues, [-1e6 * 2 ** 0.5, 1e6 * 2 ** 0.5],
+                               rtol=1e-15)
+    spec = o.SubstanceSpec.qutrit(1e7)
+    h = o.build_hamiltonian(spec, 1e7)
+    np.testing.assert_allclose(h.eigenvalues, [-1e7, -1e7, 1e7], rtol=0)
+
+
+def _fake_eigh(monkeypatch, vals, vecs):
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda m: (np.array(vals, dtype=float),
+                                   np.array(vecs, dtype=complex)))
+
+
+@pytest.mark.parametrize("vals", [[np.nan, 1.0], [1.0, np.nan],
+                                  [-1e6, 1e6 + 1e-3]],
+                         ids=["nan-first", "nan-last", "off-by-1e-9-relative"])
+def test_eigensystem_reconstruction_is_relative_and_nan_fails(monkeypatch,
+                                                              vals):
+    # orthonormal vectors, so only the reconstruction check can refuse
+    _fake_eigh(monkeypatch, vals, np.eye(2))
+    with pytest.raises(o.OttoSimError, match="reconstruction"):
+        o.hermitian_eigensystem(np.diag([-1e6, 1e6]))
+
+
+def test_eigensystem_orthonormality_stays_absolute(monkeypatch):
+    # eigenvectors off by 1e-9 fail at any scale of eigenvalue
+    _fake_eigh(monkeypatch, [-1e6, 1e6], [[1.0, 1e-9], [0.0, 1.0]])
+    with pytest.raises(o.OttoSimError, match="orthonormality"):
+        o.hermitian_eigensystem(np.diag([-1e6, 1e6]))
+
+
 def test_eigensystem_random_invariants():
     rng = np.random.default_rng(11)
     for _ in range(50):

@@ -235,7 +235,7 @@ def test_a_grid_too_large_to_hold_raises_before_any_channel(monkeypatch,
     def no_channel(*args):
         raise AssertionError("a channel was built")
 
-    for name in ("su3_projective_channel", "local_spin_channel",
+    for name in ("su3_projective_channels", "local_spin_channel",
                  "_run_cycles"):
         monkeypatch.setattr(o.sweeps, name, no_channel)
     with pytest.raises(o.OttoSimError, match=f"sweep of {rows} rows"):

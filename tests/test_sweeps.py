@@ -482,24 +482,28 @@ def test_two_bath_sweep_rows_are_bitwise_single_cycles():
 
 
 def test_channel_built_once_per_sweep_or_theta(monkeypatch):
+    # one stacked build per kernel call, with the exact angles of each theta
     built = []
-    real = o.sweeps.su3_projective_channel
+    real = o.sweeps.su3_projective_channels
 
-    def counted(angles):
-        built.append(angles)
-        return real(angles)
+    def counted(*angles):
+        arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float)
+                                       for a in angles))
+        built.append(list(zip(*(a.reshape(-1).tolist() for a in arrays))))
+        return real(*angles)
 
-    monkeypatch.setattr(o.sweeps, "su3_projective_channel", counted)
+    monkeypatch.setattr(o.sweeps, "su3_projective_channels", counted)
     o.sweep_qutrit_measurement(BI, BF, BETA_C, o.EXTREME_ANGLES,
                                o.SweepRange(0.2, 2.8, 6))
-    assert built == [o.EXTREME_ANGLES]
+    a = o.EXTREME_ANGLES
+    assert built == [[(a.theta, a.phi, a.chi, a.psi)]]
     built.clear()
     table = o.sweep_qutrit_contour(BI, BF, BETA_C, "theta-phi-chi",
                                    o.SweepRange(0.0, np.pi, 4),
                                    o.SweepRange(0.2, 2.8, 5))
     assert len(table.rows) == 20
-    assert [(a.theta, a.phi, a.chi, a.psi) for a in built] == [
-        (t, t, t, 0.5 * np.pi) for t in np.linspace(0.0, np.pi, 4).tolist()]
+    assert built == [[(t, t, t, 0.5 * np.pi)
+                      for t in np.linspace(0.0, np.pi, 4).tolist()]]
 
 
 def _counting_kernel(monkeypatch):
@@ -584,14 +588,15 @@ def test_swept_axis_beyond_the_row_limit_is_one_call_per_point(monkeypatch):
 def test_channels_are_built_call_by_call(monkeypatch):
     # a call's channels exist only while it runs, so memory stays flat
     events = []
-    channel, kernel = o.sweeps.su3_projective_channel, o.sweeps._run_cycles
-    monkeypatch.setattr(o.sweeps, "su3_projective_channel",
-                        lambda angles: events.append("channel")
-                        or channel(angles))
+    channels, kernel = o.sweeps.su3_projective_channels, o.sweeps._run_cycles
+    monkeypatch.setattr(o.sweeps, "su3_projective_channels",
+                        lambda *angles: events.append(
+                            ("channels", np.size(angles[0])))
+                        or channels(*angles))
     monkeypatch.setattr(o.sweeps, "_run_cycles",
                         lambda *args: events.append("kernel") or kernel(*args))
     monkeypatch.setattr(o.sweeps, "_SWEEP_ROWS", 10)
     o.sweep_qutrit_contour(BI, BF, BETA_C, "theta-phi",
                            o.SweepRange(0.0, np.pi, 3),
                            o.SweepRange(0.2, 2.8, 5))
-    assert events == ["channel", "channel", "kernel", "channel", "kernel"]
+    assert events == [("channels", 2), "kernel", ("channels", 1), "kernel"]
