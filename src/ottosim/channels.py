@@ -167,7 +167,9 @@ def projective_channel(states) -> KrausChannel:
         raise OttoSimError(f"states must be vectors of numbers: {exc}") from None
     if not vecs:
         raise OttoSimError("a channel needs at least one Kraus operator")
-    if any(v.shape != vecs[0].shape for v in vecs) or not len(vecs[0]):
+    if not len(vecs[0]):
+        raise DimensionMismatch("expected a square matrix, got shape (0, 0)")
+    if any(v.shape != vecs[0].shape for v in vecs):
         raise DimensionMismatch("Kraus operators must share one square shape")
     return _projective_channels(np.array(vecs)[None])[0]
 
