@@ -17,9 +17,10 @@ bytes, moved into place once both files are whole. An output path is
 resolved through its symlinks, and only a regular file is replaced.
 
 Every sweep is one call to _sweep, the loop they share. It allocates the
-table first, then builds and checks the channel once per point of the
-outer axes (once per theta for the contour) and runs the whole grid as
-one cycle kernel call, with one protocol per block of rows that share an
+table first, then builds and checks one channel per point of the outer
+axes (per theta for the contour; each kernel call's thetas as one stack,
+in one su3_projective_channels call) and runs the whole grid as one
+cycle kernel call, with one protocol per block of rows that share an
 outer point; a grid of more than _SWEEP_ROWS rows takes one call per
 group of whole points. The kernel works row by row in a fixed order, so
 each row holds the bits of run_cycle at its grid point, whatever the
