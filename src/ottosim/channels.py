@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .core import (DensityMatrix, HermitianOperator, _dagger, _densities,
                    _eigensystems, _empty, _energies, _finite, _hermitian_part,
                    _integer, _probabilities, _real, as_complex_matrix,
@@ -26,8 +26,7 @@ from .errors import (DimensionMismatch, DimensionTooLarge, NotTracePreserving,
 from .tolerances import TOL
 
 
-@dataclass(frozen=True)
-class KrausChannel:
+class KrausChannel(Record):
     """Trace-preserving channel; build instances with kraus_channel()."""
 
     operators: tuple
@@ -55,7 +54,7 @@ def _kraus_channels(kraus: np.ndarray) -> list:
     operators are views of the stack."""
     unital = _check_kraus(kraus).reshape(-1).tolist()
     flat = kraus.reshape(-1, *kraus.shape[-3:])
-    return [KrausChannel(operators=tuple(ops), dim=kraus.shape[-1], unital=u)
+    return [KrausChannel(tuple(ops), kraus.shape[-1], u)
             for ops, u in zip(flat, unital)]
 
 
@@ -114,8 +113,7 @@ def is_minimally_disturbing(ch: KrausChannel) -> bool:
                for m in ch.operators)
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
+class TransferMatrix(Record):
     """Conditional probabilities T[m, n] = p(E_m after | E_n before)."""
 
     entries: np.ndarray
@@ -163,7 +161,7 @@ def projective_channel(states) -> KrausChannel:
     """
     try:
         vecs = [np.asarray(s, dtype=complex).reshape(-1) for s in states]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise OttoSimError(f"states must be vectors of numbers: {exc}") from None
     if not vecs:
         raise OttoSimError("a channel needs at least one Kraus operator")
@@ -282,8 +280,7 @@ def channel_populations(ch: KrausChannel, rho: DensityMatrix,
     return populations_in_basis(apply_channel(ch, rho), h)
 
 
-@dataclass(frozen=True)
-class Theorem1Report:
+class Theorem1Report(Record):
     """Outcome of the unital-channel energy-gain property suite.
 
     min_unital is the smallest energy change over the unital samples other

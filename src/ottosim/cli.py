@@ -27,10 +27,10 @@ import functools
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import sweeps
+from ._record import Record
 from .errors import MeasurementCoolsWarning, OttoSimError
 from .measurements import SpinDirection, Su3Angles
 from .sweeps import SweepRange, write_csv
@@ -69,8 +69,7 @@ def _dims(text: str) -> tuple:
     return tuple(_int(p) for p in text.split(","))
 
 
-@dataclass(frozen=True)
-class Opt:
+class Opt(Record):
     dest: str
     conv: Callable
     default: Optional[str]

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .errors import (InvalidField, LengthMismatch, NotHermitian, OttoSimError,
                      DimensionMismatch)
 from .tolerances import TOL
@@ -22,7 +22,7 @@ def as_complex_matrix(entries) -> np.ndarray:
     """Validate and return a finite square complex matrix."""
     try:
         m = np.asarray(entries, dtype=complex)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise OttoSimError(f"matrix entries must be numbers: {exc}") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
@@ -66,14 +66,18 @@ def _integer(name: str, value, low: int, high=None) -> int:
     return int(value)
 
 
+def _floats(what: str, *values) -> list:
+    """Each of values as a float array, or OttoSimError naming what if one
+    holds something that is no real number or is beyond the float range."""
+    try:
+        return [np.asarray(v, dtype=float) for v in values]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise OttoSimError(f"{what} must be real numbers: {exc}") from None
+
+
 def _paired(pops, energies):
     """pops and energies as finite float vectors of one length."""
-    try:
-        p = np.asarray(pops, dtype=float)
-        e = np.asarray(energies, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise OttoSimError(f"pops and energies must be real numbers: "
-                           f"{exc}") from None
+    p, e = _floats("pops and energies", pops, energies)
     if p.shape != e.shape or p.ndim != 1:
         raise LengthMismatch(f"pops shape {p.shape} vs energies shape {e.shape}")
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(e))):
@@ -117,8 +121,7 @@ def hermitian_defect(m: np.ndarray) -> float:
         return float(np.max(np.abs(m - _dagger(m))))
 
 
-@dataclass(frozen=True)
-class HermitianOperator:
+class HermitianOperator(Record):
     """A Hermitian matrix with its cached eigensystem.
 
     eigenvalues are ascending; eigenvectors[:, n] is the unit eigenvector
@@ -185,8 +188,7 @@ def _eigensystems(m: np.ndarray):
     return m, vals, vecs
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
+class DensityMatrix(Record):
     """Positive unit-trace Hermitian matrix; validated at construction."""
 
     matrix: np.ndarray
@@ -222,8 +224,7 @@ def _densities(m: np.ndarray) -> np.ndarray:
     return sym
 
 
-@dataclass(frozen=True)
-class BathSpec:
+class BathSpec(Record):
     """Thermal bath at inverse temperature beta (k_B = 1)."""
 
     beta: float
@@ -252,9 +253,9 @@ def boltzmann_populations(energies, beta: float) -> np.ndarray:
     energies is one spectrum of shape (d,) or a stack of spectra of shape
     (..., d); each spectrum along the last axis is normalised on its own.
     A weight too small to represent is 0; OttoSimError if a population is
-    not finite (a non-finite energy or beta).
+    not finite (a non-finite energy or beta) or an input is no real number.
     """
-    e = np.asarray(energies, dtype=float)
+    e, beta = _floats("energies and beta", energies, beta)
     with np.errstate(over="ignore", invalid="ignore"):
         w = np.exp(-beta * (e - e.min(axis=-1, keepdims=True)))
         p = w / row_sum(w)[..., None]

@@ -23,11 +23,11 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
+from ._record import Record
 from .channels import KrausChannel, _transfer_entries
 from .core import BathSpec, _real, boltzmann_populations, row_sum
 from .errors import (DimensionMismatch, InvalidField, MeasurementCoolsWarning,
@@ -38,15 +38,13 @@ from .substances import (_KINDS, SubstanceSpec, _check_fields, _couplings,
 from .tolerances import TOL
 
 
-@dataclass(frozen=True)
-class TwoBath:
+class TwoBath(Record):
     """Stroke 3 thermalizes with a hot bath."""
 
     hot: BathSpec
 
 
-@dataclass(frozen=True)
-class Measurement:
+class Measurement(Record):
     """Stroke 3 applies a non-selective quantum channel."""
 
     channel: KrausChannel
@@ -55,8 +53,7 @@ class Measurement:
 Protocol = Union[TwoBath, Measurement]
 
 
-@dataclass(frozen=True)
-class CycleConfig:
+class CycleConfig(Record):
     spec: SubstanceSpec
     Bi: float
     Bf: float
@@ -80,8 +77,7 @@ def _check_protocol(dim: int, protocol: Protocol) -> None:
             f"channel dim {protocol.channel.dim} vs substance dim {dim}")
 
 
-@dataclass(frozen=True)
-class CycleRecord:
+class CycleRecord(Record):
     """Complete accounting for one cycle.
 
     engine_mode is exactly W < 0.0 and Qh > 0.0; eta is None elsewhere.
@@ -107,8 +103,7 @@ class CycleRecord:
     crossing_warning: bool
 
 
-@dataclass(frozen=True)
-class CycleBatch:
+class CycleBatch(Record):
     """Accounting for N cycles of one substance kind at common fields and
     cold bath; run_cycle_batch's cycles differ only in their couplings.
 

@@ -9,10 +9,9 @@ unital.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import Record
 from .channels import KrausChannel, _projective_channels, kraus_channel
 from .core import _real
 from .errors import InvalidField, NonUnitVector
@@ -25,8 +24,7 @@ _PAULI = {
 }
 
 
-@dataclass(frozen=True)
-class Su3Angles:
+class Su3Angles(Record):
     """Angles (radians) of the qutrit projective family."""
 
     theta: float
@@ -92,8 +90,7 @@ def su3_projective_channels(theta, phi, chi, psi) -> list:
     return _projective_channels(_su3_states(theta, phi, chi, psi))
 
 
-@dataclass(frozen=True)
-class SpinDirection:
+class SpinDirection(Record):
     """Unit Bloch vector (nx, ny, nz)."""
 
     nx: float

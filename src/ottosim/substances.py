@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from ._record import Record
 from .core import HermitianOperator, _real, hermitian_eigensystem
 from .errors import InvalidField
 from .tolerances import TOL
@@ -82,8 +82,7 @@ _KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class SubstanceSpec:
+class SubstanceSpec(Record):
     """Which working substance, plus its coupling constants.
 
     Fields that do not apply to the chosen kind must stay zero; use the
@@ -122,15 +121,13 @@ class SubstanceSpec:
         return len(_KINDS[self.kind].labels)
 
 
-@dataclass(frozen=True)
-class Level:
+class Level(Record):
     label: str
     energy: float
     idle: bool
 
 
-@dataclass(frozen=True)
-class LabelledSpectrum:
+class LabelledSpectrum(Record):
     """Energy levels with stable labels, evaluated at one field value."""
 
     levels: tuple

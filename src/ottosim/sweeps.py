@@ -39,12 +39,12 @@ import operator
 import os
 import stat
 from collections.abc import MutableSequence, Sequence
-from dataclasses import asdict, astuple, dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 # theorem1 lives in channels; the CLI, a test oracle and perfbench use these
+from ._record import Record
 from .channels import _MIXTURE, _PROJECTIVE, _theorem1_schedule, theorem1_suite
 from .core import BathSpec, _empty, _integer, _real, row_sum
 from .cycle import Measurement, TwoBath, _run_cycles, _warn_cooling
@@ -55,8 +55,7 @@ from .substances import _KINDS, SubstanceKind, _check_fields
 from .text import block_text, cell_text
 
 
-@dataclass(frozen=True)
-class SweepRange:
+class SweepRange(Record):
     """Inclusive linear grid: steps >= 2 spans [start, stop], steps == 1
     is the single point start (start == stop allowed only then)."""
 
@@ -226,9 +225,16 @@ def sweep_qutrit_measurement(Bi: float, Bf: float, beta_c: float,
                              angles: Su3Angles,
                              j_range: SweepRange) -> SweepTable:
     """One row per J for the measurement-driven qutrit cycle."""
-    return _sweep({"command": "qutrit-meas", **asdict(angles)},
+    named = _named_angles(angles)
+    return _sweep({"command": "qutrit-meas", **named},
                   Bi, Bf, beta_c, [("J", "j", j_range)], SubstanceKind.QUTRIT,
-                  lambda points: _su3_measurements(*astuple(angles)))
+                  lambda points: _su3_measurements(**named))
+
+
+def _named_angles(angles: Su3Angles) -> dict:
+    """The four angles by name, in field order."""
+    return {"theta": angles.theta, "phi": angles.phi, "chi": angles.chi,
+            "psi": angles.psi}
 
 
 def _su3_measurements(theta, phi, chi, psi) -> list:
@@ -271,9 +277,10 @@ def sweep_qutrit_extreme(Bi: float, Bf: float, beta_c: float,
     This family leaves the +B population untouched and equalizes the two
     lowest levels, trading vanishing work for efficiency near 1.
     """
-    return _sweep({"command": "qutrit-extreme", **asdict(EXTREME_ANGLES)},
+    named = _named_angles(EXTREME_ANGLES)
+    return _sweep({"command": "qutrit-extreme", **named},
                   Bi, Bf, beta_c, [("J", "j", j_range)], SubstanceKind.QUTRIT,
-                  lambda points: _su3_measurements(*astuple(EXTREME_ANGLES)))
+                  lambda points: _su3_measurements(**named))
 
 
 XXZ_MODELS = ("xx", "ising")

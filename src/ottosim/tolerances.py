@@ -4,11 +4,10 @@ Every comparison threshold used by the library lives here so that tests,
 library code, and the CLI agree on what "equal" means.
 """
 
-from dataclasses import dataclass
+from ._record import Record
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class Tolerances(Record):
     hermitian: float = 1e-12        # |M - M^dag| max-norm for Hermiticity
     trace: float = 1e-12            # |Tr(rho) - 1|
     positivity: float = 1e-10       # smallest density-matrix eigenvalue floor

@@ -160,13 +160,28 @@ QUTRIT = o.SubstanceSpec.qutrit(1.0)
     lambda: o.random_unital_channel(3, -1, 2),
     lambda: o.is_passive("ab", [1, 2]),
     lambda: o.kraus_channel([[["a"]]]),
+    lambda: o.hermitian_eigensystem([[10**400]]),
+    lambda: o.kraus_channel([[[10**400]]]),
+    lambda: o.projective_channel([[10**400, 0], [0, 1]]),
+    lambda: o.DensityMatrix([[10**400]]),
+    lambda: o.is_passive([10**400, 1], [0, 1]),
+    lambda: o.rearrangement_oracle([10**400, 1], [0, 1]),
+    lambda: o.boltzmann_populations(["a", 1], 1.0),
+    lambda: o.boltzmann_populations([[1, 2], [3]], 1.0),
+    lambda: o.boltzmann_populations([1, 2], "x"),
+    lambda: o.boltzmann_populations([1, 2], 10**400),
 ], ids=["spec-J-text", "spec-J-None", "bath-text", "bath-None", "angle-text",
         "spin-text", "spin-overflow", "hamiltonian-B-text",
         "spectrum-B-text", "gap-ratio-Bi-text", "closed-form-J-text",
         "theorem1-samples-text", "theorem1-samples-bool", "range-steps-bool",
         "damping-gamma-text", "damping-dim-0", "damping-sink-5",
         "damping-sink-minus-1", "unital-dim-text", "unital-mix-count-float",
-        "unital-seed-negative", "passive-pops-text", "kraus-entry-text"])
+        "unital-seed-negative", "passive-pops-text", "kraus-entry-text",
+        "eigensystem-int-overflow", "kraus-int-overflow",
+        "projective-int-overflow", "density-int-overflow",
+        "passive-int-overflow", "rearrangement-int-overflow",
+        "boltzmann-energy-text", "boltzmann-ragged-energies",
+        "boltzmann-beta-text", "boltzmann-beta-int-overflow"])
 def test_non_numbers_raise_ottosim_error(call):
     with pytest.raises(o.OttoSimError):
         call()
