@@ -17,10 +17,10 @@ import numpy as np
 
 from ._record import Record
 from .core import (DensityMatrix, HermitianOperator, _dagger, _densities,
-                   _eigensystems, _empty, _energies, _finite, _hermitian_part,
-                   _integer, _probabilities, _real, as_complex_matrix,
-                   boltzmann_populations, energy_expectation,
-                   populations_in_basis)
+                   _eigensystems, _empty, _energies, _finite, _floats,
+                   _hermitian_part, _integer, _probabilities, _real,
+                   as_complex_matrix, boltzmann_populations,
+                   energy_expectation, populations_in_basis)
 from .errors import (DimensionMismatch, DimensionTooLarge, NotTracePreserving,
                      OttoSimError)
 from .tolerances import TOL
@@ -159,10 +159,8 @@ def projective_channel(states) -> KrausChannel:
 
     A stack of one for _projective_channels.
     """
-    try:
-        vecs = [np.asarray(s, dtype=complex).reshape(-1) for s in states]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise OttoSimError(f"states must be vectors of numbers: {exc}") from None
+    vecs = [v.reshape(-1) for v in _floats(
+        "states must be vectors of numbers", states, dtype=complex)]
     if not vecs:
         raise OttoSimError("a channel needs at least one Kraus operator")
     if not len(vecs[0]):

@@ -20,10 +20,7 @@ from .tolerances import TOL
 
 def as_complex_matrix(entries) -> np.ndarray:
     """Validate and return a finite square complex matrix."""
-    try:
-        m = np.asarray(entries, dtype=complex)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise OttoSimError(f"matrix entries must be numbers: {exc}") from None
+    [m] = _floats("matrix entries must be numbers", [entries], dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     return _finite(m)
@@ -66,18 +63,29 @@ def _integer(name: str, value, low: int, high=None) -> int:
     return int(value)
 
 
-def _floats(what: str, *values) -> list:
-    """Each of values as a float array, or OttoSimError naming what if one
-    holds something that is no real number or is beyond the float range."""
+def _floats(what: str, values, dtype=float) -> list:
+    """Each of the iterable values as an array of dtype, float or complex.
+    OttoSimError, what followed by the cause, if values is not iterable or
+    one of them is or holds text, holds something that is no number of
+    that kind, or is beyond the float range. Text is no number here, as
+    in _real, though numpy would parse it."""
+    arrays = []
     try:
-        return [np.asarray(v, dtype=float) for v in values]
+        for v in values:
+            a = np.asarray(v)
+            if a.dtype.kind in "SU" or a.dtype == object and any(
+                    isinstance(x, (str, bytes)) for x in a.flat):
+                raise TypeError(f"text is no number: {v!r}")
+            arrays.append(np.asarray(v, dtype=dtype))
     except (TypeError, ValueError, OverflowError) as exc:
-        raise OttoSimError(f"{what} must be real numbers: {exc}") from None
+        raise OttoSimError(f"{what}: {exc}") from None
+    return arrays
 
 
 def _paired(pops, energies):
     """pops and energies as finite float vectors of one length."""
-    p, e = _floats("pops and energies", pops, energies)
+    p, e = _floats("pops and energies must be real numbers",
+                   (pops, energies))
     if p.shape != e.shape or p.ndim != 1:
         raise LengthMismatch(f"pops shape {p.shape} vs energies shape {e.shape}")
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(e))):
@@ -253,12 +261,18 @@ def boltzmann_populations(energies, beta: float) -> np.ndarray:
     energies is one spectrum of shape (d,) or a stack of spectra of shape
     (..., d); each spectrum along the last axis is normalised on its own.
     A weight too small to represent is 0; OttoSimError if a population is
-    not finite (a non-finite energy or beta) or an input is no real number.
+    not finite (a non-finite energy or beta), an input is no real number,
+    a spectrum has no level or beta does not broadcast against energies.
     """
-    e, beta = _floats("energies and beta", energies, beta)
+    e, beta = _floats("energies and beta must be real numbers",
+                      (energies, beta))
     with np.errstate(over="ignore", invalid="ignore"):
-        w = np.exp(-beta * (e - e.min(axis=-1, keepdims=True)))
-        p = w / row_sum(w)[..., None]
+        try:  # no level, or a beta that does not broadcast
+            w = np.exp(-beta * (e - e.min(axis=-1, keepdims=True)))
+            p = w / row_sum(w)[..., None]
+        except (ValueError, IndexError) as exc:
+            raise OttoSimError(f"energies of shape {e.shape} and beta of "
+                               f"shape {beta.shape}: {exc}") from None
     if not np.isfinite(p).all():
         raise OttoSimError("Boltzmann populations need finite energies and "
                            "a finite beta")

@@ -10,11 +10,11 @@ engine_mode and crossing as 0/1; q1_plus_q2, the summed hot flux of the
 idle levels, for a kind with more than one idle level (xxz); then q_h,
 q_c, dp, p_cold and p_post per level label. format_value is the one rule
 from a cell to its text (blank for None, %d for integers, else %.17g),
-every .meta value that is not text included. write_csv writes the rows
-_CSV_CELLS cells at a time with the numpy kernels of text, and the cells
-they leave through format_value. The same parameters give the same
-bytes, moved into place once both files are whole. An output path is
-resolved through its symlinks, and only a regular file is replaced.
+every .meta value that is not text included. write_csv writes a sweep's
+cells _CSV_CELLS at a time with text.block_text and the cells it leaves,
+like any other rows, through format_value. The same parameters give the
+same bytes, moved into place once both files are whole. An output path
+is resolved through its symlinks, and only a regular file is replaced.
 
 Every sweep is one call to _sweep, the loop they share. It allocates the
 table first, then builds and checks one channel per point of the outer
@@ -38,7 +38,7 @@ import math
 import operator
 import os
 import stat
-from collections.abc import MutableSequence, Sequence
+from collections.abc import Iterable, Mapping, MutableSequence, Sequence
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -52,7 +52,7 @@ from .errors import InvalidField, OttoSimError
 from .measurements import (SpinDirection, Su3Angles, local_spin_channel,
                            su3_projective_channels)
 from .substances import _KINDS, SubstanceKind, _check_fields
-from .text import block_text, cell_text
+from .text import block_text
 
 
 class SweepRange(Record):
@@ -385,74 +385,80 @@ def write_csv(path: str, table: SweepTable) -> None:
     Output is byte-identical for identical parameters: full-precision
     floats, deterministic row order, no timestamps. Both files replace
     any earlier output only once both are fully written. Each cell is the
-    text format_value gives it. A header name holding "," or a line break
-    raises OttoSimError before any file is written. A cell that is not a
-    number or None raises OttoSimError naming its row and column, and no
-    target changes.
+    text format_value gives it: a sweep's rows, while still a view of its
+    float64 cells, are written by text.block_text _CSV_CELLS cells at a
+    time and the cells it leaves by format_value; any other rows go row
+    by row through format_value. The .meta sidecar has one key=value line
+    per key, in sorted order: a text value as it is, any other through
+    format_value.
 
-    The .meta sidecar has one key=value line per key, in sorted order: a
-    text value as it is, any other through format_value. A key holding
-    "=" or a line break, a text value holding a line break, or a value
-    format_value cannot write raises OttoSimError before any file is
-    written.
+    OttoSimError, with no file left or changed, for a header that is not
+    a tuple or list of text names without "," or line breaks, meta that
+    is not a mapping, a .meta key holding "=" or a line break, a text
+    value holding a line break or a value format_value cannot write, rows
+    or a row that are not iterable, or a cell that is not a number or
+    None (naming its row and column).
     """
-    for name in table.header:
-        if any(c in name for c in ",\r\n"):
-            raise OttoSimError(f"header name {name!r} holds ',' or a line "
-                               "break")
+    header, rows, meta = table.header, table.rows, table.meta
+    if not (isinstance(header, (tuple, list)) and all(
+            isinstance(name, str) and not any(c in name for c in ",\r\n")
+            for name in header)):
+        raise OttoSimError("table.header must be text names without ',' or "
+                           f"line breaks, got {header!r}")
+    view = isinstance(rows, _Rows) and rows.cells is not None
+    if not isinstance(meta, Mapping):
+        raise OttoSimError("table.meta must be a mapping, got a "
+                           f"{type(meta).__name__}")
+    if not (view or isinstance(rows, Iterable)):
+        raise OttoSimError(f"table.rows must be rows, got {rows!r}")
     meta_text = "".join(_meta_line(key, value)
-                        for key, value in sorted(table.meta.items()))
-    rows = table.rows
-    step = max(1, _CSV_CELLS // max(1, len(table.header)))
-    if isinstance(rows, _Rows) and rows.cells is not None:
-        blocks = (rows.cells[first:first + step]
-                  for first in range(0, len(rows), step))
-    else:
-        listed = iter(rows)
-        blocks = iter(lambda: list(itertools.islice(listed, step)), [])
-    with _replacing(path, path + ".meta") as (f, meta):
-        f.write((",".join(table.header) + "\n").encode())
-        first = 0
-        for block in blocks:
-            f.write(_lines(table.header, first, block, rows))
-            first += len(block)
-        meta.write(meta_text.encode())
+                        for key, value in sorted(meta.items()))
+    with _replacing(path, path + ".meta") as (f, meta_file):
+        f.write((",".join(header) + "\n").encode())
+        if view:
+            step = max(1, _CSV_CELLS // max(1, rows.cells.shape[1]))
+            for first in range(0, len(rows), step):
+                f.write(_block_lines(rows, first, step))
+        else:
+            for r, row in enumerate(rows):
+                f.write(_line(header, r, row))
+        meta_file.write(meta_text.encode())
 
 
-def _lines(header, first, block, rows) -> bytes:
-    """The CSV lines of block, which holds rows[first:first + len(block)]:
-    a slice of a sweep's float64 cells, or a list of rows. The kernels of
-    text write the cells they can; format_value writes the others, a
-    sweep's as its row tuples hold them. OttoSimError names a cell
-    format_value cannot write."""
-    if isinstance(block, np.ndarray):
-        n, width = block.shape
-        ends = np.arange(width - 1, n * width, width)
-        text, rest = block_text(block.ravel(), np.tile(rows.integer, n),
-                                (np.isnan(block) & rows.blank).ravel(), ends)
-    else:
-        # an empty row is one line break, as a row of one blank cell
-        block = [(row if isinstance(row, (list, tuple)) else tuple(row))
-                 or (None,) for row in block]
-        cells = list(itertools.chain.from_iterable(block))
-        ends = np.cumsum(list(map(len, block))) - 1
-        text, rest = cell_text(cells, ends)
-    pieces, start = [], 0
+def _block_lines(rows, first, count) -> bytes:
+    """The CSV lines of rows[first:first + count], a sweep's view: block_text
+    writes the cells it can, format_value the rest as the rows hold them."""
+    block = rows.cells[first:first + count]
+    n, width = block.shape
+    text, rest = block_text(block.ravel(), np.tile(rows.integer, n),
+                            (np.isnan(block) & rows.blank).ravel(),
+                            np.arange(width - 1, n * width, width))
+    if not rest:
+        return text
+    held, out, start = rows[first:first + count], [], 0
     for i, offset in rest:
-        row = int(np.searchsorted(ends, i))
-        column = i - (int(ends[row - 1]) + 1 if row else 0)
-        value = (block[row] if isinstance(block, list)
-                 else rows[first + row])[column]
+        row, column = divmod(i, width)
+        out += [text[start:offset], format_value(held[row][column]).encode()]
+        start = offset
+    return b"".join(out + [text[start:]])
+
+
+def _line(header, r, row) -> bytes:
+    """The CSV line of table.rows[r], each cell as format_value writes it
+    (an empty row is a line break alone). OttoSimError names a row that
+    is not iterable, or a cell format_value cannot write."""
+    if not isinstance(row, Iterable):
+        raise OttoSimError(f"table.rows[{r}] is not a row of cells: {row!r}")
+    texts = []
+    for column, value in enumerate(row):
         try:
-            pieces += [text[start:offset], format_value(value).encode()]
+            texts.append(format_value(value))
         except (TypeError, OverflowError) as exc:
             name = header[column] if column < len(header) else column
-            raise OttoSimError(f"table.rows[{first + row}], column "
-                               f"{name!r}: cannot write a "
-                               f"{type(value).__name__} as a number: "
-                               f"{exc}") from None
-        start = offset
-    return b"".join(pieces + [text[start:]]) if pieces else text
+            raise OttoSimError(f"table.rows[{r}], column {name!r}: cannot "
+                               f"write a {type(value).__name__} as a "
+                               f"number: {exc}") from None
+    return (",".join(texts) + "\n").encode()
 
 
 def _meta_line(key, value) -> str:

@@ -10,9 +10,9 @@ printf (CPython's dtoa among them) uses. Each cell's text is laid out in
 a slot of fixed bytes, and one bytearray.translate drops the bytes no
 text keeps. The cells it does not write (NaN, inf, floats outside its
 range, integers of 17 digits or more) go back to the caller, to be
-written by format_value. cell_text(cells, ends) is its front end for a
-list of Python objects: it sorts them into floats, integer cells and
-blanks, and leaves every other cell to the caller.
+written by format_value. sweeps.write_csv gives it a sweep's cells
+straight from their float64 table, and writes any other rows with
+format_value alone.
 
 A slot is 36 bytes, nine uint32 words, with room for the sign, the lead
 "0.000" of a 0.000ddd, digit columns 3 to 19 of an integer U < 10**17 (a
@@ -186,33 +186,14 @@ def _digits(x):
     return D.view(_I64), X, ok
 
 
-def cell_text(cells, ends):
-    """(text, rest) for a flat list of cells whose rows end at the cell
-    indices in ends: text is the ASCII bytes of the rows, each cell
-    followed by "," or, at the end of its row, a line break; rest lists
-    (i, offset) for each cell i not written, in order, whose text goes at
-    byte offset of text, before its separator.
-
-    The object front end of block_text: floats keep their value, ints and
-    bools below 2**53 in magnitude (exact as floats) are integer cells,
-    None is blank, and every other cell is NaN, which block_text leaves.
-    """
-    n = len(cells)
-    obj = np.fromiter(cells, object, n)
-    types = np.fromiter(map(type, cells), object, n)
-    floats = types == float
-    integer = (types == int) | (types == bool)
-    x = np.full(n, np.nan)
-    x[floats] = obj[floats].astype(np.float64)
-    x[integer] = [v if -2 ** 53 < v < 2 ** 53 else math.nan
-                  for v in obj[integer]]
-    return block_text(x, integer, types == type(None), ends)
-
-
 def block_text(x, integer, blank, ends):
-    """(text, rest), as cell_text gives them, for the float64 cells x:
-    integer marks the cells written as %d of their value (integral), blank
-    the cells written as nothing; each other cell is a float.
+    """(text, rest) for the flat float64 cells x, whose rows end at the
+    cell indices in ends: integer marks the cells written as %d of their
+    value (integral), blank the cells written as nothing; each other cell
+    is a float. text is the ASCII bytes of the rows, each cell followed by
+    "," or, at the end of its row, a line break; rest lists (i, offset)
+    for each cell i not written, in order, whose text goes at byte offset
+    of text, before its separator.
 
     Written here: floats in _digits's range, zeros, integer cells below
     10**17 in magnitude and blanks. The rest (NaN, inf, other floats,

@@ -1,6 +1,8 @@
 """write_csv against format_value, the one cell rule, on cells chosen to
-break a block text kernel: every cell it writes must be format_value's
-text of that cell, whichever path wrote it."""
+break the block text kernel. A sweep's rows, a view of its float64 cells,
+go through text.block_text (_check_view); any other rows go row by row
+through format_value (_check). Either way every cell must be
+format_value's text of the value the row holds."""
 
 import math
 from decimal import Decimal
@@ -10,13 +12,19 @@ import numpy as np
 import pytest
 
 import ottosim as o
-from ottosim import text
+from ottosim import sweeps, text
 
 
 def _check(tmp_path, rows, header=("a", "b", "c")):
     """Write rows and compare the CSV with format_value cell by cell."""
     path = tmp_path / "cells.csv"
     o.write_csv(str(path), o.SweepTable(tuple(header), rows, {}))
+    return _compare(path, header, rows)
+
+
+def _compare(path, header, rows):
+    """The CSV text at path, once it is checked to be format_value's text
+    of each cell of rows, under header."""
     want = ",".join(header) + "\n" + "".join(
         ",".join(map(o.format_value, row)) + "\n" for row in rows)
     got = path.read_bytes()
@@ -25,6 +33,28 @@ def _check(tmp_path, rows, header=("a", "b", "c")):
         bad = next((g, w) for g, w in lines if g != w)
         pytest.fail(f"written {bad[0]!r}, format_value gives {bad[1]!r}")
     return got.decode()
+
+
+def _check_view(tmp_path, values, integer=False, width=7):
+    """Write values, floats or (if integer) integral floats, as a sweep
+    writes its cells: from a _Rows view of a float64 table, width columns
+    of values (the last row padded with NaN), then an integer column (the
+    row index) and a blank one. Compare the CSV with format_value of each
+    cell of the rows the view gives, and return the CSV text."""
+    values = np.asarray(values, dtype=float)
+    n = -(-len(values) // width)
+    padded = np.full(n * width, np.nan)
+    padded[:len(values)] = values
+    cells = np.full((n, width + 2), np.nan)
+    cells[:, :width] = padded.reshape(n, width)
+    cells[:, width] = np.arange(n)
+    rows = sweeps._Rows(cells, np.r_[np.full(width, integer), True, False],
+                        np.r_[np.zeros(width + 1, bool), True])
+    header = tuple(f"c{k}" for k in range(width + 2))
+    path = tmp_path / "view.csv"
+    o.write_csv(str(path), o.SweepTable(header, rows, {}))
+    assert rows.cells is cells  # still a view, so the kernel wrote it
+    return _compare(path, header, rows)
 
 
 def _rows(values, width=7):
@@ -47,17 +77,21 @@ def test_powers_of_ten_and_their_neighbours(tmp_path):
     # exponent read off the rounded digits would print 1e-06 and 1e-07
     cells = [s * y for k in range(-30, 31) for y in _steps(float(f"1e{k}"), 3)
              for s in (1, -1)]
-    _check(tmp_path, _rows(cells))
-    line = _check(tmp_path, [[1e-6, 1e-7, -1e-6]]).splitlines()[1]
+    _check_view(tmp_path, cells)
+    line = _check_view(tmp_path, [1e-6, 1e-7, -1e-6], width=3).splitlines()[1]
     assert line == "9.9999999999999995e-07,9.9999999999999995e-08," \
-                   "-9.9999999999999995e-07"
+                   "-9.9999999999999995e-07,0,"
 
 
 def test_ties_round_half_to_even(tmp_path):
-    # 2**51 - 0.25 has 18 significant digits and ends in 5
-    line = _check(tmp_path, [[2251799813685247.75, -2251799813685247.75,
-                              2251799813685246.25]]).splitlines()[1]
-    assert line == "2251799813685247.8,-2251799813685247.8,2251799813685246.2"
+    # 2**51 - 0.25 has 18 significant digits and ends in 5, beyond the
+    # kernel's decimal exponents; 2**-25 and 3 * 2**-25 too, inside them
+    cells = [2251799813685247.75, -2251799813685247.75, 2251799813685246.25,
+             2 ** -25, -3 * 2 ** -25]
+    line = _check_view(tmp_path, cells, width=5).splitlines()[1]
+    assert line == "2251799813685247.8,-2251799813685247.8," \
+                   "2251799813685246.2,2.9802322387695312e-08," \
+                   "-8.9406967163085938e-08,0,"
 
 
 def test_ties_inside_the_kernels_range(tmp_path):
@@ -76,7 +110,7 @@ def test_ties_inside_the_kernels_range(tmp_path):
             # the 17th digit of the rounded and of the exact text
             up += ("%.16e" % x)[-5] != ("%.17e" % x)[-6]
     assert 0 < up < len(cells)  # half to even goes both ways
-    _check(tmp_path, _rows(cells + [-x for x in cells]))
+    _check_view(tmp_path, cells + [-x for x in cells])
 
 
 def test_no_float_in_the_kernels_range_rounds_up_to_a_power_of_ten():
@@ -98,7 +132,19 @@ def test_zeros_subnormals_and_the_edges_of_the_kernel(tmp_path):
                  1e16, 1e17):
         cells += _steps(edge, 4)
     cells += [-x for x in cells]
-    _check(tmp_path, _rows(cells))
+    _check_view(tmp_path, cells)
+
+
+def test_ints_as_integral_floats_below_2_to_the_53(tmp_path):
+    # a sweep's integer columns hold integral floats; the kernel writes
+    # them as %d, and leaves the exact 10**17 beyond them to format_value
+    rng = np.random.default_rng(53)
+    cells = [0, 1, 7, 10, 99, 100, 9999, 10 ** 4, 2 ** 31, 2 ** 32 + 1,
+             10 ** 15, 2 ** 53 - 1, 10 ** 16, 10 ** 17]
+    cells += [10 ** k + d for k in range(1, 16) for d in (-1, 1)]
+    cells += rng.integers(-2 ** 53 + 1, 2 ** 53, size=2000).tolist()
+    cells += [-v for v in cells]
+    _check_view(tmp_path, cells, integer=True)
 
 
 def test_ints_and_bools_at_their_edges(tmp_path):
@@ -138,7 +184,7 @@ def test_random_bit_patterns(tmp_path):
     exponents = rng.integers(1023 - 42, 1023 + 17, size=5 * 10 ** 5)
     bits[::2] = (bits[::2] & np.uint64(0x800F_FFFF_FFFF_FFFF)) \
         | (exponents.astype(np.uint64) << np.uint64(52))
-    _check(tmp_path, _rows(bits.view(np.float64).tolist(), 10))
+    _check_view(tmp_path, bits.view(np.float64), width=10)
 
 
 def test_sweep_tables_need_no_cell_by_cell_text():
@@ -148,9 +194,13 @@ def test_sweep_tables_need_no_cell_by_cell_text():
                   o.sweep_qutrit_contour(3, 4, 1, "theta-phi",
                                          o.SweepRange(0, 3.14, 9),
                                          o.SweepRange(0.2, 2.8, 11))):
-        cells = [v for row in table.rows for v in row]
-        ends = np.cumsum([len(row) for row in table.rows]) - 1
-        assert text.cell_text(cells, ends)[1] == []
+        rows = table.rows
+        n, width = rows.cells.shape
+        _, rest = text.block_text(rows.cells.ravel(),
+                                  np.tile(rows.integer, n),
+                                  (np.isnan(rows.cells) & rows.blank).ravel(),
+                                  np.arange(width - 1, n * width, width))
+        assert rest == []
 
 
 def test_a_bad_cell_in_a_later_block_names_its_row(tmp_path):

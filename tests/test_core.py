@@ -170,6 +170,15 @@ QUTRIT = o.SubstanceSpec.qutrit(1.0)
     lambda: o.boltzmann_populations([[1, 2], [3]], 1.0),
     lambda: o.boltzmann_populations([1, 2], "x"),
     lambda: o.boltzmann_populations([1, 2], 10**400),
+    lambda: o.boltzmann_populations([], 1.0),
+    lambda: o.boltzmann_populations([1, 2], [1, 2, 3]),
+    lambda: o.boltzmann_populations(["1", "2"], "0.5"),
+    lambda: o.is_passive(["0.5", "0.5"], [0, 1]),
+    lambda: o.rearrangement_oracle(["0.5", "0.5"], [0, 1]),
+    lambda: o.hermitian_eigensystem([["1"]]),
+    lambda: o.DensityMatrix([["1"]]),
+    lambda: o.kraus_channel([[["1"]]]),
+    lambda: o.projective_channel([["1", "0"], ["0", "1"]]),
 ], ids=["spec-J-text", "spec-J-None", "bath-text", "bath-None", "angle-text",
         "spin-text", "spin-overflow", "hamiltonian-B-text",
         "spectrum-B-text", "gap-ratio-Bi-text", "closed-form-J-text",
@@ -181,7 +190,12 @@ QUTRIT = o.SubstanceSpec.qutrit(1.0)
         "projective-int-overflow", "density-int-overflow",
         "passive-int-overflow", "rearrangement-int-overflow",
         "boltzmann-energy-text", "boltzmann-ragged-energies",
-        "boltzmann-beta-text", "boltzmann-beta-int-overflow"])
+        "boltzmann-beta-text", "boltzmann-beta-int-overflow",
+        "boltzmann-no-level", "boltzmann-beta-shape",
+        "boltzmann-numeric-text", "passive-numeric-text",
+        "rearrangement-numeric-text", "eigensystem-numeric-text",
+        "density-numeric-text", "kraus-numeric-text",
+        "projective-numeric-text"])
 def test_non_numbers_raise_ottosim_error(call):
     with pytest.raises(o.OttoSimError):
         call()

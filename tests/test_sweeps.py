@@ -306,6 +306,19 @@ def test_write_csv_rejects_a_cell_that_is_no_number(tmp_path, cell):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("table", [
+    o.SweepTable(("a",), [5], {}), o.SweepTable(("a",), None, {}),
+    o.SweepTable(("a",), [[1.0]], None), o.SweepTable((1, 2), [[1.0, 2]], {}),
+], ids=["row-int", "rows-None", "meta-None", "header-ints"])
+def test_write_csv_rejects_a_malformed_table(tmp_path, table):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"OLD")
+    with pytest.raises(o.OttoSimError):
+        o.write_csv(str(path), table)
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+    assert path.read_bytes() == b"OLD"
+
+
 def test_write_csv_writes_exact_numbers_as_their_floats(tmp_path):
     cells = [Decimal("0.1"), Fraction(1, 3), Decimal(-7), Fraction(10**20)]
     path = tmp_path / "exact.csv"
