@@ -40,7 +40,9 @@ def kraus_channel(operators) -> KrausChannel:
     Trace preservation is required; unitality is detected and cached on
     the returned channel. A stack of one for _kraus_channels.
     """
-    ops = [as_complex_matrix(m) for m in operators]
+    ops = [as_complex_matrix(m) for m in _floats(
+        "Kraus operators must be matrices of numbers", operators,
+        dtype=complex)]
     if not ops:
         raise OttoSimError("a channel needs at least one Kraus operator")
     if any(m.shape != ops[0].shape for m in ops):
@@ -72,11 +74,13 @@ def _check_trace_preserving(kraus: np.ndarray) -> None:
     """Require sum_a M_a^dag M_a = 1 for Kraus stacks of shape (..., r, d, d).
 
     Zero operators may pad a stack: they add exact zeros to every sum. A
-    sum too large to represent fails the check.
+    sum too large to represent fails the check; a stack of no channel
+    passes it.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         tp = (_dagger(kraus) @ kraus).sum(axis=-3)
-        defect = float(np.max(np.abs(tp - np.eye(kraus.shape[-1]))))
+        defect = float(np.max(np.abs(tp - np.eye(kraus.shape[-1])),
+                              initial=0.0))
     if not defect <= TOL.channel:
         raise NotTracePreserving(f"sum M^dag M deviates from 1 by {defect:.3e}")
 

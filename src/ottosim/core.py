@@ -94,11 +94,12 @@ def _paired(pops, energies):
 
 
 def _probabilities(pops, energies):
-    """_paired, with pops checked to be a probability vector."""
+    """_paired, with pops checked to be a probability vector (so not
+    empty)."""
     p, e = _paired(pops, energies)
     with np.errstate(over="ignore"):
         total = p.sum()
-    if not (p.min() >= -TOL.population
+    if not (p.size and p.min() >= -TOL.population
             and abs(total - 1.0) <= TOL.population):
         raise OttoSimError("pops is not a probability vector")
     return p, e

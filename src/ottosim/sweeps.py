@@ -90,10 +90,11 @@ class SweepTable(NamedTuple):
 class _Rows(MutableSequence):
     """The rows of a sweep table, read from its float64 cells of shape
     (rows, columns): each a tuple of a Python int for a column in integer
-    (0/1 flags), None for a NaN in a column in blank (eta_raw), else a
-    Python float. Two are equal when their rows are. Any change turns
+    (the 0/1 flags), None for a NaN in a column in blank (eta_raw), else
+    a Python float. Two are equal when their rows are. Any change turns
     the view into a plain list of its rows, which write_csv then writes
-    as it writes any row list; until then it writes the cells."""
+    as it writes any row list; until then it writes the cells, each as
+    the float it is: a flag's %.17g is its %d."""
 
     def __init__(self, cells, integer, blank):
         self.cells, self.integer, self.blank = cells, integer, blank
@@ -394,10 +395,10 @@ def write_csv(path: str, table: SweepTable) -> None:
 
     OttoSimError, with no file left or changed, for a header that is not
     a tuple or list of text names without "," or line breaks, meta that
-    is not a mapping, a .meta key holding "=" or a line break, a text
-    value holding a line break or a value format_value cannot write, rows
-    or a row that are not iterable, or a cell that is not a number or
-    None (naming its row and column).
+    is not a mapping, a .meta key that is not text or holds "=" or a
+    line break, a text value holding a line break or a value
+    format_value cannot write, rows or a row that are not iterable, or a
+    cell that is not a number or None (naming its row and column).
     """
     header, rows, meta = table.header, table.rows, table.meta
     if not (isinstance(header, (tuple, list)) and all(
@@ -409,6 +410,9 @@ def write_csv(path: str, table: SweepTable) -> None:
     if not isinstance(meta, Mapping):
         raise OttoSimError("table.meta must be a mapping, got a "
                            f"{type(meta).__name__}")
+    for key in meta:
+        if not isinstance(key, str):
+            raise OttoSimError(f"meta key {key!r} is not text")
     if not (view or isinstance(rows, Iterable)):
         raise OttoSimError(f"table.rows must be rows, got {rows!r}")
     meta_text = "".join(_meta_line(key, value)
@@ -429,15 +433,12 @@ def _block_lines(rows, first, count) -> bytes:
     """The CSV lines of rows[first:first + count], a sweep's view: block_text
     writes the cells it can, format_value the rest as the rows hold them."""
     block = rows.cells[first:first + count]
-    n, width = block.shape
-    text, rest = block_text(block.ravel(), np.tile(rows.integer, n),
-                            (np.isnan(block) & rows.blank).ravel(),
-                            np.arange(width - 1, n * width, width))
+    text, rest = block_text(block, rows.blank)
     if not rest:
         return text
     held, out, start = rows[first:first + count], [], 0
     for i, offset in rest:
-        row, column = divmod(i, width)
+        row, column = divmod(i, block.shape[1])
         out += [text[start:offset], format_value(held[row][column]).encode()]
         start = offset
     return b"".join(out + [text[start:]])
@@ -463,7 +464,6 @@ def _line(header, r, row) -> bytes:
 
 def _meta_line(key, value) -> str:
     """The .meta line key=value; OttoSimError if it would not read back."""
-    key = str(key)
     if any(c in key for c in "=\r\n"):
         raise OttoSimError(f"meta key {key!r} holds '=' or a line break")
     if isinstance(value, str):

@@ -1,23 +1,23 @@
 """The CSV text of numbers, a block of cells at a time.
 
-block_text(x, integer, blank, ends) writes float64 cells as
-sweeps.format_value writes the values they stand for: '%.17g' % x for a
-float, '%d' % v for an integer cell, nothing for a blank one. It works on
-numpy arrays of the whole block. A float's 17 digits are exact: its
-53-bit mantissa times a power of five is a 128-bit product in two uint64
-limbs, shifted with the half-even rounding that a correctly rounded
-printf (CPython's dtoa among them) uses. Each cell's text is laid out in
-a slot of fixed bytes, and one bytearray.translate drops the bytes no
-text keeps. The cells it does not write (NaN, inf, floats outside its
-range, integers of 17 digits or more) go back to the caller, to be
-written by format_value. sweeps.write_csv gives it a sweep's cells
+block_text(block, blank) writes a rectangular float64 block as
+sweeps.format_value writes the values its rows stand for: '%.17g' % x
+for each cell, nothing for a NaN in a blank column. '%.17g' writes an
+integral float below 10**4 (the 0/1 flags among them) as '%d' writes its
+int. It works on numpy arrays of the whole block. A float's 17 digits
+are exact: its 53-bit mantissa times a power of five is a 128-bit
+product in two uint64 limbs, shifted with the half-even rounding that a
+correctly rounded printf (CPython's dtoa among them) uses. Each cell's
+text is laid out in a slot of fixed bytes, and one bytearray.translate
+drops the bytes no text keeps. The cells it does not write (NaN outside
+a blank column, inf, floats outside its range) go back to the caller, to
+be written by format_value. sweeps.write_csv gives it a sweep's cells
 straight from their float64 table, and writes any other rows with
 format_value alone.
 
 A slot is 36 bytes, nine uint32 words, with room for the sign, the lead
-"0.000" of a 0.000ddd, digit columns 3 to 19 of an integer U < 10**17 (a
-float's significant digits or an int's magnitude), a point after column
-3 to 7, "e-XX" and the separator:
+"0.000" of a 0.000ddd, digit columns 3 to 19 of a float's 17 significant
+digits, a point after column 3 to 7, "e-XX" and the separator:
 
     - 0 . 0 | 0 0 d3 . | d4 . d5 . | d6 . d7 . | d8-11 | d12-15 | d16-19
     | e - X X | , and three pad bytes
@@ -35,7 +35,8 @@ _I64, _U64, _U32 = np.int64, np.uint64, np.uint32
 # D = round(|x| * 10**(16 - X)) = round(m * 5**(16 - X) / 2**s), with
 # s = X + 1059 - b, come from m * 5**(16 - X) < 2**128, where
 # 5**(16 - X) < 2**64 and 1 <= s <= 63. X > 3 would need a point after
-# column 7. Every other float but 0.0 goes back to the caller.
+# column 7. A zero is written as 0 * 10**0; every other float goes back
+# to the caller.
 _X_MIN, _X_MAX = -11, 3
 _FIVES = np.array([5 ** j for j in range(16 - _X_MAX, 17 - _X_MIN)],
                   dtype=_U64)
@@ -57,8 +58,6 @@ def _exponent_tables():
 
 
 _DECADES, _BOUNDS = _exponent_tables()
-# _TENS[k]: 10**(k + 1), to count the digits of an int
-_TENS = np.array([10 ** k for k in range(1, 17)], dtype=_I64)
 
 
 def _digit_words(pattern):
@@ -97,31 +96,23 @@ def _slot_tables():
     """Per cell code, the nine words of its slot with the bytes its text
     does not keep set to 0: fixed bytes as they are, 0xFF for a digit.
 
-    Codes below _WHOLE are floats, ((X - _X_MIN) * 17 + last - 3) * 2 +
+    Codes below _BLANK are floats, ((X - _X_MIN) * 17 + last - 3) * 2 +
     negative, where last is the digit column the text ends with; then
-    integers, _WHOLE + (first - 3) * 2 + negative, where first is the
-    column of their first digit; then _BLANK, the separator alone.
+    _BLANK, the separator alone, laid out as the float 0 with no digit.
     """
-    X, last, negative = (a.ravel() for a in np.meshgrid(
-        np.arange(_X_MIN, _X_MAX + 1), np.arange(3, 20), [0, 1],
-        indexing="ij"))
+    X, last, negative = (np.r_[a.ravel(), blank] for a, blank in zip(
+        np.meshgrid(np.arange(_X_MIN, _X_MAX + 1), np.arange(3, 20), [0, 1],
+                    indexing="ij"), (0, 2, 0)))
     # fixed notation for -4 <= X < 0 leads with "0." and -X-1 zeros
     lead = np.where((X >= -4) & (X < 0), 1 - X, 0)
     # else a point after the units digit, if digits follow it
     point = np.where(lead == 0, 3 + np.maximum(X, 0), -1)
     point[point >= last] = -1
-    rest = 2 * 17 + 1  # the integer codes and _BLANK
-    first = np.r_[np.full(len(X), 3), np.arange(3, 20).repeat(2), 20]
-    last = np.r_[last, np.full(rest, 19)]
-    negative = np.r_[negative, np.tile([0, 1], 17), 0]
-    lead = np.r_[lead, np.zeros(rest, int)]
-    point = np.r_[point, np.full(rest, -1)]
-    X = np.r_[X, np.zeros(rest, int)]
     keep = np.zeros((len(X), 36), dtype=bool)
     keep[:, 0] = negative
     keep[:, 1:6] = np.arange(5) < lead[:, None]
     column = np.arange(3, 20)
-    keep[:, _COLUMNS] = (column >= first[:, None]) & (column <= last[:, None])
+    keep[:, _COLUMNS] = column <= last[:, None]
     keep[:, _POINTS] = column[:5] == point[:, None]
     keep[:, 28:32] = (X < -4)[:, None]
     keep[:, _SEP] = True
@@ -134,7 +125,6 @@ def _slot_tables():
 
 _SLOTS = _slot_tables()
 _KEPT = np.count_nonzero(_SLOTS.view(np.uint8), axis=1)
-_WHOLE = 2 * 17 * (_X_MAX + 1 - _X_MIN)
 _BLANK = len(_SLOTS) - 1
 
 
@@ -186,28 +176,26 @@ def _digits(x):
     return D.view(_I64), X, ok
 
 
-def block_text(x, integer, blank, ends):
-    """(text, rest) for the flat float64 cells x, whose rows end at the
-    cell indices in ends: integer marks the cells written as %d of their
-    value (integral), blank the cells written as nothing; each other cell
-    is a float. text is the ASCII bytes of the rows, each cell followed by
-    "," or, at the end of its row, a line break; rest lists (i, offset)
-    for each cell i not written, in order, whose text goes at byte offset
-    of text, before its separator.
+def block_text(block, blank):
+    """(text, rest) for the float64 cells of block, of shape (rows,
+    columns), whose columns in the mask blank write a NaN as nothing.
+    text is the ASCII bytes of the rows, each cell followed by "," or, at
+    the end of its row, a line break; rest lists (i, offset) for each
+    cell not written, i its row-major index, in order, whose text goes at
+    byte offset of text, before its separator.
 
-    Written here: floats in _digits's range, zeros, integer cells below
-    10**17 in magnitude and blanks. The rest (NaN, inf, other floats,
-    larger integers) is left to the caller.
+    Written here: floats in _digits's range, zeros and blanks. The rest
+    (NaN outside a blank column, inf, other floats) is left to the
+    caller.
     """
-    n = len(x)
+    n, width = block.shape
+    x = block.reshape(-1)
     U, X, ok = _digits(x)
     U[~ok] = 0
+    zero = x == 0.0
+    X[zero] = 0
+    ok |= zero
     negative = np.signbit(x)
-    integer = integer & (np.abs(x) < 1e17)
-    U[integer] = np.abs(x[integer]).astype(_I64)
-    whole = integer | (x == 0.0)
-    # an int's first digit column less 3, from its digit count
-    first = 16 - np.searchsorted(_TENS, U[whole], side="right")
     # U's digits: d3, then c1 to c4 of four each
     d3 = U // 10 ** 16
     U -= d3 * 10 ** 16
@@ -225,11 +213,9 @@ def block_text(x, integer, blank, ends):
     last = np.maximum(19 - trailing, 3 + np.maximum(X, 0))
     code = ((X - _X_MIN) * 17 + last - 3) * 2 + negative
     code[~ok] = _BLANK
-    code[whole] = _WHOLE + 2 * first + negative[whole]
-    code[blank] = _BLANK
-    del U, X, ok, negative, trailing, last, integer, whole, first
-    buffer = bytearray(36 * n)
-    slots = np.frombuffer(buffer, dtype=_U32).reshape(n, 9)
+    del U, X, ok, negative, trailing, last, zero
+    buffer = bytearray(36 * n * width)
+    slots = np.frombuffer(buffer, dtype=_U32).reshape(-1, 9)
     np.take(_SLOTS, code, axis=0, out=slots, mode="clip")
     c1, c2, c3, c4 = groups
     slots[:, 1] &= _LEADS.take(d3)
@@ -240,11 +226,11 @@ def block_text(x, integer, blank, ends):
     slots[:, 5] &= _QUADS.take(c3)
     slots[:, 6] &= _QUADS.take(c4)
     del slots, groups, c1, c2, c3, c4, d3, pair
-    np.frombuffer(buffer, dtype=np.uint8)[
-        np.asarray(ends) * 36 + _SEP] = ord("\n")
+    np.frombuffer(buffer, dtype=np.uint8).reshape(n, 36 * width)[
+        :, 36 * (width - 1) + _SEP] = ord("\n")
     text = buffer.translate(None, b"\0")
-    left = code == _BLANK
-    left &= ~blank
+    left = (code == _BLANK).reshape(n, width)
+    left[:, blank] &= ~np.isnan(block[:, blank])
     if not left.any():
         return text, []
     rest = np.flatnonzero(left)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import ottosim as o
-from ottosim import sweeps, text
+from ottosim import cli, sweeps, text
 
 
 def _check(tmp_path, rows, header=("a", "b", "c")):
@@ -137,7 +137,8 @@ def test_zeros_subnormals_and_the_edges_of_the_kernel(tmp_path):
 
 def test_ints_as_integral_floats_below_2_to_the_53(tmp_path):
     # a sweep's integer columns hold integral floats; the kernel writes
-    # them as %d, and leaves the exact 10**17 beyond them to format_value
+    # those below 10**4 as %.17g, which is their %d, and leaves the rest
+    # to format_value, which writes the view's ints as %d
     rng = np.random.default_rng(53)
     cells = [0, 1, 7, 10, 99, 100, 9999, 10 ** 4, 2 ** 31, 2 ** 32 + 1,
              10 ** 15, 2 ** 53 - 1, 10 ** 16, 10 ** 17]
@@ -187,20 +188,35 @@ def test_random_bit_patterns(tmp_path):
     _check_view(tmp_path, bits.view(np.float64), width=10)
 
 
+def _cli_sweeps():
+    """The table of each sweep the CLI runs, at the CLI's defaults: each
+    command, both contour modes and the four xxz models and protocols."""
+    variants = [("qutrit-two-bath", {}), ("qutrit-meas", {}),
+                ("qutrit-extreme", {})]
+    variants += [("qutrit-contour", {"mode": mode})
+                 for mode in sweeps.CONTOUR_MODES]
+    variants += [("xxz", {"model": model, "protocol": protocol})
+                 for model in sweeps.XXZ_MODELS
+                 for protocol in sweeps.XXZ_PROTOCOLS]
+    for name, choices in variants:
+        values = {opt.dest: None if opt.default is None
+                  else opt.conv(opt.default) for opt in cli._COMMANDS[name]}
+        yield cli._SWEEPS[name](dict(values, **choices))
+
+
 def test_sweep_tables_need_no_cell_by_cell_text():
-    # every cell of a sweep is a float in range, a 0/1 int or None
-    for table in (o.sweep_qutrit_two_bath(3, 4, 1, 0.5,
-                                          o.SweepRange(0, 3, 201)),
-                  o.sweep_qutrit_contour(3, 4, 1, "theta-phi",
-                                         o.SweepRange(0, 3.14, 9),
-                                         o.SweepRange(0.2, 2.8, 11))):
+    # every cell of a sweep is a float in range, a 0/1 flag or a blank
+    tables = [o.sweep_qutrit_two_bath(3, 4, 1, 0.5, o.SweepRange(0, 3, 201)),
+              o.sweep_qutrit_contour(3, 4, 1, "theta-phi",
+                                     o.SweepRange(0, 3.14, 9),
+                                     o.SweepRange(0.2, 2.8, 11))]
+    tables += _cli_sweeps()
+    assert len(tables) == 11
+    for table in tables:
         rows = table.rows
-        n, width = rows.cells.shape
-        _, rest = text.block_text(rows.cells.ravel(),
-                                  np.tile(rows.integer, n),
-                                  (np.isnan(rows.cells) & rows.blank).ravel(),
-                                  np.arange(width - 1, n * width, width))
+        _, rest = text.block_text(rows.cells, rows.blank)
         assert rest == []
+        assert np.isin(rows.cells[:, rows.integer], (0.0, 1.0)).all()
 
 
 def test_a_bad_cell_in_a_later_block_names_its_row(tmp_path):

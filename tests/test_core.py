@@ -179,6 +179,9 @@ QUTRIT = o.SubstanceSpec.qutrit(1.0)
     lambda: o.DensityMatrix([["1"]]),
     lambda: o.kraus_channel([[["1"]]]),
     lambda: o.projective_channel([["1", "0"], ["0", "1"]]),
+    lambda: o.kraus_channel(5),
+    lambda: o.is_passive([], []),
+    lambda: o.rearrangement_oracle([], []),
 ], ids=["spec-J-text", "spec-J-None", "bath-text", "bath-None", "angle-text",
         "spin-text", "spin-overflow", "hamiltonian-B-text",
         "spectrum-B-text", "gap-ratio-Bi-text", "closed-form-J-text",
@@ -195,7 +198,8 @@ QUTRIT = o.SubstanceSpec.qutrit(1.0)
         "boltzmann-numeric-text", "passive-numeric-text",
         "rearrangement-numeric-text", "eigensystem-numeric-text",
         "density-numeric-text", "kraus-numeric-text",
-        "projective-numeric-text"])
+        "projective-numeric-text", "kraus-not-iterable", "passive-empty",
+        "rearrangement-empty"])
 def test_non_numbers_raise_ottosim_error(call):
     with pytest.raises(o.OttoSimError):
         call()

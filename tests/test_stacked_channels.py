@@ -83,6 +83,11 @@ def test_angles_broadcast_and_keep_their_order():
     assert len(o.su3_projective_channels(0.1, 0.2, 0.3, 0.4)) == 1
 
 
+def test_no_angle_set_gives_no_channel():
+    assert o.su3_projective_channels([], [], [], []) == []
+    assert o.su3_projective_channels(np.zeros((2, 0)), 1.0, 0.5, 0.5) == []
+
+
 def mixed_rank_protocols():
     """Qutrit measurements of ranks 3, 1, 2 and 3 (a non-unital damping)."""
     return [o.Measurement(o.su3_projective_channel(o.EXTREME_ANGLES)),

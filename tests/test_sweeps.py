@@ -247,9 +247,9 @@ def test_write_csv_meta_writes_text_as_is_and_other_values_as_cells(
 
 @pytest.mark.parametrize("meta", [
     {"k": "x\ny=1"}, {"k": "x\r"}, {"k=v": 1.0}, {"k\n": "x"}, {"k": 1j},
-    {"k": "ok", "z": [1.0]},
+    {"k": "ok", "z": [1.0]}, {1: 2, "a": 3}, {1: 2},
 ], ids=["value-newline", "value-return", "key-equals", "key-newline",
-        "complex", "list"])
+        "complex", "list", "key-types-mixed", "key-int"])
 def test_write_csv_rejects_meta_that_would_not_read_back(tmp_path, meta):
     with pytest.raises(o.OttoSimError, match="meta"):
         o.write_csv(str(tmp_path / "m.csv"),
