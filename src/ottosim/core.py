@@ -82,21 +82,15 @@ def _floats(what: str, values, dtype=float) -> list:
     return arrays
 
 
-def _paired(pops, energies):
-    """pops and energies as finite float vectors of one length."""
+def _probabilities(pops, energies):
+    """pops and energies as finite float vectors of one length, with pops
+    checked to be a probability vector (so not empty)."""
     p, e = _floats("pops and energies must be real numbers",
                    (pops, energies))
     if p.shape != e.shape or p.ndim != 1:
         raise LengthMismatch(f"pops shape {p.shape} vs energies shape {e.shape}")
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(e))):
         raise OttoSimError("pops and energies must be finite numbers")
-    return p, e
-
-
-def _probabilities(pops, energies):
-    """_paired, with pops checked to be a probability vector (so not
-    empty)."""
-    p, e = _paired(pops, energies)
     with np.errstate(over="ignore"):
         total = p.sum()
     if not (p.size and p.min() >= -TOL.population

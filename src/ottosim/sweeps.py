@@ -3,18 +3,20 @@
 Each sweep function returns a SweepTable: a header, rows in
 deterministic order, and a metadata mapping recording every parameter.
 A sweep holds its cells as one float64 table of typed columns, and its
-rows are a view of that table that gives each row as a tuple of Python
-floats, ints (the 0/1 flags) and None (a blank eta_raw). Its columns:
-the swept axes; Qh, Qc, W; eta_raw (None where Qh == 0); eta0;
-engine_mode and crossing as 0/1; q1_plus_q2, the summed hot flux of the
-idle levels, for a kind with more than one idle level (xxz); then q_h,
-q_c, dp, p_cold and p_post per level label. format_value is the one rule
-from a cell to its text (blank for None, %d for integers, else %.17g),
-every .meta value that is not text included. write_csv writes a sweep's
-cells _CSV_CELLS at a time with text.block_text and the cells it leaves,
-like any other rows, through format_value. The same parameters give the
-same bytes, moved into place once both files are whole. An output path
-is resolved through its symlinks, and only a regular file is replaced.
+rows are a read-only view of that table that gives each row as a tuple
+of Python floats, ints (the 0/1 flags) and None (a blank eta_raw); to
+edit them, build a SweepTable from list(rows). Its columns: the swept
+axes; Qh, Qc, W; eta_raw (None where Qh == 0); eta0; engine_mode and
+crossing as 0/1; q1_plus_q2, the summed hot flux of the idle levels,
+for a kind with more than one idle level (xxz); then q_h, q_c, dp,
+p_cold and p_post per level label. format_value is the one rule from a
+cell to its text (blank for None, %d for integers, else %.17g), every
+.meta value that is not text included. write_csv writes a sweep's cells
+_CSV_CELLS at a time with text.block_text, and through format_value the
+cells it leaves and any rows built by hand. The same parameters give
+the same bytes, moved into place once both files are whole. An output
+path is resolved through its symlinks, and only a regular file is
+replaced.
 
 Every sweep is one call to _sweep, the loop they share. It allocates the
 table first, then builds and checks one channel per point of the outer
@@ -38,7 +40,7 @@ import math
 import operator
 import os
 import stat
-from collections.abc import Iterable, Mapping, MutableSequence, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -83,22 +85,23 @@ class SweepRange(Record):
 
 class SweepTable(NamedTuple):
     header: tuple
-    rows: Sequence  # of rows; a list, or a sweep's view of its columns
+    rows: Sequence  # a list of rows, or a sweep's read-only view
     meta: dict
 
 
-class _Rows(MutableSequence):
+class _Rows(Sequence):
     """The rows of a sweep table, read from its float64 cells of shape
     (rows, columns): each a tuple of a Python int for a column in integer
     (the 0/1 flags), None for a NaN in a column in blank (eta_raw), else
-    a Python float. Two are equal when their rows are. Any change turns
-    the view into a plain list of its rows, which write_csv then writes
-    as it writes any row list; until then it writes the cells, each as
-    the float it is: a flag's %.17g is its %d."""
+    a Python float. The view is read only, and two are equal when their
+    rows are; list(rows) gives rows to edit. write_csv writes the cells,
+    each as the float it is, so an integer column's cells are made whole
+    floats here, truncated as int() truncates and a -0.0 made 0.0: each
+    is then written as its int's %d."""
 
     def __init__(self, cells, integer, blank):
+        cells[:, integer] = np.trunc(cells[:, integer]) + 0.0
         self.cells, self.integer, self.blank = cells, integer, blank
-        self._list = None
 
     def _tuples(self, block):
         cells = block.astype(object)
@@ -107,19 +110,14 @@ class _Rows(MutableSequence):
         return list(map(tuple, cells.tolist()))
 
     def __len__(self):
-        return len(self.cells if self._list is None else self._list)
+        return len(self.cells)
 
     def __getitem__(self, index):
-        if self._list is not None:
-            return self._list[index]
         if isinstance(index, slice):
             return self._tuples(self.cells[index])
         return self._tuples(self.cells[operator.index(index)][None])[0]
 
     def __iter__(self):
-        if self._list is not None:
-            yield from self._list
-            return
         # a block at a time, so iterating holds few tuples at once
         for start in range(0, len(self.cells), 1024):
             yield from self._tuples(self.cells[start:start + 1024])
@@ -128,20 +126,6 @@ class _Rows(MutableSequence):
         if not isinstance(other, (list, _Rows)):
             return NotImplemented
         return list(self) == list(other)
-
-    def _as_list(self):
-        if self._list is None:
-            self._list, self.cells = list(self), None
-        return self._list
-
-    def __setitem__(self, index, row):
-        self._as_list()[index] = row
-
-    def __delitem__(self, index):
-        del self._as_list()[index]
-
-    def insert(self, index, row):
-        self._as_list().insert(index, row)
 
 
 # Most rows one kernel call of _sweep holds. A call takes whole points of
@@ -244,6 +228,12 @@ def _su3_measurements(theta, phi, chi, psi) -> list:
             for channel in su3_projective_channels(theta, phi, chi, psi)]
 
 
+def _choice(name, value, choices):
+    """OttoSimError unless value is text and one of choices."""
+    if not (isinstance(value, str) and value in choices):
+        raise OttoSimError(f"{name} must be one of {choices}, got {value!r}")
+
+
 CONTOUR_MODES = ("theta-phi", "theta-phi-chi")
 
 
@@ -255,8 +245,7 @@ def sweep_qutrit_contour(Bi: float, Bf: float, beta_c: float, mode: str,
     mode "theta-phi" sets theta = phi with chi = psi = pi/2;
     mode "theta-phi-chi" also ties chi to theta, with psi = pi/2.
     """
-    if mode not in CONTOUR_MODES:
-        raise OttoSimError(f"mode must be one of {CONTOUR_MODES}, got {mode!r}")
+    _choice("mode", mode, CONTOUR_MODES)
     half_pi = 0.5 * np.pi
     tie_chi = mode == "theta-phi-chi"
     return _sweep({"command": "qutrit-contour", "mode": mode}, Bi, Bf, beta_c,
@@ -297,10 +286,8 @@ def sweep_xxz(model: str, protocol: str, Bi: float, Bf: float, beta_c: float,
     The extra q1_plus_q2 column sums the two idle-level hot fluxes; its
     sign decides whether the efficiency beats the uncoupled baseline.
     """
-    if model not in XXZ_MODELS:
-        raise OttoSimError(f"model must be one of {XXZ_MODELS}, got {model!r}")
-    if protocol not in XXZ_PROTOCOLS:
-        raise OttoSimError(f"protocol must be one of {XXZ_PROTOCOLS}, got {protocol!r}")
+    _choice("model", model, XXZ_MODELS)
+    _choice("protocol", protocol, XXZ_PROTOCOLS)
     meta = {"command": "xxz", "model": model, "protocol": protocol}
     if protocol == "two-bath":
         if beta_h is None:
@@ -386,10 +373,10 @@ def write_csv(path: str, table: SweepTable) -> None:
     Output is byte-identical for identical parameters: full-precision
     floats, deterministic row order, no timestamps. Both files replace
     any earlier output only once both are fully written. Each cell is the
-    text format_value gives it: a sweep's rows, while still a view of its
-    float64 cells, are written by text.block_text _CSV_CELLS cells at a
-    time and the cells it leaves by format_value; any other rows go row
-    by row through format_value. The .meta sidecar has one key=value line
+    text format_value gives it: a sweep's rows, a view of its float64
+    cells, are written by text.block_text _CSV_CELLS cells at a time and
+    the cells it leaves by format_value; any other rows go row by row
+    through format_value. The .meta sidecar has one key=value line
     per key, in sorted order: a text value as it is, any other through
     format_value.
 
@@ -406,20 +393,19 @@ def write_csv(path: str, table: SweepTable) -> None:
             for name in header)):
         raise OttoSimError("table.header must be text names without ',' or "
                            f"line breaks, got {header!r}")
-    view = isinstance(rows, _Rows) and rows.cells is not None
     if not isinstance(meta, Mapping):
         raise OttoSimError("table.meta must be a mapping, got a "
                            f"{type(meta).__name__}")
     for key in meta:
         if not isinstance(key, str):
             raise OttoSimError(f"meta key {key!r} is not text")
-    if not (view or isinstance(rows, Iterable)):
+    if not isinstance(rows, Iterable):
         raise OttoSimError(f"table.rows must be rows, got {rows!r}")
     meta_text = "".join(_meta_line(key, value)
                         for key, value in sorted(meta.items()))
     with _replacing(path, path + ".meta") as (f, meta_file):
         f.write((",".join(header) + "\n").encode())
-        if view:
+        if isinstance(rows, _Rows):
             step = max(1, _CSV_CELLS // max(1, rows.cells.shape[1]))
             for first in range(0, len(rows), step):
                 f.write(_block_lines(rows, first, step))

@@ -53,7 +53,7 @@ def _check_view(tmp_path, values, integer=False, width=7):
     header = tuple(f"c{k}" for k in range(width + 2))
     path = tmp_path / "view.csv"
     o.write_csv(str(path), o.SweepTable(header, rows, {}))
-    assert rows.cells is cells  # still a view, so the kernel wrote it
+    assert rows.cells is cells  # integer columns made whole in place
     return _compare(path, header, rows)
 
 
@@ -136,12 +136,16 @@ def test_zeros_subnormals_and_the_edges_of_the_kernel(tmp_path):
 
 
 def test_ints_as_integral_floats_below_2_to_the_53(tmp_path):
-    # a sweep's integer columns hold integral floats; the kernel writes
-    # those below 10**4 as %.17g, which is their %d, and leaves the rest
-    # to format_value, which writes the view's ints as %d
+    # a view makes its integer columns integral floats, truncated as its
+    # tuples' ints are and with no -0.0; the kernel writes those below
+    # 10**4 as %.17g, which is their %d, and leaves the rest to
+    # format_value, which writes the view's ints as %d
     rng = np.random.default_rng(53)
     cells = [0, 1, 7, 10, 99, 100, 9999, 10 ** 4, 2 ** 31, 2 ** 32 + 1,
              10 ** 15, 2 ** 53 - 1, 10 ** 16, 10 ** 17]
+    # and values a hand-built view may hold; with 7 * 293 values before
+    # their negatives, no NaN pads the last row of _check_view
+    cells += [-0.0, 0.5, -0.5, 1.5, 2.5, 9999.5, 10 ** 4 + 0.5]
     cells += [10 ** k + d for k in range(1, 16) for d in (-1, 1)]
     cells += rng.integers(-2 ** 53 + 1, 2 ** 53, size=2000).tolist()
     cells += [-v for v in cells]

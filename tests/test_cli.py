@@ -329,9 +329,10 @@ def test_failed_write_keeps_earlier_output(tmp_path, capsys, monkeypatch,
         table = real(*args)
         if where == "csv":
             # past the first buffer flushes, so the temp file holds data
-            table.rows.insert(len(table.rows) // 2, [_Unwritable()])
-        else:
-            table.meta["broken"] = _Unwritable()
+            rows = list(table.rows)
+            rows.insert(len(rows) // 2, [_Unwritable()])
+            return o.SweepTable(table.header, rows, table.meta)
+        table.meta["broken"] = _Unwritable()
         return table
 
     monkeypatch.setattr(o.sweeps, "sweep_qutrit_two_bath", broken)

@@ -132,25 +132,34 @@ def test_equal_sweeps_compare_equal():
     assert a.rows != tuple(a.rows)
 
 
-def test_insert_makes_a_list_that_write_csv_writes_cell_by_cell(
+def test_rows_are_read_only_and_a_list_of_them_writes_cell_by_cell(
         tmp_path, monkeypatch):
     table = o.sweep_qutrit_two_bath(BI, BF, BETA_C, 0.5,
                                     o.SweepRange(0.2, 2.8, 5))
-    before = list(table.rows)
-    table.rows.insert(2, [Fraction(1, 3), 7, None])
-    assert len(table.rows) == 6
-    assert table.rows[2] == [Fraction(1, 3), 7, None]
-    assert list(table.rows) == before[:2] + [[Fraction(1, 3), 7, None]] \
-        + before[2:]
+    cells, before = table.rows.cells, table.rows.cells.copy()
+    with pytest.raises(AttributeError):
+        table.rows.insert(2, [1.0])
+    with pytest.raises(AttributeError):
+        table.rows.append([1.0])
+    with pytest.raises(TypeError):
+        table.rows[0] = [1.0]
+    with pytest.raises(TypeError):
+        del table.rows[0]
+    assert table.rows.cells is cells and np.array_equal(cells, before)
+    assert len(table.rows) == 5
+    # to edit a sweep's rows, build a table from a list of them
+    rows = list(table.rows)
+    rows.insert(2, [Fraction(1, 3), 7, None])
     seen = []
     real = o.sweeps.format_value
     monkeypatch.setattr(o.sweeps, "format_value",
                         lambda v: seen.append(v) or real(v))
-    o.write_csv(str(tmp_path / "x.csv"), table)
+    o.write_csv(str(tmp_path / "x.csv"),
+                o.SweepTable(table.header, rows, table.meta))
     assert Fraction(1, 3) in seen
     lines = (tmp_path / "x.csv").read_text().splitlines()
     assert lines[3] == "0.33333333333333331,7,"
-    assert lines[1] == ",".join(map(real, before[0]))
+    assert lines[1] == ",".join(map(real, rows[0]))
 
 
 # -- the column path against the row path -------------------------------------

@@ -108,10 +108,12 @@ def test_contour_sweep_grid_order_and_modes():
     # theta is the outer loop
     assert [r[0] for r in table.rows] == [0.5] * 3 + [1.5] * 3
     assert table.meta["mode"] == "theta-phi-chi"
-    with pytest.raises(o.OttoSimError):
-        o.sweep_qutrit_contour(3.0, 4.0, 1.0, "bogus",
-                               o.SweepRange(0.5, 1.5, 2),
-                               o.SweepRange(0.5, 1.0, 3))
+    # a choice must be text: an empty array or a one-name array is refused
+    for bad in ("bogus", np.array([]), np.array(["theta-phi"])):
+        with pytest.raises(o.OttoSimError, match="mode must be one of"):
+            o.sweep_qutrit_contour(3.0, 4.0, 1.0, bad,
+                                   o.SweepRange(0.5, 1.5, 2),
+                                   o.SweepRange(0.5, 1.0, 3))
 
 
 def test_extreme_sweep_properties():
@@ -154,6 +156,13 @@ def test_xxz_sweep_validation():
     with pytest.raises(o.OttoSimError):
         o.sweep_xxz("heisenberg", "meas", 3.0, 4.0, 1.0,
                     o.SweepRange(1.0, 1.0, 1))
+    for model, protocol in [(np.array([]), "two-bath"),
+                            (np.array(["xx"]), "two-bath"),
+                            ("xx", np.array([])),
+                            ("xx", np.array(["two-bath"]))]:
+        with pytest.raises(o.OttoSimError, match="must be one of"):
+            o.sweep_xxz(model, protocol, 3.0, 4.0, 1.0,
+                        o.SweepRange(1.0, 1.0, 1), beta_h=0.5)
     with pytest.raises(o.OttoSimError):
         o.sweep_xxz("xx", "two-bath", 3.0, 4.0, 1.0,
                     o.SweepRange(1.0, 1.0, 1))  # beta_h missing
