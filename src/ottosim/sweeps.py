@@ -10,10 +10,10 @@ axes; Qh, Qc, W; eta_raw (None where Qh == 0); eta0; engine_mode and
 crossing as 0/1; q1_plus_q2, the summed hot flux of the idle levels,
 for a kind with more than one idle level (xxz); then q_h, q_c, dp,
 p_cold and p_post per level label. format_value is the one rule from a
-cell to its text (blank for None, %d for integers, else %.17g), every
-.meta value that is not text included. write_csv writes a sweep's cells
-_CSV_CELLS at a time with text.block_text, and through format_value the
-cells it leaves and any rows built by hand. The same parameters give
+cell to its text (blank for None, %d for integers, else %.17g), for
+rows built by hand and every .meta value that is not text. write_csv
+writes every cell of a sweep's rows _CSV_CELLS at a time with
+text.block_text, which gives the same text. The same parameters give
 the same bytes, moved into place once both files are whole. An output
 path is resolved through its symlinks, and only a regular file is
 replaced.
@@ -96,11 +96,16 @@ class _Rows(Sequence):
     a Python float. The view is read only, and two are equal when their
     rows are; list(rows) gives rows to edit. write_csv writes the cells,
     each as the float it is, so an integer column's cells are made whole
-    floats here, truncated as int() truncates and a -0.0 made 0.0: each
-    is then written as its int's %d."""
+    floats here, truncated as int() truncates and a -0.0 made 0.0. Each
+    must be below 10**17 in size, where '%.17g' writes what '%d' writes;
+    else (NaN and inf too) OttoSimError, with the cells left as they were."""
 
     def __init__(self, cells, integer, blank):
-        cells[:, integer] = np.trunc(cells[:, integer]) + 0.0
+        whole = np.trunc(cells[:, integer]) + 0.0
+        if not (np.abs(whole) < 1e17).all():
+            raise OttoSimError("an integer column holds NaN, inf or a value "
+                               "of 1e17 or more in size")
+        cells[:, integer] = whole
         self.cells, self.integer, self.blank = cells, integer, blank
 
     def _tuples(self, block):
@@ -367,26 +372,33 @@ def _replacing(*paths):
 _CSV_CELLS = 3600
 
 
-def write_csv(path: str, table: SweepTable) -> None:
+def write_csv(path: str | os.PathLike, table: SweepTable) -> None:
     """Write the table as UTF-8 CSV with Unix newlines, plus a .meta sidecar.
 
     Output is byte-identical for identical parameters: full-precision
     floats, deterministic row order, no timestamps. Both files replace
     any earlier output only once both are fully written. Each cell is the
     text format_value gives it: a sweep's rows, a view of its float64
-    cells, are written by text.block_text _CSV_CELLS cells at a time and
-    the cells it leaves by format_value; any other rows go row by row
-    through format_value. The .meta sidecar has one key=value line
-    per key, in sorted order: a text value as it is, any other through
-    format_value.
+    cells, are written whole by text.block_text _CSV_CELLS cells at a
+    time; any other rows go row by row through format_value. The .meta
+    sidecar has one key=value line per key, in sorted order: a text value
+    as it is, any other through format_value.
 
-    OttoSimError, with no file left or changed, for a header that is not
-    a tuple or list of text names without "," or line breaks, meta that
-    is not a mapping, a .meta key that is not text or holds "=" or a
-    line break, a text value holding a line break or a value
-    format_value cannot write, rows or a row that are not iterable, or a
-    cell that is not a number or None (naming its row and column).
+    OttoSimError, with no file left or changed, for a path that is not a
+    non-empty str (or os.PathLike of one), a table that is not a
+    SweepTable, a header that is not a tuple or list of text names
+    without "," or line breaks, meta that is not a mapping, a .meta key
+    that is not text or holds "=" or a line break, a text value holding a
+    line break or a value format_value cannot write, rows or a row that
+    are not iterable, or a cell that is not a number or None (naming its
+    row and column).
     """
+    path = os.fspath(path) if isinstance(path, os.PathLike) else path
+    if not (isinstance(path, str) and path):
+        raise OttoSimError(f"path must be a non-empty file name, got {path!r}")
+    if not isinstance(table, SweepTable):
+        raise OttoSimError("table must be a SweepTable, got a "
+                           f"{type(table).__name__}")
     header, rows, meta = table.header, table.rows, table.meta
     if not (isinstance(header, (tuple, list)) and all(
             isinstance(name, str) and not any(c in name for c in ",\r\n")
@@ -408,26 +420,12 @@ def write_csv(path: str, table: SweepTable) -> None:
         if isinstance(rows, _Rows):
             step = max(1, _CSV_CELLS // max(1, rows.cells.shape[1]))
             for first in range(0, len(rows), step):
-                f.write(_block_lines(rows, first, step))
+                f.write(block_text(rows.cells[first:first + step],
+                                   rows.blank))
         else:
             for r, row in enumerate(rows):
                 f.write(_line(header, r, row))
         meta_file.write(meta_text.encode())
-
-
-def _block_lines(rows, first, count) -> bytes:
-    """The CSV lines of rows[first:first + count], a sweep's view: block_text
-    writes the cells it can, format_value the rest as the rows hold them."""
-    block = rows.cells[first:first + count]
-    text, rest = block_text(block, rows.blank)
-    if not rest:
-        return text
-    held, out, start = rows[first:first + count], [], 0
-    for i, offset in rest:
-        row, column = divmod(i, block.shape[1])
-        out += [text[start:offset], format_value(held[row][column]).encode()]
-        start = offset
-    return b"".join(out + [text[start:]])
 
 
 def _line(header, r, row) -> bytes:

@@ -3,17 +3,17 @@
 block_text(block, blank) writes a rectangular float64 block as
 sweeps.format_value writes the values its rows stand for: '%.17g' % x
 for each cell, nothing for a NaN in a blank column. '%.17g' writes an
-integral float below 10**4 (the 0/1 flags among them) as '%d' writes its
-int. It works on numpy arrays of the whole block. A float's 17 digits
-are exact: its 53-bit mantissa times a power of five is a 128-bit
-product in two uint64 limbs, shifted with the half-even rounding that a
-correctly rounded printf (CPython's dtoa among them) uses. Each cell's
-text is laid out in a slot of fixed bytes, and one bytearray.translate
-drops the bytes no text keeps. The cells it does not write (NaN outside
-a blank column, inf, floats outside its range) go back to the caller, to
-be written by format_value. sweeps.write_csv gives it a sweep's cells
-straight from their float64 table, and writes any other rows with
-format_value alone.
+integral float below 10**17 (the 0/1 flags among them) as '%d' writes
+its int. It works on numpy arrays of the whole block. Zeros and floats
+with a decimal exponent from -11 to 3 are written from their 17 exact
+digits: the 53-bit mantissa times a power of five is a 128-bit product
+in two uint64 limbs, shifted with the half-even rounding that a
+correctly rounded printf (CPython's dtoa among them) uses. Every other
+cell (NaN outside a blank column, inf, a float outside that range) is
+written by printf itself, b'%.17g' % x. Each cell's text is laid out in
+a slot of fixed bytes, and one bytearray.translate drops the bytes no
+text keeps. sweeps.write_csv gives it a sweep's cells straight from
+their float64 table, and writes any other rows with format_value alone.
 
 A slot is 36 bytes, nine uint32 words, with room for the sign, the lead
 "0.000" of a 0.000ddd, digit columns 3 to 19 of a float's 17 significant
@@ -35,8 +35,8 @@ _I64, _U64, _U32 = np.int64, np.uint64, np.uint32
 # D = round(|x| * 10**(16 - X)) = round(m * 5**(16 - X) / 2**s), with
 # s = X + 1059 - b, come from m * 5**(16 - X) < 2**128, where
 # 5**(16 - X) < 2**64 and 1 <= s <= 63. X > 3 would need a point after
-# column 7. A zero is written as 0 * 10**0; every other float goes back
-# to the caller.
+# column 7. A zero is written as 0 * 10**0; every other float takes
+# printf's text.
 _X_MIN, _X_MAX = -11, 3
 _FIVES = np.array([5 ** j for j in range(16 - _X_MAX, 17 - _X_MIN)],
                   dtype=_U64)
@@ -124,7 +124,6 @@ def _slot_tables():
 
 
 _SLOTS = _slot_tables()
-_KEPT = np.count_nonzero(_SLOTS.view(np.uint8), axis=1)
 _BLANK = len(_SLOTS) - 1
 
 
@@ -177,16 +176,14 @@ def _digits(x):
 
 
 def block_text(block, blank):
-    """(text, rest) for the float64 cells of block, of shape (rows,
-    columns), whose columns in the mask blank write a NaN as nothing.
-    text is the ASCII bytes of the rows, each cell followed by "," or, at
-    the end of its row, a line break; rest lists (i, offset) for each
-    cell not written, i its row-major index, in order, whose text goes at
-    byte offset of text, before its separator.
+    """The CSV text of the float64 cells of block, of shape (rows,
+    columns), whose columns in the mask blank write a NaN as nothing: the
+    ASCII bytes of the rows, each cell followed by "," or, at the end of
+    its row, a line break.
 
-    Written here: floats in _digits's range, zeros and blanks. The rest
-    (NaN outside a blank column, inf, other floats) is left to the
-    caller.
+    Floats in _digits's range, zeros and blanks are written from their
+    digits; every other cell (NaN outside a blank column, inf, other
+    floats) takes printf's own text, at most 24 bytes, in its slot.
     """
     n, width = block.shape
     x = block.reshape(-1)
@@ -225,14 +222,14 @@ def block_text(block, blank):
     slots[:, 4] &= _QUADS.take(c2)
     slots[:, 5] &= _QUADS.take(c3)
     slots[:, 6] &= _QUADS.take(c4)
-    del slots, groups, c1, c2, c3, c4, d3, pair
-    np.frombuffer(buffer, dtype=np.uint8).reshape(n, 36 * width)[
-        :, 36 * (width - 1) + _SEP] = ord("\n")
-    text = buffer.translate(None, b"\0")
+    del groups, c1, c2, c3, c4, d3, pair
+    # a _BLANK slot holds its separator alone, so printf's text of each
+    # cell not written above goes in the 32 bytes before it
     left = (code == _BLANK).reshape(n, width)
     left[:, blank] &= ~np.isnan(block[:, blank])
-    if not left.any():
-        return text, []
     rest = np.flatnonzero(left)
-    offsets = np.cumsum(_KEPT.take(code)) - 1
-    return text, list(zip(rest.tolist(), offsets[rest].tolist()))
+    texts = np.array([b"%.17g" % v for v in x[rest].tolist()], "S32")
+    slot_bytes = slots.view(np.uint8)
+    slot_bytes[rest, :32] = texts.view(np.uint8).reshape(-1, 32)
+    slot_bytes.reshape(n, width, 36)[:, -1, _SEP] = ord("\n")
+    return buffer.translate(None, b"\0")

@@ -5,6 +5,7 @@ through format_value (_check). Either way every cell must be
 format_value's text of the value the row holds."""
 
 import math
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 
@@ -137,12 +138,12 @@ def test_zeros_subnormals_and_the_edges_of_the_kernel(tmp_path):
 
 def test_ints_as_integral_floats_below_2_to_the_53(tmp_path):
     # a view makes its integer columns integral floats, truncated as its
-    # tuples' ints are and with no -0.0; the kernel writes those below
-    # 10**4 as %.17g, which is their %d, and leaves the rest to
-    # format_value, which writes the view's ints as %d
+    # tuples' ints are and with no -0.0; block_text writes them as
+    # %.17g, which below 10**17 is the %d format_value gives the view's
+    # ints (10**17 - 16 is the last float below 10**17)
     rng = np.random.default_rng(53)
     cells = [0, 1, 7, 10, 99, 100, 9999, 10 ** 4, 2 ** 31, 2 ** 32 + 1,
-             10 ** 15, 2 ** 53 - 1, 10 ** 16, 10 ** 17]
+             10 ** 15, 2 ** 53 - 1, 10 ** 16, 10 ** 17 - 16]
     # and values a hand-built view may hold; with 7 * 293 values before
     # their negatives, no NaN pads the last row of _check_view
     cells += [-0.0, 0.5, -0.5, 1.5, 2.5, 9999.5, 10 ** 4 + 0.5]
@@ -150,6 +151,16 @@ def test_ints_as_integral_floats_below_2_to_the_53(tmp_path):
     cells += rng.integers(-2 ** 53 + 1, 2 ** 53, size=2000).tolist()
     cells += [-v for v in cells]
     _check_view(tmp_path, cells, integer=True)
+    # an integer cell %.17g would not write as %d is refused, with no
+    # numpy warning, and leaves the cells as they were
+    for bad in (math.nan, math.inf, -math.inf, 2.0 ** 63, 1e17, -1e17):
+        cells = np.array([[1.0, 0.5], [bad, 2.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(o.OttoSimError, match="integer column"):
+                sweeps._Rows(cells, np.array([True, False]),
+                             np.array([False, False]))
+        assert cells[0, 0] == 1.0 and cells[1, 1] == 2.5
 
 
 def test_ints_and_bools_at_their_edges(tmp_path):
@@ -209,7 +220,8 @@ def _cli_sweeps():
 
 
 def test_sweep_tables_need_no_cell_by_cell_text():
-    # every cell of a sweep is a float in range, a 0/1 flag or a blank
+    # every cell of a sweep is a float in the kernel's range, a zero or a
+    # blank: none takes printf's text
     tables = [o.sweep_qutrit_two_bath(3, 4, 1, 0.5, o.SweepRange(0, 3, 201)),
               o.sweep_qutrit_contour(3, 4, 1, "theta-phi",
                                      o.SweepRange(0, 3.14, 9),
@@ -218,8 +230,10 @@ def test_sweep_tables_need_no_cell_by_cell_text():
     assert len(tables) == 11
     for table in tables:
         rows = table.rows
-        _, rest = text.block_text(rows.cells, rows.blank)
-        assert rest == []
+        _, _, ok = text._digits(rows.cells)
+        ok |= rows.cells == 0.0
+        ok[:, rows.blank] |= np.isnan(rows.cells[:, rows.blank])
+        assert ok.all()
         assert np.isin(rows.cells[:, rows.integer], (0.0, 1.0)).all()
 
 

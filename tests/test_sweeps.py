@@ -328,6 +328,31 @@ def test_write_csv_rejects_a_malformed_table(tmp_path, table):
     assert path.read_bytes() == b"OLD"
 
 
+def test_write_csv_takes_a_path_like(tmp_path):
+    table = o.SweepTable(("a", "b"), [[0.5, 1]], {"x": 2})
+    o.write_csv(tmp_path / "p.csv", table)
+    o.write_csv(str(tmp_path / "s.csv"), table)
+    for suffix in ("", ".meta"):
+        assert (tmp_path / f"p.csv{suffix}").read_bytes() == \
+            (tmp_path / f"s.csv{suffix}").read_bytes()
+
+
+@pytest.mark.parametrize("path", ["", b"x.csv", 5, None],
+                         ids=["empty", "bytes", "int", "None"])
+def test_write_csv_rejects_a_path_that_is_no_file_name(tmp_path, monkeypatch,
+                                                       path):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(o.OttoSimError, match="path"):
+        o.write_csv(path, o.SweepTable(("a",), [[1.0]], {}))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_csv_rejects_a_table_that_is_no_sweep_table(tmp_path):
+    with pytest.raises(o.OttoSimError, match="SweepTable"):
+        o.write_csv(str(tmp_path / "t.csv"), (("a",), [[1.0]], {}))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_write_csv_writes_exact_numbers_as_their_floats(tmp_path):
     cells = [Decimal("0.1"), Fraction(1, 3), Decimal(-7), Fraction(10**20)]
     path = tmp_path / "exact.csv"
