@@ -193,7 +193,7 @@ def test_a_column_that_mixes_every_kind_of_cell(tmp_path):
 
 def test_random_bit_patterns(tmp_path):
     # 10**6 doubles: half any bit pattern (mostly outside the kernel's
-    # decimal exponents, so format_value writes them), half with biased
+    # decimal exponents, so they take printf's text), half with biased
     # exponents that cover the kernel's range and a little beyond
     rng = np.random.default_rng(20261018)
     bits = rng.integers(0, 2 ** 64, size=10 ** 6, dtype=np.uint64)
