@@ -1,71 +1,48 @@
 """Immutable records: the value objects of the package.
 
-A record class lists its fields as annotations in its body, each with an
-optional class-level default. Record reads them once, when the subclass
-is created, and generates no code: one __init__ binds the arguments of
-every record class and then calls __post_init__, which may convert a
-field with object.__setattr__. Instances refuse assignment and deletion,
-compare and hash by their field tuple, and print as Name(field=value).
+A record class lists its fields as annotations, each with an optional
+class-level default. Record turns them into the class's __signature__
+once, at class creation, and generates no code. One __init__ takes a
+call that gives every field, all by position or all by keyword, as it
+comes and binds any other with __signature__; a binding error is
+Python's TypeError with the class name in front. It then calls
+__post_init__, which may convert a field with object.__setattr__.
+Instances refuse assignment and deletion, compare and hash by their
+field tuple and print as Name(field=value); record classes are final.
 """
 
-
-class _FieldSignature:
-    """inspect.signature of a record class: its fields with their
-    annotations and defaults, built when asked for."""
-
-    def __get__(self, obj, cls):
-        import inspect
-        P = inspect.Parameter
-        notes = {}
-        for klass in reversed(cls.__mro__):
-            notes.update(klass.__dict__.get("__annotations__", {}))
-        return inspect.Signature(
-            [P(name, P.POSITIONAL_OR_KEYWORD, annotation=notes[name],
-               default=cls._defaults.get(name, P.empty))
-             for name in cls._fields], return_annotation=None)
+from inspect import Parameter, Signature
 
 
 class Record:
     """Base class of every record; see the module docstring."""
 
     _fields = ()
-    _defaults = {}
-    __signature__ = _FieldSignature()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        own = [name for name in cls.__dict__.get("__annotations__", {})
-               if name not in cls._fields]
-        cls._fields = cls.__match_args__ = cls._fields + tuple(own)
-        cls._defaults = {**cls._defaults, **{
-            name: cls.__dict__[name] for name in own if name in cls.__dict__}}
+        if cls._fields:
+            raise TypeError(f"{cls.__name__}: a record class cannot be extended")
+        cls.__signature__ = Signature(
+            [Parameter(name, Parameter.POSITIONAL_OR_KEYWORD, annotation=note,
+                       default=cls.__dict__.get(name, Parameter.empty))
+             for name, note in cls.__dict__.get("__annotations__", {}).items()],
+            return_annotation=None)
+        cls._fields = cls.__match_args__ = tuple(cls.__signature__.parameters)
 
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != len(self._fields):
-            args = self._bind(args, kwargs)
+            sig = self.__signature__
+            if args or kwargs.keys() != sig.parameters.keys():
+                try:
+                    call = sig.bind(*args, **kwargs)
+                except TypeError as exc:
+                    raise TypeError(f"{type(self).__name__}(): {exc}") from None
+                call.apply_defaults()
+                kwargs = call.arguments
+            args = map(kwargs.__getitem__, self._fields)
         self.__dict__.update(zip(self._fields, args))
         self.__post_init__()
-
-    @classmethod
-    def _bind(cls, args, kwargs) -> list:
-        """The field values of a call, in field order; TypeError for a
-        missing, unknown or repeated argument."""
-        name, rest = cls.__name__, cls._fields[len(args):]
-        if len(args) > len(cls._fields):
-            raise TypeError(f"{name}() takes {len(cls._fields)} positional "
-                            f"arguments but {len(args)} were given")
-        unknown = kwargs.keys() - rest
-        if unknown:
-            key = min(unknown)
-            problem = ("multiple values for" if key in cls._fields
-                       else "an unexpected keyword")
-            raise TypeError(f"{name}() got {problem} argument {key!r}")
-        values = {**cls._defaults, **kwargs}
-        try:
-            return [*args, *map(values.__getitem__, rest)]
-        except KeyError as exc:
-            raise TypeError(f"{name}() missing required argument "
-                            f"{exc.args[0]!r}") from None
 
     def __post_init__(self):
         pass

@@ -78,13 +78,14 @@ class Opt(Record):
 
 # Largest row count of a sweep (theta_steps * j_steps for the contour) and
 # largest theorem1 sample count: 100 times the largest grid the benchmark
-# runs (2001 rows). At the cap a 400 x 500 contour takes 1.3-1.8 s and
-# 69 MiB peak RSS (ru_maxrss of a fresh process; 30 MiB after import),
-# most of the rest its 36.6 MiB float64 table, filled by 50 kernel calls
-# of 4000 rows each, each with its 8 channels built as one stack. Of
-# that time the import takes about 0.2 s, the sweep 0.11-0.13 s and
-# write_csv the rest; theorem1 takes 10.5-13.3 s and 43 MiB (2-vCPU
-# x86-64 host with a noisy neighbour, Python 3.11, numpy 2.4).
+# runs (2001 rows). Peak RSS at the cap (ru_maxrss of a fresh process,
+# 30 MiB after import; main() alone timed): a 400 x 500 contour 75 MiB
+# in 0.8-1.1 s, most of the rest its 36.6 MiB float64 table, filled by
+# 50 kernel calls of 4000 rows; the 200,000-point 1-D sweeps, each one
+# kernel call (see sweeps._SWEEP_ROWS), 106 MiB (qutrit-two-bath),
+# 114 MiB (qutrit-meas) and 142 MiB (xxz --protocol meas) in 0.8-1.8 s;
+# theorem1 43 MiB in 8-11 s (2-vCPU x86-64 host with a noisy neighbour,
+# Python 3.11, numpy 2.4).
 MAX_POINTS = 200_000
 
 

@@ -38,16 +38,28 @@ from .substances import (_KINDS, SubstanceSpec, _check_fields, _couplings,
 from .tolerances import TOL
 
 
+def _require(name: str, value, cls: type) -> None:
+    """InvalidField naming the field unless value is a cls."""
+    if not isinstance(value, cls):
+        raise InvalidField(f"{name} must be a {cls.__name__}, got {value!r}")
+
+
 class TwoBath(Record):
     """Stroke 3 thermalizes with a hot bath."""
 
     hot: BathSpec
+
+    def __post_init__(self):
+        _require("hot", self.hot, BathSpec)
 
 
 class Measurement(Record):
     """Stroke 3 applies a non-selective quantum channel."""
 
     channel: KrausChannel
+
+    def __post_init__(self):
+        _require("channel", self.channel, KrausChannel)
 
 
 Protocol = Union[TwoBath, Measurement]
@@ -61,6 +73,8 @@ class CycleConfig(Record):
     protocol: Protocol
 
     def __post_init__(self):
+        _require("spec", self.spec, SubstanceSpec)
+        _require("cold", self.cold, BathSpec)
         fields = _check_fields(self.Bi, self.Bf)
         _check_protocol(self.spec.dim, self.protocol)
         for name, value in zip(("Bi", "Bf"), fields):

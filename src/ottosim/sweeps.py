@@ -134,9 +134,12 @@ class _Rows(Sequence):
 
 
 # Most rows one kernel call of _sweep holds. A call takes whole points of
-# the outer axes, so a swept axis longer than this is one call per point.
-# The arrays of one call then stay a few megabytes beside the table they
-# fill, which holds 8 bytes a cell.
+# the outer axes, so a swept axis longer than this is one call per point,
+# and a 1-D sweep is one call whatever its length. The table a call fills
+# holds 8 bytes a cell. At cli.MAX_POINTS the contour's 50 calls of 4000
+# rows add under 9 MiB of peak RSS to its 36.6 MiB table, but a 1-D
+# sweep's one call adds 42-68 MiB to its 35-44 MiB table (peak 106-142
+# MiB against the contour's 75 MiB; ru_maxrss, 2-vCPU x86-64 host).
 _SWEEP_ROWS = 4096
 
 
@@ -387,11 +390,11 @@ def write_csv(path: str | os.PathLike, table: SweepTable) -> None:
     OttoSimError, with no file left or changed, for a path that is not a
     non-empty str (or os.PathLike of one), a table that is not a
     SweepTable, a header that is not a tuple or list of text names
-    without "," or line breaks, meta that is not a mapping, a .meta key
-    that is not text or holds "=" or a line break, a text value holding a
-    line break or a value format_value cannot write, rows or a row that
-    are not iterable, or a cell that is not a number or None (naming its
-    row and column).
+    without "," or line breaks, a sweep's rows of another width than the
+    header, meta that is not a mapping, a .meta key that is not text or
+    holds "=" or a line break, a text value holding a line break or a
+    value format_value cannot write, rows or a row that are not iterable,
+    or a cell that is not a number or None (naming its row and column).
     """
     path = os.fspath(path) if isinstance(path, os.PathLike) else path
     if not (isinstance(path, str) and path):
@@ -413,6 +416,9 @@ def write_csv(path: str | os.PathLike, table: SweepTable) -> None:
             raise OttoSimError(f"meta key {key!r} is not text")
     if not isinstance(rows, Iterable):
         raise OttoSimError(f"table.rows must be rows, got {rows!r}")
+    if isinstance(rows, _Rows) and rows.cells.shape[1] != len(header):
+        raise OttoSimError(f"table.rows has {rows.cells.shape[1]} columns, "
+                           f"table.header {len(header)}")
     meta_text = "".join(_meta_line(key, value)
                         for key, value in sorted(meta.items()))
     with _replacing(path, path + ".meta") as (f, meta_file):

@@ -155,6 +155,39 @@ def test_defaults_and_positions():
         o.BathSpec()
 
 
+@pytest.mark.parametrize("call, problem", [
+    (lambda: o.BathSpec(), "missing a required argument: 'beta'"),
+    (lambda: o.BathSpec(beta=0.5, gamma=1.0),
+     "got an unexpected keyword argument 'gamma'"),
+    (lambda: o.BathSpec(0.5, beta=0.5), "multiple values for argument 'beta'"),
+    (lambda: o.BathSpec(0.5, 0.5), "too many positional arguments"),
+], ids=["missing", "unknown", "repeated", "too-many"])
+def test_binding_errors_name_the_class(call, problem):
+    with pytest.raises(TypeError) as info:
+        call()
+    assert str(info.value) == f"BathSpec(): {problem}"
+
+
+def test_keywords_in_any_order_bind_in_field_order():
+    assert o.SweepRange(steps=3, stop=1, start=0) == o.SweepRange(0, 1, 3)
+    assert o.Theorem1Report(passed=True, max_identity=0.5, dims=(2,), seed=0,
+                            min_unital=0.0, control_samples=1, samples=1,
+                            min_control=-1.0, control_negative_found=True) \
+        == o.Theorem1Report(1, (2,), 0, 0.0, 1, -1.0, True, True, 0.5)
+
+
+def test_a_record_class_cannot_be_extended():
+    with pytest.raises(TypeError, match="BathSpec2"):
+        class BathSpec2(o.BathSpec):
+            pass
+
+
+def test_signature_shows_annotations_and_defaults():
+    assert str(inspect.signature(o.SubstanceSpec)) == (
+        "(kind: 'SubstanceKind', J: 'float' = 0.0, Jxy: 'float' = 0.0, "
+        "Jz: 'float' = 0.0) -> None")
+
+
 @pytest.mark.parametrize("call", [
     lambda: o.BathSpec(-1.0),
     lambda: o.DensityMatrix([[2.0]]),
@@ -164,8 +197,14 @@ def test_defaults_and_positions():
     lambda: o.SpinDirection(2.0, 0.0, 0.0),
     lambda: o.SubstanceSpec(o.SubstanceKind.QUTRIT, Jxy=1.0),
     lambda: o.SweepRange(1.0, 0.0, 3),
+    lambda: o.TwoBath(5),
+    lambda: o.Measurement(5),
+    lambda: o.CycleConfig(_SPEC, 3, 4, 5, o.TwoBath(o.BathSpec(0.5))),
+    lambda: o.CycleConfig(5, 3, 4, o.BathSpec(1.0),
+                          o.TwoBath(o.BathSpec(0.5))),
 ], ids=["BathSpec", "DensityMatrix", "CycleConfig", "Su3Angles",
-        "SpinDirection", "SubstanceSpec", "SweepRange"])
+        "SpinDirection", "SubstanceSpec", "SweepRange", "TwoBath-int",
+        "Measurement-int", "CycleConfig-cold-int", "CycleConfig-spec-int"])
 def test_validating_records_reject_a_bad_value(call):
     with pytest.raises(o.OttoSimError):
         call()

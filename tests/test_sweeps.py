@@ -642,3 +642,13 @@ def test_channels_are_built_call_by_call(monkeypatch):
                            o.SweepRange(0.0, np.pi, 3),
                            o.SweepRange(0.2, 2.8, 5))
     assert events == [("channels", 2), "kernel", ("channels", 1), "kernel"]
+
+
+def test_write_csv_rejects_a_row_view_under_a_header_of_another_width(
+        tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rows = o.sweep_qutrit_two_bath(3, 4, 1, 0.5, o.SweepRange(0, 1, 2)).rows
+    assert rows.cells.shape[1] == 23
+    with pytest.raises(o.OttoSimError, match="23 columns"):
+        o.write_csv("x.csv", o.SweepTable(("a", "b"), rows, {}))
+    assert list(tmp_path.iterdir()) == []
