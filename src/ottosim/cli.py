@@ -78,8 +78,8 @@ class Opt(Record):
 
 # Largest row count of a sweep (theta_steps * j_steps for the contour) and
 # largest theorem1 sample count: 100 times the largest grid the benchmark
-# runs (2001 rows). Peak RSS at the cap (ru_maxrss of a fresh process,
-# 30 MiB after import; main() alone timed): a 400 x 500 contour 75 MiB
+# runs (2001 rows). Peak RSS and time of main() at the cap (ru_maxrss of
+# a fresh process, 30 MiB after import): a 400 x 500 contour 75 MiB
 # in 0.8-1.1 s, most of the rest its 36.6 MiB float64 table, filled by
 # 50 kernel calls of 4000 rows; the 200,000-point 1-D sweeps, each one
 # kernel call (see sweeps._SWEEP_ROWS), 106 MiB (qutrit-two-bath),

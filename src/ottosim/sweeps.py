@@ -135,11 +135,11 @@ class _Rows(Sequence):
 
 # Most rows one kernel call of _sweep holds. A call takes whole points of
 # the outer axes, so a swept axis longer than this is one call per point,
-# and a 1-D sweep is one call whatever its length. The table a call fills
-# holds 8 bytes a cell. At cli.MAX_POINTS the contour's 50 calls of 4000
-# rows add under 9 MiB of peak RSS to its 36.6 MiB table, but a 1-D
-# sweep's one call adds 42-68 MiB to its 35-44 MiB table (peak 106-142
-# MiB against the contour's 75 MiB; ru_maxrss, 2-vCPU x86-64 host).
+# and a 1-D sweep is one call whatever its length. The table the calls
+# fill holds 8 bytes a cell. At cli.MAX_POINTS, peak RSS beyond the
+# import's 30 MiB and the table is under 9 MiB for the contour's 50 calls
+# of 4000 rows, but 42-68 MiB for a 1-D sweep's one call: peak 106-142
+# MiB against the contour's 75 MiB (ru_maxrss, 2-vCPU x86-64 host).
 _SWEEP_ROWS = 4096
 
 
