@@ -182,11 +182,16 @@ def run_cycle_batch(specs, Bi: float, Bf: float, cold: BathSpec,
     Every step is elementwise or a fixed-order sum within a row, so row k
     has the same bits as a batch of specs[k] alone. A cooling measurement
     (Qh < 0 in any row) raises one MeasurementCoolsWarning per call.
-    Energies, heats or work too large to represent raise InvalidField.
+    Energies, heats or work too large to represent raise InvalidField, and
+    so do a spec that is not a SubstanceSpec and a cold bath that is not a
+    BathSpec, naming the argument, before any cycle runs.
     """
     specs = tuple(specs)
     if not specs:
         raise OttoSimError("a cycle batch needs at least one substance")
+    for k, spec in enumerate(specs):
+        _require(f"specs[{k}]", spec, SubstanceSpec)
+    _require("cold", cold, BathSpec)
     if any(s.kind is not specs[0].kind for s in specs):
         raise InvalidField("substances of one batch must share one kind")
     kind = _KINDS[specs[0].kind]

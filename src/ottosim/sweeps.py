@@ -24,7 +24,9 @@ axes (per theta for the contour; each kernel call's thetas as one stack,
 in one su3_projective_channels call) and runs the whole grid as one
 cycle kernel call, with one protocol per block of rows that share an
 outer point; a grid of more than _SWEEP_ROWS rows takes one call per
-group of whole points. The kernel works row by row in a fixed order, so
+group of whole points, and a swept axis longer than that one call per
+_SWEEP_ROWS of its rows, each point's protocol built once for all the
+calls its rows span. The kernel works row by row in a fixed order, so
 each row holds the bits of run_cycle at its grid point, whatever the
 split. Each call fills its rows of the table in place. A grid whose
 table cannot be allocated raises OttoSimError before any channel is
@@ -134,19 +136,20 @@ class _Rows(Sequence):
 
 
 # Most rows one kernel call of _sweep holds. A call takes whole points of
-# the outer axes, so a swept axis longer than this is one call per point,
-# and a 1-D sweep is one call whatever its length. The table the calls
-# fill holds 8 bytes a cell. At cli.MAX_POINTS, peak RSS beyond the
-# import's 30 MiB and the table is under 9 MiB for the contour's 50 calls
-# of 4000 rows, but 42-68 MiB for a 1-D sweep's one call: peak 106-142
-# MiB against the contour's 75 MiB (ru_maxrss, 2-vCPU x86-64 host).
+# the outer axes, or part of one point's swept axis if that alone is
+# longer. The table the calls fill holds 8 bytes a cell. At
+# cli.MAX_POINTS, peak RSS beyond the import's 30 MiB and the table is a
+# few MiB: 75 MiB for the contour's 50 calls of 4000 rows, 75 MiB for
+# qutrit-two-bath and qutrit-meas and 85 MiB for xxz --protocol meas in
+# 49 calls (106, 113 and 142 MiB as one call each; ru_maxrss, 2-vCPU
+# x86-64 host).
 _SWEEP_ROWS = 4096
 
 
 def _sweep(meta, Bi, Bf, beta_c, axes, kind, protocols) -> SweepTable:
     """The loop all sweeps share: one cycle kernel call for the whole grid,
-    or one per _SWEEP_ROWS rows of it, each filling its rows of one
-    float64 table allocated first.
+    or one per at most _SWEEP_ROWS rows of it, each filling its rows of
+    one float64 table allocated first.
 
     axes: (column, meta prefix, SweepRange) per axis; the last, which runs
     fastest, sets the coupling of kind its column names (others stay 0).
@@ -170,32 +173,42 @@ def _sweep(meta, Bi, Bf, beta_c, axes, kind, protocols) -> SweepTable:
     blank = np.isin(header, ("eta_raw",))
     points = itertools.product(*(r.values().tolist() for _, _, r in outer))
     cs = grid.values()
+    # a call takes whole points of the outer axes, or, if the swept axis
+    # alone is longer than _SWEEP_ROWS, one point's rows in parts of at
+    # most _SWEEP_ROWS, all under the point's one protocol
     step = min(math.prod(r.steps for _, _, r in outer),
                max(1, _SWEEP_ROWS // len(cs)))
-    couplings = np.zeros((step * len(cs), len(table.couplings)))
-    couplings[:, table.couplings.index(swept)] = np.tile(cs, step)
+    part = min(len(cs), _SWEEP_ROWS)
+    couplings = np.zeros((step * part, len(table.couplings)))
+    swept_column = couplings[:, table.couplings.index(swept)]
+    swept_column[:] = np.tile(cs[:part], step)
     cold = BathSpec(beta_c)
     done, cooled = 0, 0
     while chunk := list(itertools.islice(points, step)):
-        n, coords = len(chunk) * len(cs), np.array(chunk)
+        coords = np.array(chunk)
         blocks = protocols(coords)
-        batch = _run_cycles(table, couplings[:n], Bi, Bf, cold, blocks)
-        if isinstance(blocks[0], Measurement):
-            cooled += int(np.count_nonzero(batch.Qh < 0.0))
-        rows = cells[done:done + n]
-        grid_rows = rows.reshape(len(chunk), len(cs), len(header))
-        grid_rows[:, :, :len(outer)] = coords[:, None]
-        grid_rows[:, :, len(outer)] = cs
-        columns = [batch.Qh, batch.Qc, batch.W, batch.eta_raw, batch.eta0,
-                   batch.engine_mode, batch.crossing]
-        if extra:
-            columns.append(row_sum(batch.flux_hot[:, table.idle]))
-        for per_level in (batch.flux_hot, batch.flux_cold, batch.delta_p,
-                          batch.p_cold, batch.p_hot):
-            columns += list(per_level.T)
-        for k, column in enumerate(columns, len(outer) + 1):
-            rows[:, k] = column
-        done += n
+        for first in range(0, len(cs), part):
+            values = cs[first:first + part]
+            n = len(chunk) * len(values)
+            if part < len(cs):
+                swept_column[:n] = values
+            batch = _run_cycles(table, couplings[:n], Bi, Bf, cold, blocks)
+            if isinstance(blocks[0], Measurement):
+                cooled += int(np.count_nonzero(batch.Qh < 0.0))
+            rows = cells[done:done + n]
+            grid_rows = rows.reshape(len(chunk), len(values), len(header))
+            grid_rows[:, :, :len(outer)] = coords[:, None]
+            grid_rows[:, :, len(outer)] = values
+            columns = [batch.Qh, batch.Qc, batch.W, batch.eta_raw,
+                       batch.eta0, batch.engine_mode, batch.crossing]
+            if extra:
+                columns.append(row_sum(batch.flux_hot[:, table.idle]))
+            for per_level in (batch.flux_hot, batch.flux_cold,
+                              batch.delta_p, batch.p_cold, batch.p_hot):
+                columns += list(per_level.T)
+            for k, column in enumerate(columns, len(outer) + 1):
+                rows[:, k] = column
+            done += n
     _warn_cooling(cooled, count)
     meta = dict(meta, bi=Bi, bf=Bf, beta_c=cold.beta)
     for _, prefix, r in axes:
@@ -364,14 +377,15 @@ def _replacing(*paths):
         raise
 
 
-# Cells write_csv writes at a time, in whole rows. Their 36-byte text
-# slots, 129,600 bytes, stay below glibc's default 128 KiB mmap
-# threshold: a block mmapped and freed raises that threshold for the rest
-# of the process, and with 4096-cell blocks the benchmark's thermal-sweep
-# then took a 1 MiB step of peak RSS in about one run of four. The arrays
-# peak at about 120 bytes a cell. Blocks of 2048 cells took about 15%
-# more time per cell; 4096 and 8192 the same as 3600, within noise
-# (2-vCPU x86-64 host, numpy 2.4).
+# Cells write_csv writes at a time, in whole rows. Their 32-byte text
+# slots, 115,201 bytes with the last line break, stay below glibc's
+# default 128 KiB mmap threshold: a block mmapped and freed raises that
+# threshold for the rest of the process, and with 4096-cell blocks of
+# 36-byte slots the benchmark's thermal-sweep then took a 1 MiB step of
+# peak RSS in about one run of four. The arrays peak at about 90 bytes a
+# cell. Blocks of 2048 cells took about 15% more time per cell; 4096 and
+# 8192 the same as 3600, within noise, and 14,400 no faster for 0.8 MiB
+# more peak RSS (2-vCPU x86-64 host, numpy 2.4).
 _CSV_CELLS = 3600
 
 

@@ -146,3 +146,22 @@ def test_batch_validation():
     with pytest.raises(o.DimensionMismatch):
         o.run_cycle_batch([o.SubstanceSpec.qubit()], 3.0, 4.0, cold,
                           o.Measurement(o.damping_channel(3, 0.5)))
+
+
+def test_batch_rejects_a_spec_or_cold_bath_that_is_not_a_record(monkeypatch):
+    # checked once per call, before the kernel runs
+    calls = []
+    monkeypatch.setattr(o.cycle, "_run_cycles",
+                        lambda *args: calls.append(args))
+    hot = o.TwoBath(o.BathSpec(0.5))
+    spec = o.SubstanceSpec.qutrit(1.0)
+    with pytest.raises(o.InvalidField, match=r"^cold must be a BathSpec, "
+                                             r"got 5$"):
+        o.run_cycle_batch([spec], 3, 4, 5, hot)
+    with pytest.raises(o.InvalidField, match=r"^specs\[0\] must be a "
+                                             r"SubstanceSpec, got 5$"):
+        o.run_cycle_batch([5], 3, 4, o.BathSpec(1.0), hot)
+    with pytest.raises(o.InvalidField, match=r"^specs\[1\] must be a "
+                                             r"SubstanceSpec, got None$"):
+        o.run_cycle_batch([spec, None], 3, 4, o.BathSpec(1.0), hot)
+    assert calls == []

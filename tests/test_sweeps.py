@@ -610,7 +610,7 @@ def test_grid_beyond_the_row_limit_gives_the_bytes_of_one_call(
             (tmp_path / f"one.csv{suffix}").read_bytes()
 
 
-def test_swept_axis_beyond_the_row_limit_is_one_call_per_point(monkeypatch):
+def test_swept_axis_beyond_the_row_limit_is_split_at_the_limit(monkeypatch):
     monkeypatch.setattr(o.sweeps, "_SWEEP_ROWS", 3)
     calls = _counting_kernel(monkeypatch)
     split = o.sweep_qutrit_contour(BI, BF, BETA_C, "theta-phi",
@@ -618,7 +618,7 @@ def test_swept_axis_beyond_the_row_limit_is_one_call_per_point(monkeypatch):
                                    o.SweepRange(0.2, 2.8, 5))
     line = o.sweep_qutrit_two_bath(BI, BF, BETA_C, 0.5,
                                    o.SweepRange(0.2, 2.8, 5))
-    assert calls == [5, 5, 5, 5]
+    assert calls == [3, 2, 3, 2, 3, 2, 3, 2]
     monkeypatch.undo()
     assert split == o.sweep_qutrit_contour(BI, BF, BETA_C, "theta-phi",
                                            o.SweepRange(0.0, np.pi, 3),
@@ -642,6 +642,24 @@ def test_channels_are_built_call_by_call(monkeypatch):
                            o.SweepRange(0.0, np.pi, 3),
                            o.SweepRange(0.2, 2.8, 5))
     assert events == [("channels", 2), "kernel", ("channels", 1), "kernel"]
+
+
+def test_a_point_split_over_calls_builds_its_channel_once(monkeypatch):
+    # 2 thetas x 5 J at 2 rows a call: each theta's channel serves the
+    # three calls its rows span
+    events = []
+    channels, kernel = o.sweeps.su3_projective_channels, o.sweeps._run_cycles
+    monkeypatch.setattr(o.sweeps, "su3_projective_channels",
+                        lambda *angles: events.append("channels")
+                        or channels(*angles))
+    monkeypatch.setattr(o.sweeps, "_run_cycles",
+                        lambda kind, couplings, *args: events.append(
+                            len(couplings)) or kernel(kind, couplings, *args))
+    monkeypatch.setattr(o.sweeps, "_SWEEP_ROWS", 2)
+    o.sweep_qutrit_contour(BI, BF, BETA_C, "theta-phi",
+                           o.SweepRange(0.0, np.pi, 2),
+                           o.SweepRange(0.2, 2.8, 5))
+    assert events == ["channels", 2, 2, 1] * 2
 
 
 def test_write_csv_rejects_a_row_view_under_a_header_of_another_width(
