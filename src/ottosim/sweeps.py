@@ -153,10 +153,11 @@ def _sweep(meta, Bi, Bf, beta_c, axes, kind, protocols) -> SweepTable:
 
     axes: (column, meta prefix, SweepRange) per axis; the last, which runs
     fastest, sets the coupling of kind its column names (others stay 0).
-    protocols(points) gives the stroke-3 protocols of one kernel call's
-    points of the outer axes, an array (points, outer axes), one per
-    point, in one call; the kernel runs each point's rows as one block
-    under its protocol.
+    protocols(points) gives the stroke-3 protocols of a group of points
+    of the outer axes, an array (points, outer axes), one per point, in
+    one call; the kernel runs each point's rows as one block under its
+    protocol, in one call or, for a swept axis longer than _SWEEP_ROWS,
+    in several.
     """
     Bi, Bf = _check_fields(Bi, Bf)
     *outer, (swept, _, grid) = axes
@@ -173,15 +174,11 @@ def _sweep(meta, Bi, Bf, beta_c, axes, kind, protocols) -> SweepTable:
     blank = np.isin(header, ("eta_raw",))
     points = itertools.product(*(r.values().tolist() for _, _, r in outer))
     cs = grid.values()
-    # a call takes whole points of the outer axes, or, if the swept axis
-    # alone is longer than _SWEEP_ROWS, one point's rows in parts of at
-    # most _SWEEP_ROWS, all under the point's one protocol
     step = min(math.prod(r.steps for _, _, r in outer),
                max(1, _SWEEP_ROWS // len(cs)))
     part = min(len(cs), _SWEEP_ROWS)
     couplings = np.zeros((step * part, len(table.couplings)))
     swept_column = couplings[:, table.couplings.index(swept)]
-    swept_column[:] = np.tile(cs[:part], step)
     cold = BathSpec(beta_c)
     done, cooled = 0, 0
     while chunk := list(itertools.islice(points, step)):
@@ -190,8 +187,7 @@ def _sweep(meta, Bi, Bf, beta_c, axes, kind, protocols) -> SweepTable:
         for first in range(0, len(cs), part):
             values = cs[first:first + part]
             n = len(chunk) * len(values)
-            if part < len(cs):
-                swept_column[:n] = values
+            swept_column[:n] = np.tile(values, len(chunk))
             batch = _run_cycles(table, couplings[:n], Bi, Bf, cold, blocks)
             if isinstance(blocks[0], Measurement):
                 cooled += int(np.count_nonzero(batch.Qh < 0.0))
