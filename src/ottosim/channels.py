@@ -214,30 +214,42 @@ def random_unital_channel(dim: int, seed: int, mix_count: int) -> KrausChannel:
 
     default_rng(seed) draws q (mix_count uniforms + 0.1, then normalized),
     then for each j the real and then the imaginary parts of a Gaussian
-    d x d matrix a_j, and d angles in [0, 2 pi). U_j is the eigenvector
-    matrix of (a_j + a_j^dag)/2 times diag(e^(i angles)).
+    d x d matrix a_j, and d angles 2 pi u in [0, 2 pi) from d uniforms u
+    of random(), which are the bits of uniform(0, 2 pi). U_j is the
+    eigenvector matrix of (a_j + a_j^dag)/2 times diag(e^(i angles)).
     """
     dim = _integer("dim", dim, 2)
     seed = _integer("seed", seed, 0)
     mix_count = _integer("mix_count", mix_count, 1)
-    weights, normals, angles = _draw_unitary_mixture(dim, seed, mix_count)
-    bases = _eigensystems(_finite(_hermitian_part(_complex(normals))))[2]
-    return kraus_channel(list(_unitary_mixture(weights, bases, angles)))
-
-
-def _draw_unitary_mixture(dim: int, seed: int, mix_count: int):
-    """The draws of random_unital_channel in its order, as stacks: q (r,),
-    the normals of each a_j (r, 2, d, d) and the angles (r, d). The
-    stacks are allocated before the first draw."""
     what = f"a mixture of {mix_count} unitaries of dim {dim}"
     normals = _empty(what, (mix_count, 2, dim, dim))
-    angles = _empty(what, (mix_count, dim))
+    turns = _empty(what, (mix_count, dim))
+    weights = _empty(what, mix_count)
+    _draw_unitary_mixture(seed, weights, normals, turns)
+    bases = _eigensystems(_finite(_hermitian_part(_complex(normals))))[2]
+    return kraus_channel(list(_unitary_mixture(weights, bases, turns)))
+
+
+def _draw_unitary_mixture(seed: int, weights: np.ndarray,
+                          normals: np.ndarray, turns: np.ndarray) -> None:
+    """Draw the numbers of random_unital_channel for seed, in its order,
+    into preallocated stacks: the normalized q into weights (r,), the
+    normals of each a_j into normals (r, 2, d, d) and its uniforms u,
+    the angles in turns, into turns (r, d)."""
     rng = np.random.default_rng(seed)
-    weights = rng.random(mix_count) + 0.1
-    for j in range(mix_count):
+    rng.random(out=weights)
+    weights += 0.1
+    weights /= weights.sum()
+    for j in range(len(weights)):
         rng.standard_normal(out=normals[j])
-        angles[j] = rng.uniform(0.0, 2.0 * np.pi, size=dim)
-    return weights / weights.sum(), normals, angles
+        rng.random(out=turns[j])
+
+
+def _uniform(rng, low: float, high: float, size=None):
+    """rng.uniform(low, high, size) by numpy's own formula,
+    low + (high - low) * u: the same bits and the same stream, without
+    uniform's argument handling."""
+    return low + (high - low) * rng.random(size)
 
 
 def _complex(normals: np.ndarray) -> np.ndarray:
@@ -246,14 +258,16 @@ def _complex(normals: np.ndarray) -> np.ndarray:
 
 
 def _unitary_mixture(weights: np.ndarray, bases: np.ndarray,
-                     angles: np.ndarray) -> np.ndarray:
-    """Kraus operators sqrt(q_j) V_j diag(e^(i angles_j)), over stacks.
+                     turns: np.ndarray) -> np.ndarray:
+    """Kraus operators sqrt(q_j) V_j diag(e^(2 pi i turns_j)), over stacks.
 
-    weights (..., r), eigenbases (..., r, d, d), angles (..., r, d).
+    weights (..., r), eigenbases (..., r, d, d), turns (..., r, d). The
+    angles 2 pi turns are the bits of uniform(0, 2 pi) for the same
+    uniforms, as 0 + 2 pi u is 2 pi u.
     """
-    d = angles.shape[-1]
-    phases = np.zeros(angles.shape + (d,), dtype=complex)
-    phases[..., range(d), range(d)] = np.exp(1j * angles)
+    d = turns.shape[-1]
+    phases = np.zeros(turns.shape + (d,), dtype=complex)
+    phases[..., range(d), range(d)] = np.exp(1j * (2.0 * np.pi * turns))
     return np.sqrt(weights)[..., None, None] * (bases @ phases)
 
 
@@ -321,10 +335,12 @@ class Theorem1Report(Record):
         ]
 
 
-# Samples drawn and computed per array pass of theorem1_suite. The stacks
-# of one pass take well under a megabyte, so memory does not grow with the
-# sample count.
-_THEOREM1_BLOCK = 256
+# Samples drawn and computed per array pass of theorem1_suite: the default
+# 500 samples take one pass, one stack per dimension. One pass of 512
+# samples over dims 2, 3 and 4 peaks at about 1.0 MiB of arrays
+# (tracemalloc; 0.6 MiB in passes of 256), and memory does not grow with
+# the sample count.
+_THEOREM1_BLOCK = 512
 
 # Channel kinds of the unital samples. A mixture draws 1 to 4 unitaries and
 # a projective channel has d <= 4 projectors, so 4 Kraus slots hold any
@@ -344,86 +360,136 @@ def _theorem1_schedule(dims, samples):
     return [combos[i % len(combos)] for i in range(samples)]
 
 
-def _draw_unital(rng, kind, gibbs, dim):
-    """Random numbers of one unital sample as drawn, and nothing more.
+class _UnitalDraws:
+    """Random numbers of a block's unital samples of one dimension, drawn
+    straight into stacks allocated from their schedule entries.
 
-    The Hamiltonian's normals (2, d, d); a Gibbs beta or the d uniforms
-    behind passive populations; the draws of a unitary mixture, the
-    normals (2, d, d) behind a projective basis, or None.
+    Sample k's Hamiltonian normals (2, d, d) go to hamiltonians[k], and
+    its Gibbs beta to betas[k] or the d uniforms behind its passive
+    populations to uniforms[k]. Channel normals (2, d, d) take the rows
+    of normals: the first `projective` rows hold the projective channels,
+    one each, and the rows after them the unitaries of the mixtures, in
+    drawing order, with their weights and turns in the same rows of
+    weights and turns.
     """
-    h = rng.standard_normal((2, dim, dim))
-    state = float(rng.uniform(0.05, 5.0)) if gibbs else rng.random(dim)
-    if kind == _MIXTURE:
-        seed = int(rng.integers(2 ** 31))
-        channel = _draw_unitary_mixture(dim, seed, int(rng.integers(1, 5)))
-    elif kind == _PROJECTIVE:
-        channel = rng.standard_normal((2, dim, dim))
-    else:
-        channel = None
-    return h, kind, state, channel
+
+    def __init__(self, dim, entries):
+        self.kinds = [kind for _, kind, _ in entries]
+        self.gibbs = [gibbs for _, _, gibbs in entries]
+        n = len(entries)
+        self.projective = self.kinds.count(_PROJECTIVE)
+        rows = self.projective + _KRAUS_SLOTS * self.kinds.count(_MIXTURE)
+        self.hamiltonians = np.empty((n, 2, dim, dim))
+        self.betas = np.empty(n)
+        self.uniforms = np.empty((n, dim))
+        self.normals = np.empty((rows, 2, dim, dim))
+        self.weights = np.empty(rows)
+        self.turns = np.empty((rows, dim))
+        self.counts = []  # unitaries of each mixture
+        self.drawn = self.next_projective = 0
+        self.next_unitary = self.projective
+
+    def __len__(self):
+        return len(self.kinds)
+
+    def draw(self, rng):
+        """Draw the next sample as the scalar route does: the Hamiltonian,
+        the state, then the channel."""
+        k = self.drawn
+        self.drawn = k + 1
+        rng.standard_normal(out=self.hamiltonians[k])
+        if self.gibbs[k]:
+            self.betas[k] = _uniform(rng, 0.05, 5.0)
+        else:
+            rng.random(out=self.uniforms[k])
+        kind = self.kinds[k]
+        if kind == _MIXTURE:
+            seed = int(rng.integers(2 ** 31))
+            count = int(rng.integers(1, 5))
+            rows = slice(self.next_unitary, self.next_unitary + count)
+            self.next_unitary += count
+            self.counts.append(count)
+            _draw_unitary_mixture(seed, self.weights[rows], self.normals[rows],
+                                  self.turns[rows])
+        elif kind == _PROJECTIVE:
+            rng.standard_normal(out=self.normals[self.next_projective])
+            self.next_projective += 1
 
 
 def _unital_changes(dim, draws):
-    """Energy changes of unital samples of one dimension, as stacks.
+    """Energy changes of the unital samples of one _UnitalDraws, as stacks.
 
     Drawn uniforms u become passive populations: sort(u + 1e-3) descending
     against ascending energies, normalized.
     """
-    normals, kinds, states, channels = zip(*draws)
     h, vals, vecs = _eigensystems(
-        _finite(_hermitian_part(_complex(np.array(normals)))))
+        _finite(_hermitian_part(_complex(draws.hamiltonians))))
     n = len(draws)
+    gibbs = np.array(draws.gibbs)
     pops = np.empty((n, dim))
-    gibbs = [k for k in range(n) if isinstance(states[k], float)]
-    drawn = [k for k in range(n) if not isinstance(states[k], float)]
-    if drawn:
-        passive = np.sort(np.array([states[k] for k in drawn]) + 1e-3)[:, ::-1]
-        pops[drawn] = passive / passive.sum(axis=1, keepdims=True)
-    if gibbs:
-        betas = np.array([states[k] for k in gibbs])
-        pops[gibbs] = boltzmann_populations(vals[gibbs], betas[:, None])
+    if not gibbs.all():
+        passive = np.sort(draws.uniforms[~gibbs] + 1e-3)[:, ::-1]
+        pops[~gibbs] = passive / passive.sum(axis=1, keepdims=True)
+    if gibbs.any():
+        pops[gibbs] = boltzmann_populations(vals[gibbs],
+                                            draws.betas[gibbs, None])
 
+    kinds = np.array(draws.kinds)
     kraus = np.zeros((n, _KRAUS_SLOTS, dim, dim), dtype=complex)
-    mix = [k for k in range(n) if kinds[k] == _MIXTURE]
-    proj = [k for k in range(n) if kinds[k] == _PROJECTIVE]
-    kraus[[k for k in range(n) if kinds[k] == _IDENTITY], 0] = np.eye(dim)
-    if mix or proj:
-        # One eigensystem call for every channel basis of the group.
-        stack = [channels[k][1] for k in mix] + [channels[k][None] for k in proj]
+    kraus[kinds == _IDENTITY, 0] = np.eye(dim)
+    p, r = draws.projective, draws.next_unitary
+    if r:
+        # One eigensystem call for every channel basis of the stack.
         bases = _eigensystems(_finite(_hermitian_part(
-            _complex(np.concatenate(stack)))))[2]
-        counts = [len(channels[k][0]) for k in mix]
-        r = sum(counts)
-        if mix:
-            ops = _unitary_mixture(
-                np.concatenate([channels[k][0] for k in mix]), bases[:r],
-                np.concatenate([channels[k][2] for k in mix]))
-            kraus[np.repeat(mix, counts),
-                  np.concatenate([np.arange(c) for c in counts])] = ops
-        if proj:
+            _complex(draws.normals[:r]))))[2]
+        if p:
             # Projector k of a basis is the outer product of its column k.
-            cols = bases[r:].swapaxes(-1, -2)
-            kraus[proj, :dim] = cols[..., :, None] * cols.conj()[..., None, :]
+            cols = bases[:p].swapaxes(-1, -2)
+            kraus[kinds == _PROJECTIVE, :dim] = (cols[..., :, None]
+                                                 * cols.conj()[..., None, :])
+        if r > p:
+            counts = np.array(draws.counts)
+            first = np.repeat(np.cumsum(counts) - counts, counts)
+            kraus[np.repeat(np.flatnonzero(kinds == _MIXTURE), counts),
+                  np.arange(r - p) - first] = _unitary_mixture(
+                      draws.weights[p:r], bases[p:], draws.turns[p:r])
     return _passive_energy_changes(h, vecs, pops, kraus)
 
 
-def _draw_control(rng, dim):
-    """Random numbers of one control sample: level energies, beta, damping."""
-    energies = np.sort(rng.uniform(-2.0, 2.0, size=dim))
-    beta = float(rng.uniform(0.2, 1.0))
-    ground = int(np.argmin(energies))
-    kraus = _damping_operators(dim, float(rng.uniform(0.3, 0.9)), ground)
-    return energies, beta, kraus
+class _ControlDraws:
+    """Random numbers of a block's control samples of one dimension,
+    drawn into stacks: sorted level energies (n, d), beta (n,) and the
+    damping's Kraus operators (n, d, d, d)."""
+
+    def __init__(self, dim, entries):
+        n = len(entries)
+        self.energies = np.empty((n, dim))
+        self.betas = np.empty(n)
+        self.kraus = np.empty((n, dim, dim, dim), dtype=complex)
+        self.drawn = 0
+
+    def __len__(self):
+        return len(self.betas)
+
+    def draw(self, rng):
+        """Draw the next sample: level energies, beta, damping."""
+        k = self.drawn
+        self.drawn = k + 1
+        energies = self.energies[k]
+        energies[:] = np.sort(_uniform(rng, -2.0, 2.0, len(energies)))
+        self.betas[k] = _uniform(rng, 0.2, 1.0)
+        self.kraus[k] = _damping_operators(len(energies),
+                                           _uniform(rng, 0.3, 0.9),
+                                           int(np.argmin(energies)))
 
 
 def _control_changes(dim, draws):
-    """Energy changes of damped thermal states of one dimension, as stacks."""
-    energies, betas, kraus = zip(*draws)
+    """Energy changes of damped thermal states of one _ControlDraws."""
     diag = np.zeros((len(draws), dim, dim), dtype=complex)
-    diag[:, range(dim), range(dim)] = energies
+    diag[:, range(dim), range(dim)] = draws.energies
     h, vals, vecs = _eigensystems(_finite(diag))
-    pops = boltzmann_populations(vals, np.array(betas)[:, None])
-    return _passive_energy_changes(h, vecs, pops, np.array(kraus))
+    pops = boltzmann_populations(vals, draws.betas[:, None])
+    return _passive_energy_changes(h, vecs, pops, draws.kraus)
 
 
 def _passive_energy_changes(h, vecs, pops, kraus):
@@ -439,24 +505,26 @@ def _passive_energy_changes(h, vecs, pops, kraus):
     return _energies(post, h) - _energies(rho, h)
 
 
-def _in_blocks(out, draw, compute):
-    """Fill out with the per-sample energy changes, drawn in order and
-    computed in blocks.
+def _in_blocks(out, schedule, stack, compute, rng):
+    """Fill out with the energy changes of the samples of schedule, whose
+    entries start with the sample's dimension.
 
-    draw(i) returns (dim, draws of sample i); each block of samples is
-    drawn in full, then compute(dim, list of draws) runs once per
-    dimension present.
+    Each block of _THEOREM1_BLOCK samples is drawn in order from rng into
+    one stack(dim, entries) per dimension present, allocated from the
+    block's schedule entries; then compute(dim, stack) runs once per
+    stack.
     """
-    count = len(out)
-    for start in range(0, count, _THEOREM1_BLOCK):
-        groups = {}
-        for i in range(start, min(count, start + _THEOREM1_BLOCK)):
-            dim, draws = draw(i)
-            index, block = groups.setdefault(dim, ([], []))
-            index.append(i)
-            block.append(draws)
-        for dim, (index, block) in groups.items():
-            out[index] = compute(dim, block)
+    for start in range(0, len(out), _THEOREM1_BLOCK):
+        block = schedule[start:start + _THEOREM1_BLOCK]
+        index = {}
+        for i, entry in enumerate(block, start):
+            index.setdefault(entry[0], []).append(i)
+        stacks = {dim: stack(dim, [schedule[i] for i in rows])
+                  for dim, rows in index.items()}
+        for entry in block:
+            stacks[entry[0]].draw(rng)
+        for dim, rows in index.items():
+            out[rows] = compute(dim, stacks[dim])
 
 
 def _theorem1_energy_changes(dims, samples, seed):
@@ -471,17 +539,9 @@ def _theorem1_energy_changes(dims, samples, seed):
     control_changes = _empty(what, max(10, samples // 20))
     rng = np.random.default_rng(seed)
     schedule = _theorem1_schedule(dims, samples)
-
-    def unital(i):
-        dim, kind, gibbs = schedule[i]
-        return dim, _draw_unital(rng, kind, gibbs, dim)
-
-    def control(i):
-        dim = dims[i % len(dims)]
-        return dim, _draw_control(rng, dim)
-
-    _in_blocks(changes, unital, _unital_changes)
-    _in_blocks(control_changes, control, _control_changes)
+    control = [(dims[i % len(dims)],) for i in range(len(control_changes))]
+    _in_blocks(changes, schedule, _UnitalDraws, _unital_changes, rng)
+    _in_blocks(control_changes, control, _ControlDraws, _control_changes, rng)
     return schedule, changes, control_changes
 
 
@@ -497,13 +557,16 @@ def theorem1_suite(dims=(2, 3, 4), samples: int = 1000,
     The control group applies non-unital ground-sink damping to excited
     thermal states and must find a strictly negative energy change.
 
-    The random numbers are drawn sample by sample from one generator;
-    the unital draws are kept as drawn. Blocks of _THEOREM1_BLOCK samples
-    then become complex matrices and passive populations, and are
-    validated and computed as stacks, one per dimension, with every check
-    of the scalar calls (hermitian_eigensystem, kraus_channel,
-    DensityMatrix, energy_expectation) applied to each sample. Each energy
-    change holds the bits of the scalar route through those calls.
+    The random numbers are drawn sample by sample from one generator,
+    straight into preallocated stacks, one per dimension, for each block
+    of _THEOREM1_BLOCK samples. A uniform in [lo, hi) is
+    lo + (hi - lo) * random() and a mixture angle 2 pi u for u = random():
+    numpy's own formula for uniform(lo, hi), so the values and the stream
+    are uniform's. The stacks then become complex matrices and passive
+    populations, and are validated and computed with every check of the
+    scalar calls (hermitian_eigensystem, kraus_channel, DensityMatrix,
+    energy_expectation) applied to each sample. Each energy change holds
+    the bits of the scalar route through those calls.
     """
     try:
         given = list(dims)

@@ -183,10 +183,15 @@ def run_cycle_batch(specs, Bi: float, Bf: float, cold: BathSpec,
     has the same bits as a batch of specs[k] alone. A cooling measurement
     (Qh < 0 in any row) raises one MeasurementCoolsWarning per call.
     Energies, heats or work too large to represent raise InvalidField, and
-    so do a spec that is not a SubstanceSpec and a cold bath that is not a
-    BathSpec, naming the argument, before any cycle runs.
+    so do specs that are not iterable, a spec that is not a SubstanceSpec
+    and a cold bath that is not a BathSpec, naming the argument, before
+    any cycle runs.
     """
-    specs = tuple(specs)
+    try:
+        specs = tuple(specs)
+    except TypeError:
+        raise InvalidField(f"specs must be an iterable of SubstanceSpec, "
+                           f"got {specs!r}") from None
     if not specs:
         raise OttoSimError("a cycle batch needs at least one substance")
     for k, spec in enumerate(specs):

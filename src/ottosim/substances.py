@@ -34,6 +34,12 @@ class SubstanceKind(enum.Enum):
     QUTRIT = "qutrit"
     XXZ = "xxz"
 
+    @classmethod
+    def _missing_(cls, value):
+        kinds = ", ".join(kind.value for kind in cls)
+        raise InvalidField(f"unknown substance kind {value!r}; "
+                           f"choose from {kinds}")
+
 
 class _Kind(NamedTuple):
     """One substance kind as data, built by _kind; every array is read-only.

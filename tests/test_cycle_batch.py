@@ -165,3 +165,16 @@ def test_batch_rejects_a_spec_or_cold_bath_that_is_not_a_record(monkeypatch):
                                              r"SubstanceSpec, got None$"):
         o.run_cycle_batch([spec, None], 3, 4, o.BathSpec(1.0), hot)
     assert calls == []
+
+
+@pytest.mark.parametrize("specs", [5, None, 2.5, o.SubstanceSpec.qubit()],
+                         ids=["int", "None", "float", "spec"])
+def test_batch_rejects_specs_that_are_not_iterable(monkeypatch, specs):
+    calls = []
+    monkeypatch.setattr(o.cycle, "_run_cycles",
+                        lambda *args: calls.append(args))
+    with pytest.raises(o.InvalidField, match=r"^specs must be an iterable "
+                                             r"of SubstanceSpec, got "):
+        o.run_cycle_batch(specs, 3, 4, o.BathSpec(1.0),
+                          o.TwoBath(o.BathSpec(0.5)))
+    assert calls == []

@@ -218,3 +218,13 @@ def test_overflowing_energies_raise():
             warnings.simplefilter("error")
             with pytest.raises(o.InvalidField):
                 call()
+
+
+@pytest.mark.parametrize("value", ["quartet", "QUTRIT", None, 3, 2.5, [],
+                                   b"xxz", o.SubstanceKind])
+def test_unknown_kind_value_raises_ottosim_error(value):
+    with pytest.raises(o.InvalidField, match=r"^unknown substance kind .*; "
+                                             r"choose from qubit, qutrit, "
+                                             r"xxz$"):
+        o.SubstanceKind(value)
+    assert o.SubstanceKind("qutrit") is o.SubstanceKind.QUTRIT
