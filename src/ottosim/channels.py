@@ -539,7 +539,8 @@ def _theorem1_energy_changes(dims, samples, seed):
     control_changes = _empty(what, max(10, samples // 20))
     rng = np.random.default_rng(seed)
     schedule = _theorem1_schedule(dims, samples)
-    control = [(dims[i % len(dims)],) for i in range(len(control_changes))]
+    entries = [(dim,) for dim in dims]
+    control = [entries[i % len(dims)] for i in range(len(control_changes))]
     _in_blocks(changes, schedule, _UnitalDraws, _unital_changes, rng)
     _in_blocks(control_changes, control, _ControlDraws, _control_changes, rng)
     return schedule, changes, control_changes
