@@ -19,7 +19,7 @@ from ._record import Record
 from .core import (DensityMatrix, HermitianOperator, _dagger, _densities,
                    _eigensystems, _empty, _energies, _finite, _floats,
                    _hermitian_part, _integer, _probabilities, _real,
-                   as_complex_matrix, boltzmann_populations,
+                   _require, as_complex_matrix, boltzmann_populations,
                    energy_expectation, populations_in_basis)
 from .errors import (DimensionMismatch, DimensionTooLarge, NotTracePreserving,
                      OttoSimError)
@@ -37,8 +37,10 @@ class KrausChannel(Record):
 def kraus_channel(operators) -> KrausChannel:
     """Validate Kraus operators and construct a channel.
 
-    Trace preservation is required; unitality is detected and cached on
-    the returned channel. A stack of one for _kraus_channels.
+    Trace preservation is required, checked as one product K^dag K of the
+    operators stacked in rows (see _check_trace_preserving); unitality is
+    detected and cached on the returned channel. A stack of one for
+    _kraus_channels.
     """
     ops = [as_complex_matrix(m) for m in _floats(
         "Kraus operators must be matrices of numbers", operators,
@@ -73,20 +75,32 @@ def _check_kraus(kraus: np.ndarray) -> np.ndarray:
 def _check_trace_preserving(kraus: np.ndarray) -> None:
     """Require sum_a M_a^dag M_a = 1 for Kraus stacks of shape (..., r, d, d).
 
+    The sum is one product per channel, K^dag K, with K = [M_1; ...; M_r]
+    the operators stacked in rows, of shape (r d, d). Each entry is the
+    same r d terms as the sum of r products, in another order, and either
+    way its rounding error is at most about gamma_(rd+2) sum_k |K_ki| |K_kj|
+    (the 2 for complex products), at most gamma_(rd+2) max_j (K^dag K)_jj
+    by Cauchy-Schwarz. So the two defects differ by at most about
+    2 gamma_(rd+2) max_j (K^dag K)_jj, 4.0e-15 near 1 for r = d = 4: a
+    verdict can differ from the sum of r products only for a defect
+    within that band of TOL.channel.
     Zero operators may pad a stack: they add exact zeros to every sum. A
     sum too large to represent fails the check; a stack of no channel
     passes it.
     """
+    r, d = kraus.shape[-3:-1]
+    rows = kraus.reshape(*kraus.shape[:-3], r * d, d)
     with np.errstate(over="ignore", invalid="ignore"):
-        tp = (_dagger(kraus) @ kraus).sum(axis=-3)
-        defect = float(np.max(np.abs(tp - np.eye(kraus.shape[-1])),
-                              initial=0.0))
+        tp = _dagger(rows) @ rows
+        defect = float(np.max(np.abs(tp - np.eye(d)), initial=0.0))
     if not defect <= TOL.channel:
         raise NotTracePreserving(f"sum M^dag M deviates from 1 by {defect:.3e}")
 
 
 def apply_channel(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     """rho -> sum_a M_a rho M_a^dag."""
+    _require("ch", ch, KrausChannel)
+    _require("rho", rho, DensityMatrix)
     if ch.dim != rho.dim:
         raise DimensionMismatch(f"channel dim {ch.dim} vs state dim {rho.dim}")
     return DensityMatrix(_apply_kraus(np.asarray(ch.operators), rho.matrix))
@@ -108,11 +122,13 @@ def _apply_kraus(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 def is_unital(ch: KrausChannel) -> bool:
     """True iff the channel maps the identity to itself."""
+    _require("ch", ch, KrausChannel)
     return ch.unital
 
 
 def is_minimally_disturbing(ch: KrausChannel) -> bool:
     """True iff every Kraus operator is Hermitian (a subclass of unital)."""
+    _require("ch", ch, KrausChannel)
     return all(float(np.max(np.abs(m - m.conj().T))) <= TOL.channel
                for m in ch.operators)
 
@@ -142,6 +158,8 @@ def transfer_matrix(ch: KrausChannel, h: HermitianOperator) -> TransferMatrix:
     Column sums are 1 for any trace-preserving channel; row sums are 1
     exactly when the channel is unital (bistochastic T).
     """
+    _require("ch", ch, KrausChannel)
+    _require("h", h, HermitianOperator)
     if ch.dim != h.dim:
         raise DimensionMismatch(f"channel dim {ch.dim} vs operator dim {h.dim}")
     t = _transfer_entries(np.asarray(ch.operators), h.eigenvectors)

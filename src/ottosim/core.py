@@ -45,6 +45,12 @@ def _real(name: str, value, positive: bool = False) -> float:
     return float(value)
 
 
+def _require(name: str, value, cls: type) -> None:
+    """InvalidField naming the argument or field unless value is a cls."""
+    if not isinstance(value, cls):
+        raise InvalidField(f"{name} must be a {cls.__name__}, got {value!r}")
+
+
 def _empty(what: str, shape, dtype=float) -> np.ndarray:
     """np.empty(shape, dtype), or OttoSimError naming what if it cannot be
     allocated; the allocation fails before any memory is taken."""
@@ -192,7 +198,12 @@ def _eigensystems(m: np.ndarray):
 
 
 class DensityMatrix(Record):
-    """Positive unit-trace Hermitian matrix; validated at construction."""
+    """Positive unit-trace Hermitian matrix; validated at construction.
+
+    The matrix is refused exactly where eigvalsh puts its smallest
+    eigenvalue below -TOL.positivity; most matrices are cleared by a
+    Cholesky factorization instead (see _densities).
+    """
 
     matrix: np.ndarray
 
@@ -210,6 +221,19 @@ def _densities(m: np.ndarray) -> np.ndarray:
 
     Checks each matrix for Hermiticity, unit trace and positivity, and
     returns the stack of Hermitian parts. A NaN fails every check.
+
+    Positivity is first proved for the whole stack by one Cholesky
+    factorization of sym + (TOL.positivity/2) I, sym the Hermitian parts.
+    A finite factor L has L L^dag = sym + (TOL.positivity/2) I + E with
+    |E| <= gamma_(d+1) |L| |L^dag| entrywise (Higham, Accuracy and
+    Stability, Thm 10.3), so ||E||_2 <= gamma_(d+1) tr(L L^dag), and every
+    eigenvalue of sym is at least -TOL.positivity/2 - gamma_(d+1) tr(L L^dag).
+    The trace check runs first, so tr(L L^dag) is about 1 and the floor
+    is -5e-11 - O(d eps); eigvalsh, backward stable on a matrix of norm
+    about 1, then puts no eigenvalue below -TOL.positivity either, and the
+    stack passes as it would pass eigvalsh. Any other stack (no factor,
+    or one that is not finite) goes to eigvalsh, which decides and words
+    the error.
     """
     defect = hermitian_defect(m)
     if not defect <= TOL.hermitian:
@@ -221,10 +245,22 @@ def _densities(m: np.ndarray) -> np.ndarray:
     if not off[worst] <= TOL.trace:
         raise OttoSimError(f"trace {complex(tr[worst])} is not 1 within {TOL.trace}")
     sym = _hermitian_part(m)
-    smallest = float(np.linalg.eigvalsh(sym).min())
-    if not smallest >= -TOL.positivity:
-        raise OttoSimError(f"negative eigenvalue {smallest:.3e}")
+    if not _factors(sym + 0.5 * TOL.positivity * np.eye(sym.shape[-1])):
+        smallest = float(np.linalg.eigvalsh(sym).min())
+        if not smallest >= -TOL.positivity:
+            raise OttoSimError(f"negative eigenvalue {smallest:.3e}")
     return sym
+
+
+def _factors(m: np.ndarray) -> bool:
+    """True iff every matrix of the Hermitian stack m has a finite
+    Cholesky factor. numpy returns a NaN factor, without LinAlgError,
+    for a NaN diagonal, so the factor's entries are checked too."""
+    try:
+        with np.errstate(all="ignore"):
+            return bool(np.isfinite(np.linalg.cholesky(m)).all())
+    except np.linalg.LinAlgError:
+        return False
 
 
 class BathSpec(Record):
@@ -276,6 +312,8 @@ def boltzmann_populations(energies, beta: float) -> np.ndarray:
 
 def gibbs_state(h: HermitianOperator, bath: BathSpec) -> DensityMatrix:
     """Thermal state e^(-beta H)/Z, diagonal in the eigenbasis of h."""
+    _require("h", h, HermitianOperator)
+    _require("bath", bath, BathSpec)
     pops = boltzmann_populations(h.eigenvalues, bath.beta)
     rho = (h.eigenvectors * pops) @ h.eigenvectors.conj().T
     return DensityMatrix(rho)
@@ -287,6 +325,8 @@ def energy_expectation(rho: DensityMatrix, h: HermitianOperator) -> float:
     Raises DimensionMismatch on shape disagreement; the imaginary residue
     must stay below tolerance (it is discarded after the check).
     """
+    _require("rho", rho, DensityMatrix)
+    _require("h", h, HermitianOperator)
     if rho.dim != h.dim:
         raise DimensionMismatch(f"state dim {rho.dim} vs operator dim {h.dim}")
     return float(_energies(rho.matrix, h.matrix))
@@ -307,6 +347,8 @@ def _energies(rho: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 def populations_in_basis(rho: DensityMatrix, h: HermitianOperator) -> np.ndarray:
     """Diagonal of rho in the eigenbasis of h: p_n = <v_n|rho|v_n>."""
+    _require("rho", rho, DensityMatrix)
+    _require("h", h, HermitianOperator)
     if rho.dim != h.dim:
         raise DimensionMismatch(f"state dim {rho.dim} vs operator dim {h.dim}")
     v = h.eigenvectors

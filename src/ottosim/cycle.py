@@ -29,19 +29,13 @@ import numpy as np
 
 from ._record import Record
 from .channels import KrausChannel, _transfer_entries
-from .core import BathSpec, _real, boltzmann_populations, row_sum
+from .core import BathSpec, _real, _require, boltzmann_populations, row_sum
 from .errors import (DimensionMismatch, InvalidField, MeasurementCoolsWarning,
                      NotAnEngine, OttoSimError)
 from .substances import (_KINDS, SubstanceSpec, _check_fields, _couplings,
                          _crossing_fields, _level_energies,
                          check_uniform_gap_ratio)
 from .tolerances import TOL
-
-
-def _require(name: str, value, cls: type) -> None:
-    """InvalidField naming the field unless value is a cls."""
-    if not isinstance(value, cls):
-        raise InvalidField(f"{name} must be a {cls.__name__}, got {value!r}")
 
 
 class TwoBath(Record):

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._record import Record
-from .core import HermitianOperator, _real, hermitian_eigensystem
+from .core import HermitianOperator, _real, _require, hermitian_eigensystem
 from .errors import InvalidField
 from .tolerances import TOL
 
@@ -101,8 +101,7 @@ class SubstanceSpec(Record):
     Jz: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.kind, SubstanceKind):
-            raise InvalidField(f"not a SubstanceKind: {self.kind!r}")
+        _require("kind", self.kind, SubstanceKind)
         used = _KINDS[self.kind].couplings
         for name in ("J", "Jxy", "Jz"):
             value = _real(name, getattr(self, name))

@@ -104,6 +104,37 @@ def test_populations_in_basis_sum():
         o.populations_in_basis(rho, _operator(1.2 * np.eye(2)))
 
 
+# Every record argument of the operator-layer functions, in order.
+RECORD_ARGS = [
+    (o.gibbs_state, ("h", "bath")),
+    (o.energy_expectation, ("rho", "h")),
+    (o.populations_in_basis, ("rho", "h")),
+    (o.apply_channel, ("ch", "rho")),
+    (o.transfer_matrix, ("ch", "h")),
+    (o.energy_change, ("ch", "rho", "h")),
+    (o.channel_populations, ("ch", "rho", "h")),
+    (o.is_unital, ("ch",)),
+    (o.is_minimally_disturbing, ("ch",)),
+]
+RECORDS = {"h": o.hermitian_eigensystem(np.diag([0.0, 1.0])),
+           "bath": o.BathSpec(1.0),
+           "rho": o.DensityMatrix(np.eye(2) / 2),
+           "ch": o.kraus_channel([np.eye(2)])}
+# a record of another kind for each slot, with a dim where the slot's has one
+OTHER = {"h": "rho", "bath": "h", "rho": "h", "ch": "rho"}
+
+
+@pytest.mark.parametrize("func, names, slot", [
+    (func, names, slot) for func, names in RECORD_ARGS for slot in names])
+@pytest.mark.parametrize("bad", [5, "x", None, "another record"])
+def test_an_argument_that_is_not_its_record_is_named(func, names, slot, bad):
+    if bad == "another record":
+        bad = RECORDS[OTHER[slot]]
+    args = [bad if name == slot else RECORDS[name] for name in names]
+    with pytest.raises(o.InvalidField, match=f"^{slot} must be a "):
+        func(*args)
+
+
 def _python(args, cwd):
     return subprocess.run([sys.executable, "-W", "default", *args],
                           cwd=cwd, env={**os.environ, "PYTHONPATH": SRC},
