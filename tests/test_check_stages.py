@@ -136,7 +136,8 @@ def kraus_stacks(draw):
     for k in range(n):
         rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
         r = draw(st.integers(1, SLOTS))
-        a = rng.standard_normal((r * d, d)) + 1j * rng.standard_normal((r * d, d))
+        shape = (r * d, d)
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         eps = draw(st.sampled_from((-1, 1))) * 10 ** draw(st.floats(-13, -8))
         ops = (np.sqrt(1 + eps) * np.linalg.qr(a)[0]).reshape(r, d, d)
         stack[k, rng.permutation(SLOTS)[:r]] = ops
@@ -161,10 +162,8 @@ def test_trace_preservation_verdicts_are_the_per_operator_sum_s(stack):
     defects, band = _reference_defects(stack)
     hypothesis.assume((np.abs(defects - TOL.channel) > band).all())
     fails = defects > TOL.channel
-
-    def check():
-        channels._check_trace_preserving(stack)
-
-    assert (_verdict(check) is not None) == fails.any()
+    verdict = _verdict(lambda: channels._check_trace_preserving(stack))
+    assert (verdict is not None) == fails.any()
     for ops, fail in zip(stack, fails):
-        assert (_verdict(lambda: o.kraus_channel(list(ops))) is not None) == fail
+        verdict = _verdict(lambda: o.kraus_channel(list(ops)))
+        assert (verdict is not None) == fail
