@@ -20,7 +20,7 @@ from .core import (DensityMatrix, HermitianOperator, _dagger, _densities,
                    _eigensystems, _empty, _energies, _finite, _floats,
                    _hermitian_part, _integer, _probabilities, _real,
                    _require, as_complex_matrix, boltzmann_populations,
-                   energy_expectation, populations_in_basis)
+                   energy_expectation, populations_in_basis, row_sum)
 from .errors import (DimensionMismatch, DimensionTooLarge, NotTracePreserving,
                      OttoSimError)
 from .tolerances import TOL
@@ -230,11 +230,12 @@ def _damping_operators(dim: int, gamma: float, sink: int) -> np.ndarray:
 def random_unital_channel(dim: int, seed: int, mix_count: int) -> KrausChannel:
     """Random mixture of unitaries {sqrt(q_j) U_j}; deterministic per seed.
 
-    default_rng(seed) draws q (mix_count uniforms + 0.1, then normalized),
-    then for each j the real and then the imaginary parts of a Gaussian
-    d x d matrix a_j, and d angles 2 pi u in [0, 2 pi) from d uniforms u
-    of random(), which are the bits of uniform(0, 2 pi). U_j is the
-    eigenvector matrix of (a_j + a_j^dag)/2 times diag(e^(i angles)).
+    default_rng(seed) draws q (mix_count uniforms + 0.1, then divided by
+    their sum, added left to right), then for each j the real and then
+    the imaginary parts of a Gaussian d x d matrix a_j, and d angles
+    2 pi u in [0, 2 pi) from d uniforms u of random(), which are the bits
+    of uniform(0, 2 pi). U_j is the eigenvector matrix of (a_j + a_j^dag)/2
+    times diag(e^(i angles)).
     """
     dim = _integer("dim", dim, 2)
     seed = _integer("seed", seed, 0)
@@ -243,24 +244,114 @@ def random_unital_channel(dim: int, seed: int, mix_count: int) -> KrausChannel:
     normals = _empty(what, (mix_count, 2, dim, dim))
     turns = _empty(what, (mix_count, dim))
     weights = _empty(what, mix_count)
-    _draw_unitary_mixture(seed, weights, normals, turns)
+    _draw_unitary_mixture(np.random.default_rng(seed), weights, normals,
+                          turns)
+    _normalize_weights(weights, [mix_count])
     bases = _eigensystems(_finite(_hermitian_part(_complex(normals))))[2]
     return kraus_channel(list(_unitary_mixture(weights, bases, turns)))
 
 
-def _draw_unitary_mixture(seed: int, weights: np.ndarray,
+def _draw_unitary_mixture(rng, weights: np.ndarray,
                           normals: np.ndarray, turns: np.ndarray) -> None:
-    """Draw the numbers of random_unital_channel for seed, in its order,
-    into preallocated stacks: the normalized q into weights (r,), the
-    normals of each a_j into normals (r, 2, d, d) and its uniforms u,
-    the angles in turns, into turns (r, d)."""
-    rng = np.random.default_rng(seed)
+    """Draw the numbers of random_unital_channel from the Generator rng,
+    in its order, into preallocated stacks: the raw uniforms behind q
+    into weights (r,) (_normalize_weights makes them q), the normals of
+    each a_j into normals (r, 2, d, d) and its uniforms u, the angles in
+    turns, into turns (r, d)."""
     rng.random(out=weights)
-    weights += 0.1
-    weights /= weights.sum()
     for j in range(len(weights)):
         rng.standard_normal(out=normals[j])
         rng.random(out=turns[j])
+
+
+def _normalize_weights(weights: np.ndarray, counts) -> None:
+    """Turn the raw uniforms of consecutive mixtures of counts[i]
+    unitaries, stacked in weights, into their q in place: add 0.1, then
+    divide each mixture's weights by their sum.
+
+    The sums are row_sum over the weights padded with zeros to rows of
+    the largest count, a left-to-right fold from 0.0: the bits of
+    numpy's w.sum() for fewer than 8 weights, which numpy adds in that
+    order (it adds 8 or more pairwise); a zero adds exactly.
+    """
+    weights += 0.1
+    counts = np.asarray(counts)
+    padded = np.zeros((len(counts), counts.max()))
+    padded[np.arange(padded.shape[1]) < counts[:, None]] = weights
+    weights /= np.repeat(row_sum(padded), counts)
+
+
+# numpy's SeedSequence, through which default_rng(seed) seeds PCG64, for a
+# seed of one uint32 word and a pool of 4 words. Its hash multiplies a
+# word x by a constant that steps by a fixed multiplier before each use:
+# x ^= c; c *= m; x *= c; x ^= x >> 16. The constants do not depend on the
+# data, so each hash's (xor, multiplier) pair is tabulated here.
+_MASK32 = 0xFFFFFFFF
+
+
+def _hash_pairs(start, step, count):
+    """count (xor, multiplier) pairs of a SeedSequence hash, (count, 2)."""
+    pairs = []
+    for _ in range(count):
+        pairs.append((start, start * step & _MASK32))
+        start = start * step & _MASK32
+    return np.array(pairs, dtype=np.uint32)
+
+
+def _hashed(x, pairs):
+    """The hash of uint32 words x under (xor, multiplier) pairs that
+    broadcast against x; the products wrap, as in uint32."""
+    x = (x ^ pairs[..., 0]) * pairs[..., 1]
+    return x ^ (x >> 16)
+
+
+# the entropy pool: the seed word and three zero words, then every word
+# mixed with the hash of every other, source by source (its 3 targets at
+# once); generate_state's 8 words, which cycle over the pool
+_POOL_PAIRS = _hash_pairs(0x43B0D7E5, 0x931E8875, 16)
+_POOL_ZEROS = _hashed(np.zeros(3, dtype=np.uint32), _POOL_PAIRS[1:4])[:, None]
+_MIX_PAIRS = _POOL_PAIRS[4:].reshape(4, 3, 1, 2)
+_MIX_TARGETS = [[t for t in range(4) if t != src] for src in range(4)]
+_STATE_PAIRS = _hash_pairs(0x8B51F9DD, 0x58F38DED, 8)[:, None]
+# PCG64's 128-bit LCG multiplier
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK128 = (1 << 128) - 1
+
+
+def _pcg64_states(seeds) -> list:
+    """The PCG64 state and increment, as (state, inc) Python ints, that
+    np.random.default_rng(s) starts from, for each seed s in seeds.
+
+    Each seed below 2**32 is one uint32 word of entropy. SeedSequence
+    hashes it and three zero words into a pool of 4 words and mixes every
+    pool word into every other, L x - R hash(y) with x ^= x >> 16; its
+    generate_state(4, uint64) hashes the pool into 8 words, the 128-bit
+    seed and stream of PCG64's set_seed, which takes two LCG steps. The
+    pool words are uint32 arrays over all seeds at once, where products
+    wrap; the 128-bit steps are Python ints. OttoSimError for a seed
+    outside [0, 2**32).
+    """
+    seeds = list(seeds)
+    if not all(isinstance(s, int) and 0 <= s <= _MASK32 for s in seeds):
+        raise OttoSimError("mixture seeds must be integers in [0, 2**32)")
+    pool = np.empty((4, len(seeds)), dtype=np.uint32)
+    pool[0] = _hashed(np.array(seeds, dtype=np.uint32), _POOL_PAIRS[0])
+    pool[1:] = _POOL_ZEROS
+    for src, targets in enumerate(_MIX_TARGETS):
+        mixed = (0xCA01F9DD * pool[targets]
+                 - 0x4973F715 * _hashed(pool[src], _MIX_PAIRS[src]))
+        pool[targets] = mixed ^ (mixed >> 16)
+    words = _hashed(np.concatenate((pool, pool)), _STATE_PAIRS)
+    # each uint64 is two uint32 words, the first the low half
+    words = words.astype(np.uint64)
+    seed_hi, seed_lo, inc_hi, inc_lo = (
+        words[0::2] | words[1::2] << 32).tolist()
+    out = []
+    for hi, lo, ihi, ilo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
+        inc = ((ihi << 64 | ilo) << 1 | 1) & _MASK128
+        out.append((((inc + (hi << 64 | lo)) * _PCG64_MULT + inc) & _MASK128,
+                    inc))
+    return out
 
 
 def _uniform(rng, low: float, high: float, size=None):
@@ -388,10 +479,14 @@ class _UnitalDraws:
     of normals: the first `projective` rows hold the projective channels,
     one each, and the rows after them the unitaries of the mixtures, in
     drawing order, with their weights and turns in the same rows of
-    weights and turns.
+    weights and turns. The main stream gives each mixture its seed and
+    count; draw_mixtures fills the mixture rows from the seeds' own
+    streams through the Generator mixer once the stack's main-stream
+    draws are done.
     """
 
-    def __init__(self, dim, entries):
+    def __init__(self, dim, entries, mixer):
+        self.mixer = mixer
         self.kinds = [kind for _, kind, _ in entries]
         self.gibbs = [gibbs for _, _, gibbs in entries]
         n = len(entries)
@@ -403,7 +498,7 @@ class _UnitalDraws:
         self.normals = np.empty((rows, 2, dim, dim))
         self.weights = np.empty(rows)
         self.turns = np.empty((rows, dim))
-        self.counts = []  # unitaries of each mixture
+        self.seeds, self.counts = [], []  # of each mixture
         self.drawn = self.next_projective = 0
         self.next_unitary = self.projective
 
@@ -422,24 +517,45 @@ class _UnitalDraws:
             rng.random(out=self.uniforms[k])
         kind = self.kinds[k]
         if kind == _MIXTURE:
-            seed = int(rng.integers(2 ** 31))
+            self.seeds.append(int(rng.integers(2 ** 31)))
             count = int(rng.integers(1, 5))
-            rows = slice(self.next_unitary, self.next_unitary + count)
             self.next_unitary += count
             self.counts.append(count)
-            _draw_unitary_mixture(seed, self.weights[rows], self.normals[rows],
-                                  self.turns[rows])
         elif kind == _PROJECTIVE:
             rng.standard_normal(out=self.normals[self.next_projective])
             self.next_projective += 1
 
+    def draw_mixtures(self):
+        """Draw each mixture's numbers from default_rng(seed)'s stream, as
+        random_unital_channel does, through the Generator mixer: its PCG64
+        takes the state that default_rng(seed) starts from before each
+        mixture. The main stream never sees these streams, so drawing
+        them after it loses nothing."""
+        if not self.seeds:
+            return
+        mixer = self.mixer
+        bits = mixer.bit_generator
+        first = row = self.projective
+        for (state, inc), count in zip(_pcg64_states(self.seeds),
+                                       self.counts):
+            bits.state = {"bit_generator": "PCG64",
+                          "state": {"state": state, "inc": inc},
+                          "has_uint32": 0, "uinteger": 0}
+            rows = slice(row, row + count)
+            _draw_unitary_mixture(mixer, self.weights[rows],
+                                  self.normals[rows], self.turns[rows])
+            row += count
+        _normalize_weights(self.weights[first:row], self.counts)
+
 
 def _unital_changes(dim, draws):
-    """Energy changes of the unital samples of one _UnitalDraws, as stacks.
+    """Energy changes of the unital samples of one _UnitalDraws, as stacks,
+    once its mixtures are drawn.
 
     Drawn uniforms u become passive populations: sort(u + 1e-3) descending
     against ascending energies, normalized.
     """
+    draws.draw_mixtures()
     h, vals, vecs = _eigensystems(
         _finite(_hermitian_part(_complex(draws.hamiltonians))))
     n = len(draws)
@@ -556,10 +672,14 @@ def _theorem1_energy_changes(dims, samples, seed):
     changes = _empty(what, samples)
     control_changes = _empty(what, max(10, samples // 20))
     rng = np.random.default_rng(seed)
+    # reseeded for each unitary mixture: its first state is never used
+    mixer = np.random.Generator(np.random.PCG64(0))
     schedule = _theorem1_schedule(dims, samples)
     entries = [(dim,) for dim in dims]
     control = [entries[i % len(dims)] for i in range(len(control_changes))]
-    _in_blocks(changes, schedule, _UnitalDraws, _unital_changes, rng)
+    _in_blocks(changes, schedule,
+               lambda dim, entries: _UnitalDraws(dim, entries, mixer),
+               _unital_changes, rng)
     _in_blocks(control_changes, control, _ControlDraws, _control_changes, rng)
     return schedule, changes, control_changes
 
@@ -578,7 +698,12 @@ def theorem1_suite(dims=(2, 3, 4), samples: int = 1000,
 
     The random numbers are drawn sample by sample from one generator,
     straight into preallocated stacks, one per dimension, for each block
-    of _THEOREM1_BLOCK samples. A uniform in [lo, hi) is
+    of _THEOREM1_BLOCK samples. A unitary mixture takes only its seed and
+    count from that stream; its own numbers come from default_rng(seed)'s
+    stream, which one shared Generator is reseeded to for each mixture
+    (_pcg64_states, checked against numpy's constructor by the tests)
+    once the stack's other draws are done, and the stack's mixture
+    weights are normalized in one pass. A uniform in [lo, hi) is
     lo + (hi - lo) * random() and a mixture angle 2 pi u for u = random():
     numpy's own formula for uniform(lo, hi), so the values and the stream
     are uniform's. The stacks then become complex matrices and passive

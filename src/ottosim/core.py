@@ -286,6 +286,16 @@ def row_sum(x: np.ndarray) -> np.ndarray:
     return total
 
 
+def row_min(x: np.ndarray) -> np.ndarray:
+    """Minimum over the last axis, by np.minimum over its columns, which
+    is cheaper than a reduction over a short axis; a NaN in a row makes
+    its minimum NaN. IndexError for an empty last axis or a 0-d array."""
+    low = x[..., 0]
+    for k in range(1, x.shape[-1]):
+        low = np.minimum(low, x[..., k])
+    return low
+
+
 def boltzmann_populations(energies, beta: float) -> np.ndarray:
     """Gibbs weights e^(-beta E_n)/Z with the ground energy subtracted first.
 
@@ -299,7 +309,7 @@ def boltzmann_populations(energies, beta: float) -> np.ndarray:
                       (energies, beta))
     with np.errstate(over="ignore", invalid="ignore"):
         try:  # no level, or a beta that does not broadcast
-            w = np.exp(-beta * (e - e.min(axis=-1, keepdims=True)))
+            w = np.exp(-beta * (e - row_min(e)[..., None]))
             p = w / row_sum(w)[..., None]
         except (ValueError, IndexError) as exc:
             raise OttoSimError(f"energies of shape {e.shape} and beta of "

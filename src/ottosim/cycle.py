@@ -33,8 +33,7 @@ from .core import BathSpec, _real, _require, boltzmann_populations, row_sum
 from .errors import (DimensionMismatch, InvalidField, MeasurementCoolsWarning,
                      NotAnEngine, OttoSimError)
 from .substances import (_KINDS, SubstanceSpec, _check_fields, _couplings,
-                         _crossing_fields, _level_energies,
-                         check_uniform_gap_ratio)
+                         _level_energies, check_uniform_gap_ratio)
 from .tolerances import TOL
 
 
@@ -275,8 +274,13 @@ def _run_cycles(kind, couplings: np.ndarray, Bi: float, Bf: float,
     if not np.isfinite(W).all():
         raise InvalidField("heat or work is too large to represent")
     eta_raw = -W / np.where(Qh != 0.0, Qh, np.nan)
-    fields = _crossing_fields(kind, offsets)
-    crossing = ((Bi <= fields) & (fields <= Bf)).any(axis=1)
+    # levels n and m meet where their offsets' difference is undone by
+    # their slopes' (substances._crossing_fields, one pair at a time)
+    crossing = np.zeros(len(offsets), dtype=bool)
+    slopes = kind.slopes.tolist()
+    for n, m in kind.pairs.tolist():
+        field = (offsets[:, m] - offsets[:, n]) / (slopes[n] - slopes[m])
+        crossing |= (Bi <= field) & (field <= Bf)
 
     return CycleBatch(
         labels=kind.labels,
@@ -297,6 +301,7 @@ def run_cycle(cfg: CycleConfig) -> CycleRecord:
     A batch of one, run as run_cycle_batch runs it; a cooling measurement
     (Qh < 0) raises MeasurementCoolsWarning but still returns the record.
     """
+    _require("cfg", cfg, CycleConfig)
     return run_cycle_batch((cfg.spec,), cfg.Bi, cfg.Bf, cfg.cold,
                            cfg.protocol).record(0)
 
@@ -368,6 +373,7 @@ def efficiency_ratio_identity(rec: CycleRecord) -> float:
     For levels s_n B + o_n, eta/eta0 = 1 - sum_n o_n dp_n / Qh. The
     identity holds because moving levels carry no offset (built-in kinds).
     """
+    _require("rec", rec, CycleRecord)
     if not rec.engine_mode:
         raise NotAnEngine("efficiency ratio is defined only in engine mode")
     idle_sum = sum(rec.per_level_flux_hot[label] for label in rec.idle_labels)
@@ -380,5 +386,6 @@ def uniform_ratio_efficiency_check(cfg: CycleConfig) -> Optional[float]:
     When this returns a value, run_cycle's efficiency equals it for any
     hot bath and any unital measurement channel.
     """
+    _require("cfg", cfg, CycleConfig)
     r = check_uniform_gap_ratio(cfg.spec, cfg.Bi, cfg.Bf)
     return None if r is None else 1.0 - 1.0 / r

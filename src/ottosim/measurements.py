@@ -13,7 +13,7 @@ import numpy as np
 
 from ._record import Record
 from .channels import KrausChannel, _projective_channels, kraus_channel
-from .core import _real
+from .core import _real, _require
 from .errors import InvalidField, NonUnitVector
 from .tolerances import TOL
 
@@ -44,6 +44,7 @@ def su3_states(a: Su3Angles):
     psi_3 carries no phi dependence; the set is orthonormal for every
     choice of angles regardless.
     """
+    _require("a", a, Su3Angles)
     return list(_su3_states(a.theta, a.phi, a.chi, a.psi))
 
 
@@ -63,6 +64,7 @@ def _su3_states(theta, phi, chi, psi) -> np.ndarray:
 
 def su3_projective_channel(a: Su3Angles) -> KrausChannel:
     """Channel of the three rank-1 projectors |psi_i><psi_i|."""
+    _require("a", a, Su3Angles)
     return su3_projective_channels(a.theta, a.phi, a.chi, a.psi)[0]
 
 
@@ -131,5 +133,7 @@ def local_spin_channel(n: SpinDirection, m: SpinDirection) -> KrausChannel:
     Four rank-1 product projectors; projective, hence unital and
     minimally disturbing.
     """
+    _require("n", n, SpinDirection)
+    _require("m", m, SpinDirection)
     ops = [np.kron(pa, pb) for pa in n.projectors() for pb in m.projectors()]
     return kraus_channel(ops)

@@ -170,7 +170,9 @@ def _level_energies(kind: _Kind, couplings: np.ndarray, fields):
 
 
 def _spec_levels(spec: SubstanceSpec, fields):
-    """The kind of spec, then _level_energies of spec alone."""
+    """The kind of spec, then _level_energies of spec alone; InvalidField
+    unless spec is a SubstanceSpec."""
+    _require("spec", spec, SubstanceSpec)
     kind = _KINDS[spec.kind]
     return (kind, *_level_energies(kind, _couplings(kind, (spec,)), fields))
 
@@ -191,6 +193,7 @@ def _check_fields(Bi: float, Bf: float):
 
 def labelled_basis(spec: SubstanceSpec) -> dict:
     """Eigenvector per label (B-independent for all three substances)."""
+    _require("spec", spec, SubstanceSpec)
     kind = _KINDS[spec.kind]
     return dict(zip(kind.labels, kind.basis.T.copy()))
 
@@ -203,6 +206,7 @@ def build_hamiltonian(spec: SubstanceSpec, B: float) -> HermitianOperator:
     fully aligned states, Jxy exchange on the middle block, Jz shifts so
     the aligned states sit exactly at +-2B.
     """
+    _require("spec", spec, SubstanceSpec)
     B = _real("field B", B, positive=True)
     if spec.kind is SubstanceKind.QUBIT:
         m = np.diag([B, -B]).astype(complex)

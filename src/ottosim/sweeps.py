@@ -50,7 +50,7 @@ import numpy as np
 # theorem1 lives in channels; the CLI, a test oracle and perfbench use these
 from ._record import Record
 from .channels import _MIXTURE, _PROJECTIVE, _theorem1_schedule, theorem1_suite
-from .core import BathSpec, _empty, _integer, _real, row_sum
+from .core import BathSpec, _empty, _integer, _real, _require, row_sum
 from .cycle import Measurement, TwoBath, _run_cycles, _warn_cooling
 from .errors import InvalidField, OttoSimError
 from .measurements import (SpinDirection, Su3Angles, local_spin_channel,
@@ -170,8 +170,8 @@ def _sweep(meta, Bi, Bf, beta_c, axes, kind, protocols) -> SweepTable:
                 for label in table.labels))
     count = math.prod(r.steps for _, _, r in axes)
     cells = _empty(f"a sweep of {count} rows", (count, len(header)))
-    integer = np.isin(header, ("engine_mode", "crossing"))
-    blank = np.isin(header, ("eta_raw",))
+    integer = np.array([c in ("engine_mode", "crossing") for c in header])
+    blank = np.array([c == "eta_raw" for c in header])
     points = itertools.product(*(r.values().tolist() for _, _, r in outer))
     cs = grid.values()
     step = min(math.prod(r.steps for _, _, r in outer),
@@ -217,6 +217,7 @@ def _sweep(meta, Bi, Bf, beta_c, axes, kind, protocols) -> SweepTable:
 def sweep_qutrit_two_bath(Bi: float, Bf: float, beta_c: float, beta_h: float,
                           j_range: SweepRange) -> SweepTable:
     """One row per J for the thermally driven qutrit cycle."""
+    _require("j_range", j_range, SweepRange)
     hot = BathSpec(beta_h)
     return _sweep({"command": "qutrit-two-bath", "beta_h": hot.beta},
                   Bi, Bf, beta_c, [("J", "j", j_range)], SubstanceKind.QUTRIT,
@@ -227,6 +228,8 @@ def sweep_qutrit_measurement(Bi: float, Bf: float, beta_c: float,
                              angles: Su3Angles,
                              j_range: SweepRange) -> SweepTable:
     """One row per J for the measurement-driven qutrit cycle."""
+    _require("angles", angles, Su3Angles)
+    _require("j_range", j_range, SweepRange)
     named = _named_angles(angles)
     return _sweep({"command": "qutrit-meas", **named},
                   Bi, Bf, beta_c, [("J", "j", j_range)], SubstanceKind.QUTRIT,
@@ -263,6 +266,8 @@ def sweep_qutrit_contour(Bi: float, Bf: float, beta_c: float, mode: str,
     mode "theta-phi-chi" also ties chi to theta, with psi = pi/2.
     """
     _choice("mode", mode, CONTOUR_MODES)
+    _require("theta_range", theta_range, SweepRange)
+    _require("j_range", j_range, SweepRange)
     half_pi = 0.5 * np.pi
     tie_chi = mode == "theta-phi-chi"
     return _sweep({"command": "qutrit-contour", "mode": mode}, Bi, Bf, beta_c,
@@ -284,6 +289,7 @@ def sweep_qutrit_extreme(Bi: float, Bf: float, beta_c: float,
     This family leaves the +B population untouched and equalizes the two
     lowest levels, trading vanishing work for efficiency near 1.
     """
+    _require("j_range", j_range, SweepRange)
     named = _named_angles(EXTREME_ANGLES)
     return _sweep({"command": "qutrit-extreme", **named},
                   Bi, Bf, beta_c, [("J", "j", j_range)], SubstanceKind.QUTRIT,
@@ -305,6 +311,7 @@ def sweep_xxz(model: str, protocol: str, Bi: float, Bf: float, beta_c: float,
     """
     _choice("model", model, XXZ_MODELS)
     _choice("protocol", protocol, XXZ_PROTOCOLS)
+    _require("coupling_range", coupling_range, SweepRange)
     meta = {"command": "xxz", "model": model, "protocol": protocol}
     if protocol == "two-bath":
         if beta_h is None:
@@ -315,6 +322,8 @@ def sweep_xxz(model: str, protocol: str, Bi: float, Bf: float, beta_c: float,
     else:
         if n is None or m is None:
             raise OttoSimError("measurement protocol needs directions n and m")
+        _require("n", n, SpinDirection)
+        _require("m", m, SpinDirection)
         # built in _sweep, once the table is allocated
         proto = lambda points: [Measurement(local_spin_channel(n, m))]
         meta["n"] = f"{n.nx},{n.ny},{n.nz}"

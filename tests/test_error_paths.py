@@ -167,3 +167,56 @@ def test_python_dash_m_runs_the_cli(tmp_path, module):
     proc = _python(["-m", module], tmp_path)
     assert proc.returncode == 1
     assert proc.stdout.startswith("usage: ottosim")
+
+
+# Every record argument of the substance, measurement, cycle and sweep
+# functions, with good values for every other argument.
+SPEC = o.SubstanceSpec.qutrit(1.0)
+ANGLES = o.Su3Angles(0.1, 0.2, 0.3, 0.4)
+GRID = o.SweepRange(0.1, 1.0, 3)
+CFG = o.CycleConfig(SPEC, 3.0, 4.0, o.BathSpec(1.0),
+                    o.TwoBath(o.BathSpec(0.1)))
+FIELDS = {"Bi": 3.0, "Bf": 4.0, "beta_c": 1.0}
+CALLS = [
+    (o.build_hamiltonian, {"spec": SPEC, "B": 1.0}),
+    (o.labelled_basis, {"spec": SPEC}),
+    (o.labelled_spectrum, {"spec": SPEC, "B": 1.0}),
+    (o.check_uniform_gap_ratio, {"spec": SPEC, "Bi": 3.0, "Bf": 4.0}),
+    (o.detect_level_crossing, {"spec": SPEC, "Bi": 3.0, "Bf": 4.0}),
+    (o.local_spin_channel, {"n": o.SpinDirection.x(),
+                            "m": o.SpinDirection.z()}),
+    (o.su3_projective_channel, {"a": ANGLES}),
+    (o.su3_states, {"a": ANGLES}),
+    (o.run_cycle, {"cfg": CFG}),
+    (o.uniform_ratio_efficiency_check, {"cfg": CFG}),
+    (o.efficiency_ratio_identity, {"rec": o.run_cycle(CFG)}),
+    (o.sweep_qutrit_two_bath, {**FIELDS, "beta_h": 0.5, "j_range": GRID}),
+    (o.sweep_qutrit_measurement, {**FIELDS, "angles": ANGLES,
+                                  "j_range": GRID}),
+    (o.sweep_qutrit_contour, {**FIELDS, "mode": "theta-phi",
+                              "theta_range": GRID, "j_range": GRID}),
+    (o.sweep_qutrit_extreme, {**FIELDS, "j_range": GRID}),
+    (o.sweep_xxz, {**FIELDS, "model": "xx", "protocol": "meas",
+                   "coupling_range": GRID, "n": o.SpinDirection.x(),
+                   "m": o.SpinDirection.z()}),
+]
+# a record of another kind for each record class
+ANOTHER = {o.SubstanceSpec: o.BathSpec(1.0), o.Su3Angles: GRID,
+           o.SpinDirection: ANGLES, o.CycleConfig: o.run_cycle(CFG),
+           o.CycleRecord: CFG, o.SweepRange: ANGLES}
+
+
+@pytest.mark.parametrize("func, args, slot", [
+    pytest.param(func, args, slot, id=f"{func.__name__}-{slot}")
+    for func, args in CALLS
+    for slot, value in args.items() if type(value) in ANOTHER])
+@pytest.mark.parametrize("bad", [5, "x", None, "another record"])
+def test_a_record_argument_of_another_kind_is_named(func, args, slot, bad):
+    if bad == "another record":
+        bad = ANOTHER[type(args[slot])]
+    error, match = o.InvalidField, f"^{slot} must be a "
+    if func is o.sweep_xxz and slot in "nm" and bad is None:
+        # None stands for a direction not given
+        error, match = o.OttoSimError, "needs directions n and m"
+    with pytest.raises(error, match=match):
+        func(**{**args, slot: bad})
