@@ -274,8 +274,8 @@ def _run_cycles(kind, couplings: np.ndarray, Bi: float, Bf: float,
     if not np.isfinite(W).all():
         raise InvalidField("heat or work is too large to represent")
     eta_raw = -W / np.where(Qh != 0.0, Qh, np.nan)
-    # levels n and m meet where their offsets' difference is undone by
-    # their slopes' (substances._crossing_fields, one pair at a time)
+    # substances._crossing_fields one pair at a time, from the offsets'
+    # columns: no (N, pairs) gathers
     crossing = np.zeros(len(offsets), dtype=bool)
     slopes = kind.slopes.tolist()
     for n, m in kind.pairs.tolist():
