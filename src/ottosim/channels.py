@@ -106,17 +106,22 @@ def apply_channel(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(_apply_kraus(np.asarray(ch.operators), rho.matrix))
 
 
-def _apply_kraus(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
+def _apply_kraus(kraus: np.ndarray, rho: np.ndarray,
+                 ends=None) -> np.ndarray:
     """Hermitian part of sum_a M_a rho M_a^dag, over stacks.
 
     kraus has shape (..., r, d, d) and rho (..., d, d). The terms are
     added in operator order, so a zero-padded stack gives the same bits
-    as its unpadded operators.
+    as its unpadded operators. Given ends, for a stack (n, r, d, d) whose
+    rows are ordered by Kraus rank, largest first, operator a multiplies
+    only the first ends[a] rows, those of rank above a; the other rows
+    hold a zero operator there and skip it.
     """
     out = np.zeros(rho.shape, dtype=complex)
     for a in range(kraus.shape[-3]):
-        m = kraus[..., a, :, :]
-        out = out + m @ rho @ _dagger(m)
+        rows = slice(None if ends is None else ends[a])
+        m = kraus[..., a, :, :][rows]
+        out[rows] += m @ rho[rows] @ _dagger(m)
     return _hermitian_part(out)
 
 
@@ -215,15 +220,17 @@ def damping_channel(dim: int, gamma: float, sink: int = 0) -> KrausChannel:
     return kraus_channel(_damping_operators(dim, gamma, sink))
 
 
-def _damping_operators(dim: int, gamma: float, sink: int) -> np.ndarray:
-    """The dim Kraus operators of damping_channel, stacked: keep, then jumps."""
-    ops = _empty(f"a damping channel of dim {dim}", (dim, dim, dim), complex)
+def _damping_operators(dim: int, gamma, sink: int) -> np.ndarray:
+    """The dim Kraus operators of damping_channel, stacked: keep, then
+    jumps; for an array of gammas (...), one such stack each."""
+    gamma = np.asarray(gamma, dtype=float)
+    ops = _empty(f"a damping channel of dim {dim}",
+                 gamma.shape + (dim, dim, dim), complex)
     ops.fill(0)
-    keep = np.full(dim, np.sqrt(1.0 - gamma), dtype=complex)
-    keep[sink] = 1.0
-    ops[0] = np.diag(keep)
+    ops[..., 0, range(dim), range(dim)] = np.sqrt(1.0 - gamma)[..., None]
+    ops[..., 0, sink, sink] = 1.0
     for a, k in enumerate(k for k in range(dim) if k != sink):
-        ops[a + 1, sink, k] = np.sqrt(gamma)
+        ops[..., a + 1, sink, k] = np.sqrt(gamma)
     return ops
 
 
@@ -361,9 +368,12 @@ def _uniform(rng, low: float, high: float, size=None):
     return low + (high - low) * rng.random(size)
 
 
-def _complex(normals: np.ndarray) -> np.ndarray:
-    """re + 1j im of normals (..., 2, d, d), drawn real parts first."""
-    return normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
+def _complex(normals: np.ndarray, out=None) -> np.ndarray:
+    """re + 1j im of normals (..., 2, d, d), drawn real parts first, into
+    out if given."""
+    out = np.multiply(normals[..., 1, :, :], 1j, out=out)
+    out += normals[..., 0, :, :]
+    return out
 
 
 def _unitary_mixture(weights: np.ndarray, bases: np.ndarray,
@@ -444,17 +454,18 @@ class Theorem1Report(Record):
         ]
 
 
-# Samples drawn and computed per array pass of theorem1_suite: the default
-# 500 samples take one pass, one stack per dimension. One pass of 512
-# samples over dims 2, 3 and 4 peaks at about 1.0 MiB of arrays
-# (tracemalloc; 0.6 MiB in passes of 256), and memory does not grow with
-# the sample count.
-_THEOREM1_BLOCK = 512
+# Samples drawn and computed per array pass of theorem1_suite, control
+# samples included: the default 500 and their 25 take one pass, one stack
+# per dimension, and peak at about 840 KiB over dims 2, 3 and 4
+# (tracemalloc). Only the schedule and the changes grow with the sample
+# count, about 22 bytes a sample (1,273 KiB at 20,000 samples).
+_THEOREM1_BLOCK = 525
 
-# Channel kinds of the unital samples. A mixture draws 1 to 4 unitaries and
-# a projective channel has d <= 4 projectors, so 4 Kraus slots hold any
-# channel; unused slots stay zero.
-_MIXTURE, _PROJECTIVE, _IDENTITY = range(3)
+# Channel kinds: the unital samples' three, then the control group's
+# damping. A mixture draws 1 to 4 unitaries, and a projective channel or a
+# damping has d <= 4 operators, so 4 Kraus slots hold any channel; unused
+# slots stay zero.
+_MIXTURE, _PROJECTIVE, _IDENTITY, _DAMPING = range(4)
 _KRAUS_SLOTS = 4
 
 
@@ -469,26 +480,31 @@ def _theorem1_schedule(dims, samples):
     return [combos[i % len(combos)] for i in range(samples)]
 
 
-class _UnitalDraws:
-    """Random numbers of a block's unital samples of one dimension, drawn
-    straight into stacks allocated from their schedule entries.
+class _Theorem1Draws:
+    """Random numbers of a block's samples of one dimension, unital and
+    control, drawn straight into stacks allocated from their schedule
+    entries.
 
-    Sample k's Hamiltonian normals (2, d, d) go to hamiltonians[k], and
-    its Gibbs beta to betas[k] or the d uniforms behind its passive
-    populations to uniforms[k]. Channel normals (2, d, d) take the rows
-    of normals: the first `projective` rows hold the projective channels,
-    one each, and the rows after them the unitaries of the mixtures, in
-    drawing order, with their weights and turns in the same rows of
-    weights and turns. The main stream gives each mixture its seed and
-    count; draw_mixtures fills the mixture rows from the seeds' own
-    streams through the Generator mixer once the stack's main-stream
-    draws are done.
+    Sample k's Hamiltonian normals (2, d, d) go to hamiltonians[k], or for
+    a control sample its sorted level energies, on the diagonal of the
+    real part; its Gibbs beta to betas[k] or the d uniforms behind its
+    passive populations to uniforms[k]; its Kraus rank to ranks[k].
+    Channel normals (2, d, d) take the rows of normals: the first
+    `projective` rows hold the projective channels, one each, and the rows
+    after them the unitaries of the mixtures, in drawing order, with their
+    weights and turns in the same rows of weights and turns. The main
+    stream gives each mixture its seed and count; draw_mixtures fills the
+    mixture rows from the seeds' own streams through the Generator mixer
+    once the stack's main-stream draws are done. Each control sample's
+    damping strength is appended to gammas.
     """
 
     def __init__(self, dim, entries, mixer):
-        self.mixer = mixer
+        self.dim, self.mixer = dim, mixer
         self.kinds = [kind for _, kind, _ in entries]
         self.gibbs = [gibbs for _, _, gibbs in entries]
+        # a mixture's rank is its count, known once it is drawn
+        self.ranks = [1 if kind == _IDENTITY else dim for kind in self.kinds]
         n = len(entries)
         self.projective = self.kinds.count(_PROJECTIVE)
         rows = self.projective + _KRAUS_SLOTS * self.kinds.count(_MIXTURE)
@@ -499,6 +515,7 @@ class _UnitalDraws:
         self.weights = np.empty(rows)
         self.turns = np.empty((rows, dim))
         self.seeds, self.counts = [], []  # of each mixture
+        self.gammas = []  # of each control sample
         self.drawn = self.next_projective = 0
         self.next_unitary = self.projective
 
@@ -507,20 +524,30 @@ class _UnitalDraws:
 
     def draw(self, rng):
         """Draw the next sample as the scalar route does: the Hamiltonian,
-        the state, then the channel."""
+        the state, then the channel; for a control sample, its level
+        energies, beta, then the damping's gamma."""
         k = self.drawn
         self.drawn = k + 1
+        kind = self.kinds[k]
+        if kind == _DAMPING:
+            energies = np.sort(_uniform(rng, -2.0, 2.0, self.dim))
+            self.hamiltonians[k] = 0.0
+            np.fill_diagonal(self.hamiltonians[k, 0], energies)
+            self.betas[k] = _uniform(rng, 0.2, 1.0)
+            # the sink, argmin of the sorted energies, is level 0
+            self.gammas.append(_uniform(rng, 0.3, 0.9))
+            return
         rng.standard_normal(out=self.hamiltonians[k])
         if self.gibbs[k]:
             self.betas[k] = _uniform(rng, 0.05, 5.0)
         else:
             rng.random(out=self.uniforms[k])
-        kind = self.kinds[k]
         if kind == _MIXTURE:
             self.seeds.append(int(rng.integers(2 ** 31)))
             count = int(rng.integers(1, 5))
             self.next_unitary += count
             self.counts.append(count)
+            self.ranks[k] = count
         elif kind == _PROJECTIVE:
             rng.standard_normal(out=self.normals[self.next_projective])
             self.next_projective += 1
@@ -548,140 +575,110 @@ class _UnitalDraws:
         _normalize_weights(self.weights[first:row], self.counts)
 
 
-def _unital_changes(dim, draws):
-    """Energy changes of the unital samples of one _UnitalDraws, as stacks,
-    once its mixtures are drawn.
+def _stack_changes(dim, draws):
+    """Energy changes of the samples of one _Theorem1Draws, unital and
+    control, in drawing order, once its mixtures are drawn.
 
-    Drawn uniforms u become passive populations: sort(u + 1e-3) descending
-    against ascending energies, normalized.
+    The stack is computed in rank order, its samples sorted by Kraus rank,
+    largest first (a stable sort), so that Kraus slot a multiplies only
+    the leading rows whose rank is above a. The Hamiltonians, in that
+    order, and then the channel normals go through one eigensystem call.
+    Drawn uniforms u become passive populations: sort(u + 1e-3)
+    descending against ascending energies, normalized.
     """
     draws.draw_mixtures()
-    h, vals, vecs = _eigensystems(
-        _finite(_hermitian_part(_complex(draws.hamiltonians))))
-    n = len(draws)
-    gibbs = np.array(draws.gibbs)
+    n, p, r = len(draws), draws.projective, draws.next_unitary
+    ranks = np.array(draws.ranks)
+    order = np.concatenate([np.flatnonzero(ranks == rank)
+                            for rank in range(_KRAUS_SLOTS, 0, -1)])
+    where = np.empty(n, dtype=int)  # each sample's row in rank order
+    where[order] = np.arange(n)
+    matrices = np.empty((n + r, dim, dim), dtype=complex)
+    _complex(draws.hamiltonians[order], out=matrices[:n])
+    _complex(draws.normals[:r], out=matrices[n:])
+    # each stack goes once the next is made from it
+    matrices = _finite(_hermitian_part(matrices))
+    h, vals, vecs = _eigensystems(matrices)
+    del matrices
+    gibbs = np.array(draws.gibbs)[order]
     pops = np.empty((n, dim))
     if not gibbs.all():
-        passive = np.sort(draws.uniforms[~gibbs] + 1e-3)[:, ::-1]
+        passive = np.sort(draws.uniforms[order[~gibbs]] + 1e-3)[:, ::-1]
         pops[~gibbs] = passive / passive.sum(axis=1, keepdims=True)
     if gibbs.any():
-        pops[gibbs] = boltzmann_populations(vals[gibbs],
-                                            draws.betas[gibbs, None])
+        pops[gibbs] = boltzmann_populations(vals[:n][gibbs],
+                                            draws.betas[order[gibbs], None])
 
     kinds = np.array(draws.kinds)
     kraus = np.zeros((n, _KRAUS_SLOTS, dim, dim), dtype=complex)
-    kraus[kinds == _IDENTITY, 0] = np.eye(dim)
-    p, r = draws.projective, draws.next_unitary
-    if r:
-        # One eigensystem call for every channel basis of the stack.
-        bases = _eigensystems(_finite(_hermitian_part(
-            _complex(draws.normals[:r]))))[2]
-        if p:
-            # Projector k of a basis is the outer product of its column k.
-            cols = bases[:p].swapaxes(-1, -2)
-            kraus[kinds == _PROJECTIVE, :dim] = (cols[..., :, None]
-                                                 * cols.conj()[..., None, :])
-        if r > p:
-            counts = np.array(draws.counts)
-            first = np.repeat(np.cumsum(counts) - counts, counts)
-            kraus[np.repeat(np.flatnonzero(kinds == _MIXTURE), counts),
-                  np.arange(r - p) - first] = _unitary_mixture(
-                      draws.weights[p:r], bases[p:], draws.turns[p:r])
-    return _passive_energy_changes(h, vecs, pops, kraus)
+    kraus[where[kinds == _IDENTITY], 0] = np.eye(dim)
+    if p:
+        # Projector k of a basis is the outer product of its column k.
+        cols = vecs[n:n + p].swapaxes(-1, -2)
+        kraus[where[kinds == _PROJECTIVE], :dim] = (cols[..., :, None]
+                                                    * cols.conj()[..., None, :])
+    if r > p:
+        counts = np.array(draws.counts)
+        first = np.repeat(np.cumsum(counts) - counts, counts)
+        kraus[np.repeat(where[kinds == _MIXTURE], counts),
+              np.arange(r - p) - first] = _unitary_mixture(
+                  draws.weights[p:r], vecs[n + p:], draws.turns[p:r])
+    if draws.gammas:
+        kraus[where[kinds == _DAMPING], :dim] = _damping_operators(
+            dim, draws.gammas, 0)
+    ends = [np.count_nonzero(ranks > a) for a in range(_KRAUS_SLOTS)]
+    return _passive_energy_changes(h[:n], vecs[:n], pops, kraus, ends)[where]
 
 
-class _ControlDraws:
-    """Random numbers of a block's control samples of one dimension,
-    drawn into stacks: sorted level energies (n, d), beta (n,) and the
-    damping's Kraus operators (n, d, d, d)."""
-
-    def __init__(self, dim, entries):
-        n = len(entries)
-        self.energies = np.empty((n, dim))
-        self.betas = np.empty(n)
-        self.kraus = np.empty((n, dim, dim, dim), dtype=complex)
-        self.drawn = 0
-
-    def __len__(self):
-        return len(self.betas)
-
-    def draw(self, rng):
-        """Draw the next sample: level energies, beta, damping."""
-        k = self.drawn
-        self.drawn = k + 1
-        energies = self.energies[k]
-        energies[:] = np.sort(_uniform(rng, -2.0, 2.0, len(energies)))
-        self.betas[k] = _uniform(rng, 0.2, 1.0)
-        self.kraus[k] = _damping_operators(len(energies),
-                                           _uniform(rng, 0.3, 0.9),
-                                           int(np.argmin(energies)))
-
-
-def _control_changes(dim, draws):
-    """Energy changes of damped thermal states of one _ControlDraws."""
-    diag = np.zeros((len(draws), dim, dim), dtype=complex)
-    diag[:, range(dim), range(dim)] = draws.energies
-    h, vals, vecs = _eigensystems(_finite(diag))
-    pops = boltzmann_populations(vals, draws.betas[:, None])
-    return _passive_energy_changes(h, vecs, pops, draws.kraus)
-
-
-def _passive_energy_changes(h, vecs, pops, kraus):
+def _passive_energy_changes(h, vecs, pops, kraus, ends):
     """Tr[(E(rho) - rho) H] for rho = sum_n pops_n |v_n><v_n|, per sample.
 
     h (n, d, d) with eigenvectors vecs, pops (n, d), Kraus stacks
-    kraus (n, r, d, d). Both states pass the DensityMatrix checks and the
-    channels the trace-preservation check.
+    kraus (n, r, d, d), applied as _apply_kraus applies them given ends.
+    Both states pass the DensityMatrix checks and the channels the
+    trace-preservation check.
     """
     rho = _densities(_finite((vecs * pops[:, None, :]) @ _dagger(vecs)))
     _check_trace_preserving(_finite(kraus))
-    post = _densities(_finite(_apply_kraus(kraus, rho)))
+    post = _densities(_finite(_apply_kraus(kraus, rho, ends)))
     return _energies(post, h) - _energies(rho, h)
-
-
-def _in_blocks(out, schedule, stack, compute, rng):
-    """Fill out with the energy changes of the samples of schedule, whose
-    entries start with the sample's dimension.
-
-    Each block of _THEOREM1_BLOCK samples is drawn in order from rng into
-    one stack(dim, entries) per dimension present, allocated from the
-    block's schedule entries; then compute(dim, stack) runs once per
-    stack.
-    """
-    for start in range(0, len(out), _THEOREM1_BLOCK):
-        block = schedule[start:start + _THEOREM1_BLOCK]
-        index = {}
-        for i, entry in enumerate(block, start):
-            index.setdefault(entry[0], []).append(i)
-        stacks = {dim: stack(dim, [schedule[i] for i in rows])
-                  for dim, rows in index.items()}
-        for entry in block:
-            stacks[entry[0]].draw(rng)
-        for dim, rows in index.items():
-            out[rows] = compute(dim, stacks[dim])
 
 
 def _theorem1_energy_changes(dims, samples, seed):
     """Schedule and per-sample energy changes of theorem1_suite.
 
     Returns the schedule, the unital samples' changes (one per schedule
-    entry) and the control group's changes. Their arrays are allocated
-    before the schedule and the first draw.
+    entry) and the control group's changes. The control samples follow
+    the unital ones in one schedule, a damped Gibbs state each, their
+    dimension cycling through dims. Each block of _THEOREM1_BLOCK samples
+    of it is drawn in order from one generator into one _Theorem1Draws
+    per dimension present, allocated from the block's schedule entries;
+    then _stack_changes computes each stack. The changes' array is
+    allocated before the schedule and the first draw.
     """
-    what = f"a theorem1 suite of {samples} samples"
-    changes = _empty(what, samples)
-    control_changes = _empty(what, max(10, samples // 20))
+    controls = max(10, samples // 20)
+    changes = _empty(f"a theorem1 suite of {samples} samples",
+                     samples + controls)
     rng = np.random.default_rng(seed)
     # reseeded for each unitary mixture: its first state is never used
     mixer = np.random.Generator(np.random.PCG64(0))
     schedule = _theorem1_schedule(dims, samples)
-    entries = [(dim,) for dim in dims]
-    control = [entries[i % len(dims)] for i in range(len(control_changes))]
-    _in_blocks(changes, schedule,
-               lambda dim, entries: _UnitalDraws(dim, entries, mixer),
-               _unital_changes, rng)
-    _in_blocks(control_changes, control, _ControlDraws, _control_changes, rng)
-    return schedule, changes, control_changes
+    schedule += [(dims[i % len(dims)], _DAMPING, True)
+                 for i in range(controls)]
+    for start in range(0, len(schedule), _THEOREM1_BLOCK):
+        block = schedule[start:start + _THEOREM1_BLOCK]
+        index = {}
+        for i, entry in enumerate(block, start):
+            index.setdefault(entry[0], []).append(i)
+        stacks = {dim: _Theorem1Draws(dim, [schedule[i] for i in at], mixer)
+                  for dim, at in index.items()}
+        for entry in block:
+            stacks[entry[0]].draw(rng)
+        for dim, rows in index.items():
+            # a stack's arrays go once it is computed
+            changes[rows] = _stack_changes(dim, stacks.pop(dim))
+    del schedule[samples:]
+    return schedule, changes[:samples], changes[samples:]
 
 
 def theorem1_suite(dims=(2, 3, 4), samples: int = 1000,
@@ -696,21 +693,22 @@ def theorem1_suite(dims=(2, 3, 4), samples: int = 1000,
     The control group applies non-unital ground-sink damping to excited
     thermal states and must find a strictly negative energy change.
 
-    The random numbers are drawn sample by sample from one generator,
-    straight into preallocated stacks, one per dimension, for each block
-    of _THEOREM1_BLOCK samples. A unitary mixture takes only its seed and
-    count from that stream; its own numbers come from default_rng(seed)'s
-    stream, which one shared Generator is reseeded to for each mixture
-    (_pcg64_states, checked against numpy's constructor by the tests)
-    once the stack's other draws are done, and the stack's mixture
-    weights are normalized in one pass. A uniform in [lo, hi) is
-    lo + (hi - lo) * random() and a mixture angle 2 pi u for u = random():
-    numpy's own formula for uniform(lo, hi), so the values and the stream
-    are uniform's. The stacks then become complex matrices and passive
-    populations, and are validated and computed with every check of the
-    scalar calls (hermitian_eigensystem, kraus_channel, DensityMatrix,
-    energy_expectation) applied to each sample. Each energy change holds
-    the bits of the scalar route through those calls.
+    The random numbers are drawn sample by sample from one generator, the
+    control group after the unital samples, straight into preallocated
+    stacks, one per dimension, for each block of _THEOREM1_BLOCK samples.
+    A unitary mixture takes only its seed and count from that stream; its
+    own numbers come from default_rng(seed)'s stream, which one shared
+    Generator is reseeded to (_pcg64_states, checked against numpy's
+    constructor by the tests) once the stack's other draws are done. A
+    uniform in [lo, hi) is lo + (hi - lo) * random() and a mixture angle
+    2 pi u for u = random(): numpy's own formula for uniform(lo, hi), so
+    the values and the stream are uniform's. Each stack then takes one
+    eigensystem call, for its Hamiltonians, control spectra and channel
+    bases, and one energy-change pass, its samples ordered by Kraus rank
+    so that each Kraus slot multiplies only the rows that use it, with
+    every check of the scalar calls (hermitian_eigensystem, kraus_channel,
+    DensityMatrix, energy_expectation) applied to each sample. Each energy
+    change holds the bits of the scalar route through those calls.
     """
     try:
         given = list(dims)

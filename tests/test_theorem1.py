@@ -138,17 +138,19 @@ def test_batched_changes_equal_scalar_oracle_bitwise(monkeypatch, dims,
 
 def test_blocks_bound_the_stacks(monkeypatch):
     monkeypatch.setattr(o.channels, "_THEOREM1_BLOCK", 16)
-    sizes = []
-    compute = o.channels._unital_changes
+    sizes, control = [], []
+    compute = o.channels._stack_changes
 
     def recording(dim, draws):
         sizes.append(len(draws))
+        control.append(draws.kinds.count(o.channels._DAMPING))
         return compute(dim, draws)
 
-    monkeypatch.setattr(o.channels, "_unital_changes", recording)
+    monkeypatch.setattr(o.channels, "_stack_changes", recording)
     rep = o.theorem1_suite(dims=(2, 3, 4), samples=16 * 5 + 3, seed=4)
     assert rep.passed
-    assert max(sizes) <= 16 and sum(sizes) == 16 * 5 + 3
+    assert max(sizes) <= 16 and sum(sizes) - sum(control) == 16 * 5 + 3
+    assert sum(control) == rep.control_samples == 10
 
 
 @pytest.mark.parametrize("dims", [(2,), (3, 4), (2, 3, 4)])
@@ -197,3 +199,74 @@ def test_min_unital_is_over_the_non_identity_samples():
     assert rep.min_unital != 0.0
     assert rep.lines()[1].startswith(
         "min energy change over non-identity unital channels")
+
+
+@pytest.mark.parametrize("blocks,extra", [(0, 1), (1, -1), (1, 0), (1, 1),
+                                          (2, 3)])
+@pytest.mark.parametrize("seed", [3, 8])
+def test_changes_equal_the_oracle_across_the_default_block(blocks, extra,
+                                                           seed):
+    # samples around the block size: the control samples that follow the
+    # unital ones then fill one block, spill into the next, or share it
+    samples = blocks * o.channels._THEOREM1_BLOCK + extra
+    _, unital, control = o.channels._theorem1_energy_changes((2, 3, 4),
+                                                             samples, seed)
+    want_unital, want_control = oracle_theorem1_energies((2, 3, 4), samples,
+                                                         seed)
+    assert _bits(unital) == _bits(want_unital)
+    assert _bits(control) == _bits(want_control)
+
+
+def test_a_control_group_with_dimensions_no_unital_sample_has():
+    # one unital sample, of dim 2: the stacks of dims 3 and 4 hold control
+    # samples only
+    _, unital, control = o.channels._theorem1_energy_changes((2, 3, 4), 1, 6)
+    want_unital, want_control = oracle_theorem1_energies((2, 3, 4), 1, 6)
+    assert len(control) == 10
+    assert _bits(unital) == _bits(want_unital)
+    assert _bits(control) == _bits(want_control)
+
+
+def test_a_default_suite_computes_each_dimension_once(monkeypatch):
+    calls = {"_eigensystems": [], "_passive_energy_changes": [],
+             "_apply_kraus": []}
+    for name, record in calls.items():
+        def spy(*args, compute=getattr(o.channels, name), record=record):
+            record.append(args)
+            return compute(*args)
+        monkeypatch.setattr(o.channels, name, spy)
+    assert o.theorem1_suite((2, 3, 4), 500, 1).passed
+    # the Hamiltonians, channel bases and control spectra of a dimension
+    # take one eigensystem call, and its samples one energy-change pass
+    assert [m.shape[-1] for m, in calls["_eigensystems"]] == [2, 3, 4]
+    passes = calls["_passive_energy_changes"]
+    assert [h.shape[-1] for h, *_ in passes] == [2, 3, 4]
+    assert sum(len(h) for h, *_ in passes) == 500 + 25
+    slots = o.channels._KRAUS_SLOTS
+    for kraus, rho, ends in calls["_apply_kraus"]:
+        # a row's rank is its count of nonzero operators, which fill the
+        # first slots; the rows come largest rank first, and slot a
+        # reaches exactly the rows of rank above a
+        nonzero = np.abs(kraus).max(axis=(-2, -1)) > 0
+        rank = nonzero.sum(axis=1)
+        assert (nonzero == (np.arange(slots) < rank[:, None])).all()
+        assert (np.diff(rank) <= 0).all()
+        assert list(ends) == [np.count_nonzero(rank > a)
+                              for a in range(slots)]
+        assert ends[0] == len(rho) and sum(ends) < slots * len(rho)
+
+
+def test_kraus_slots_skip_the_rows_past_their_end():
+    rng = np.random.default_rng(29)
+    kraus = (rng.standard_normal((6, 4, 3, 3))
+             + 1j * rng.standard_normal((6, 4, 3, 3)))
+    rho = np.array([random_hermitian(rng, 3) for _ in range(6)])
+    ends = [6, 4, 4, 1]
+    padded = kraus.copy()
+    for a, end in enumerate(ends):
+        padded[end:, a] = 0.0
+        kraus[end:, a] = np.nan  # never multiplied
+    got = o.channels._apply_kraus(kraus, rho, ends)
+    want = o.channels._apply_kraus(padded, rho)
+    assert np.isfinite(got).all()
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
