@@ -182,19 +182,13 @@ def energy_change(ch: KrausChannel, rho: DensityMatrix,
 
 
 def projective_channel(states) -> KrausChannel:
-    """Channel of rank-1 projectors onto a complete orthonormal set.
-
-    A stack of one for _projective_channels.
-    """
-    vecs = [v.reshape(-1) for v in _floats(
-        "states must be vectors of numbers", states, dtype=complex)]
-    if not vecs:
-        raise OttoSimError("a channel needs at least one Kraus operator")
-    if not len(vecs[0]):
-        raise DimensionMismatch("expected a square matrix, got shape (0, 0)")
-    if any(v.shape != vecs[0].shape for v in vecs):
-        raise DimensionMismatch("Kraus operators must share one square shape")
-    return _projective_channels(np.array(vecs)[None])[0]
+    """Channel of rank-1 projectors onto a complete orthonormal set: each
+    |s><s| goes through kraus_channel, with its checks and errors."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a projector too large to represent fails kraus_channel's checks
+        projectors = [np.outer(v, v.conj()) for v in _floats(
+            "states must be vectors of numbers", states, dtype=complex)]
+    return kraus_channel(projectors)
 
 
 def _projective_channels(states: np.ndarray) -> list:

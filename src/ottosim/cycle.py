@@ -10,6 +10,14 @@ Per-level bookkeeping is exact label arithmetic: q_h[l] = E_l(Bf) dp_l
 and q_c[l] = -E_l(Bi) dp_l, so conservation W = -(Qh + Qc), the flux
 decompositions, and the idle passthrough q_c = -q_h hold to rounding.
 
+Entropy ledger, with S the Shannon and D the relative entropy of the
+labelled populations, p_post those after stroke 3. As p_cold is Gibbs at
+Bi, beta_c Qc = -[S(p_post) - S(p_cold)] - D(p_post||p_cold); as a hot
+bath leaves its Gibbs state at Bf, a two-bath cycle also has
+beta_h Qh + beta_c Qc = -Sigma, Sigma = D(p_post||p_cold) + D(p_cold||p_post).
+So a two-bath engine has eta = 1 - beta_h/beta_c - Sigma/(beta_c Qh), and
+a measurement engine eta = 1 - (Delta S + D(p_post||p_cold))/(beta_c Qh).
+
 _run_cycles is the one cycle kernel: it runs N cycles of one kind table,
 given as an (N, c) coupling array, as (N, d) arrays, with one stroke-3
 protocol per block of rows (a sweep's outer point). Its callers warn:

@@ -229,17 +229,17 @@ def sweep_qutrit_measurement(Bi: float, Bf: float, beta_c: float,
                              j_range: SweepRange) -> SweepTable:
     """One row per J for the measurement-driven qutrit cycle."""
     _require("angles", angles, Su3Angles)
+    return _fixed_angle_sweep("qutrit-meas", Bi, Bf, beta_c, angles, j_range)
+
+
+def _fixed_angle_sweep(command, Bi, Bf, beta_c, angles: Su3Angles,
+                       j_range: SweepRange) -> SweepTable:
+    """One row per J of the qutrit measured at angles, named in .meta."""
     _require("j_range", j_range, SweepRange)
-    named = _named_angles(angles)
-    return _sweep({"command": "qutrit-meas", **named},
-                  Bi, Bf, beta_c, [("J", "j", j_range)], SubstanceKind.QUTRIT,
+    named = dict(zip(angles._fields, angles._values()))
+    return _sweep({"command": command, **named}, Bi, Bf, beta_c,
+                  [("J", "j", j_range)], SubstanceKind.QUTRIT,
                   lambda points: _su3_measurements(**named))
-
-
-def _named_angles(angles: Su3Angles) -> dict:
-    """The four angles by name, in field order."""
-    return {"theta": angles.theta, "phi": angles.phi, "chi": angles.chi,
-            "psi": angles.psi}
 
 
 def _su3_measurements(theta, phi, chi, psi) -> list:
@@ -289,11 +289,8 @@ def sweep_qutrit_extreme(Bi: float, Bf: float, beta_c: float,
     This family leaves the +B population untouched and equalizes the two
     lowest levels, trading vanishing work for efficiency near 1.
     """
-    _require("j_range", j_range, SweepRange)
-    named = _named_angles(EXTREME_ANGLES)
-    return _sweep({"command": "qutrit-extreme", **named},
-                  Bi, Bf, beta_c, [("J", "j", j_range)], SubstanceKind.QUTRIT,
-                  lambda points: _su3_measurements(**named))
+    return _fixed_angle_sweep("qutrit-extreme", Bi, Bf, beta_c,
+                              EXTREME_ANGLES, j_range)
 
 
 XXZ_MODELS = ("xx", "ising")
@@ -382,15 +379,14 @@ def _replacing(*paths):
         raise
 
 
-# Cells write_csv writes at a time, in whole rows. Their 32-byte text
-# slots, 115,201 bytes with the last line break, stay below glibc's
-# default 128 KiB mmap threshold: a block mmapped and freed raises that
-# threshold for the rest of the process, and with 4096-cell blocks of
-# 36-byte slots the benchmark's thermal-sweep then took a 1 MiB step of
-# peak RSS in about one run of four. The arrays peak at about 90 bytes a
-# cell. Blocks of 2048 cells took about 15% more time per cell; 4096 and
-# 8192 the same as 3600, within noise, and 14,400 no faster for 0.8 MiB
-# more peak RSS (2-vCPU x86-64 host, numpy 2.4).
+# Cells write_csv writes at a time, in whole rows. Their 32-byte slots,
+# 115,201 bytes with the last line break, stay below glibc's 128 KiB mmap
+# threshold; the arrays peak at about 90 bytes a cell. Between perfbench's
+# output checks the timed calls fault 0 pages at 3,600 and 7,200 cells,
+# and 7,200 reads 9% more thermal-sweep points_per_s; in a plain loop they
+# fault 0-414 pages a pass at 3,600 and 497-3,152 at 7,200, and take
+# 18-20% longer at 7,200. So perfbench alone must not set the size
+# (2-vCPU x86-64 host, numpy 2.4).
 _CSV_CELLS = 3600
 
 

@@ -70,6 +70,21 @@ def test_matrices_must_be_square(entries):
         o.hermitian_eigensystem(entries)
 
 
+@pytest.mark.parametrize("states, error, text", [
+    ([], o.OttoSimError, "a channel needs at least one Kraus operator"),
+    ([[], []], o.DimensionMismatch,
+     "expected a square matrix, got shape (0, 0)"),
+    ([[1, 0], [0, 1, 0]], o.DimensionMismatch,
+     "Kraus operators must share one square shape"),
+    ([[1e200, 0], [0, 1]], o.OttoSimError, "matrix entries must be finite"),
+], ids=["empty", "zero-length", "two-lengths", "overflow"])
+def test_projective_channel_bad_states(states, error, text):
+    with pytest.raises(o.OttoSimError) as caught:
+        o.projective_channel(states)
+    assert caught.type is error
+    assert str(caught.value) == text
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_matrix_entries_must_be_finite(bad):
     with pytest.raises(o.OttoSimError, match="finite"):
