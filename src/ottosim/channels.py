@@ -10,6 +10,7 @@ verify it without trusting the main code path.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -57,18 +58,35 @@ def _kraus_channels(kraus: np.ndarray) -> list:
     row-major order, after the checks of _check_kraus. Each channel's
     operators are views of the stack."""
     unital = _check_kraus(kraus).reshape(-1).tolist()
-    flat = kraus.reshape(-1, *kraus.shape[-3:])
-    return [KrausChannel(tuple(ops), kraus.shape[-1], u)
-            for ops, u in zip(flat, unital)]
+    r, d = kraus.shape[-3:-1]
+    # every operator's view at once, channel after channel
+    ops = list(kraus.reshape(-1, d, d))
+    return [KrausChannel(tuple(ops[k * r:k * r + r]), d, u)
+            for k, u in enumerate(unital)]
+
+
+@functools.cache
+def _identity(d: int) -> np.ndarray:
+    """np.eye(d), built once per d; read only."""
+    eye = np.eye(d)
+    eye.flags.writeable = False
+    return eye
 
 
 def _check_kraus(kraus: np.ndarray) -> np.ndarray:
     """Check Kraus stacks of shape (..., r, d, d): every entry finite and
     every channel trace preserving. Returns each channel's unital flag,
-    sum_a M_a M_a^dag = 1 within TOL.channel, of shape (...)."""
+    sum_a M_a M_a^dag = 1 within TOL.channel, of shape (...).
+
+    That sum is one product per channel, K K^dag, with K = [M_1 ... M_r]
+    the operators side by side, of shape (d, r d): the same r d terms per
+    entry as the sum of r products, in another order, so the two defects
+    differ only by rounding, as in _check_trace_preserving.
+    """
     _check_trace_preserving(_finite(kraus))
-    un = (kraus @ _dagger(kraus)).sum(axis=-3)
-    return np.abs(un - np.eye(kraus.shape[-1])).max(axis=(-2, -1)) \
+    r, d = kraus.shape[-3:-1]
+    side = kraus.swapaxes(-3, -2).reshape(*kraus.shape[:-3], d, r * d)
+    return np.abs(side @ _dagger(side) - _identity(d)).max(axis=(-2, -1)) \
         <= TOL.channel
 
 
@@ -92,7 +110,7 @@ def _check_trace_preserving(kraus: np.ndarray) -> None:
     rows = kraus.reshape(*kraus.shape[:-3], r * d, d)
     with np.errstate(over="ignore", invalid="ignore"):
         tp = _dagger(rows) @ rows
-        defect = float(np.max(np.abs(tp - np.eye(d)), initial=0.0))
+        defect = float(np.abs(tp - _identity(d)).max(initial=0.0))
     if not defect <= TOL.channel:
         raise NotTracePreserving(f"sum M^dag M deviates from 1 by {defect:.3e}")
 

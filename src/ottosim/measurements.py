@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._record import Record
-from .channels import KrausChannel, _projective_channels, kraus_channel
+from .channels import KrausChannel, _kraus_channels, _projective_channels
 from .core import _real, _require
 from .errors import InvalidField, NonUnitVector
 from .tolerances import TOL
@@ -83,7 +83,7 @@ def su3_projective_channels(theta, phi, chi, psi) -> list:
         if array.dtype.kind not in "biuf" or not np.isfinite(array).all():
             raise InvalidField(f"angle {name} must hold finite real numbers, "
                                f"got {value!r}")
-        angles.append(array.astype(float))
+        angles.append(array.astype(float, copy=False))
     try:
         theta, phi, chi, psi = np.broadcast_arrays(*angles)
     except ValueError:
@@ -135,5 +135,9 @@ def local_spin_channel(n: SpinDirection, m: SpinDirection) -> KrausChannel:
     """
     _require("n", n, SpinDirection)
     _require("m", m, SpinDirection)
-    ops = [np.kron(pa, pb) for pa in n.projectors() for pb in m.projectors()]
-    return kraus_channel(ops)
+    a, b = np.array(n.projectors()), np.array(m.projectors())
+    # ops[2i + j] = np.kron(a[i], b[j]) for all four at once: the same
+    # products of entries, broadcast to axes (i, j, row of a, row of b,
+    # column of a, column of b)
+    ops = a[:, None, :, None, :, None] * b[None, :, None, :, None, :]
+    return _kraus_channels(ops.reshape(1, 4, 4, 4))[0]

@@ -337,6 +337,23 @@ def format_value(v) -> str:
     return ("%d" if issubclass(type(v), (int, np.integer)) else "%.17g") % (v,)
 
 
+def _realpaths(paths) -> list:
+    """os.path.realpath of each path, walking each directory the paths
+    name once: a last part that is no symlink, ".", ".." or empty lies in
+    its directory's real path, a symlink is resolved from there."""
+    dirs, real = {}, []
+    for path in paths:
+        head, name = os.path.split(path)
+        if name in ("", ".", ".."):
+            real.append(os.path.realpath(path))
+            continue
+        if head not in dirs:
+            dirs[head] = os.path.realpath(head)
+        path = os.path.join(dirs[head], name)
+        real.append(os.path.realpath(path) if os.path.islink(path) else path)
+    return real
+
+
 @contextlib.contextmanager
 def _replacing(*paths):
     """Binary files that replace paths only once all are written and closed.
@@ -348,7 +365,7 @@ def _replacing(*paths):
     OSError from creating one names its target, not the temp. If anything
     fails first, every temp is removed and no target changes.
     """
-    paths = [os.path.realpath(path) for path in paths]
+    paths = _realpaths(paths)
     for path in paths:
         try:
             mode = os.stat(path).st_mode

@@ -178,53 +178,59 @@ def _slot_tables():
 _SLOTS = _slot_tables()
 
 
+# The scalar operands of _scaled and block_text, as 0-d arrays: a ufunc
+# takes a 0-d array operand in about half the time of a numpy scalar.
+(_52, _32, _LOW_32, _LOW_20, _BIT_20, _64, _1, _HALF, _E16, _E8, _E4) = (
+    np.array(v, dtype) for v, dtype in (
+        (52, _U64), (32, _U64), (2 ** 32 - 1, _U64), (2 ** 20 - 1, _U64),
+        (2 ** 20, _U64), (64, _U64), (1, _U64), (2 ** 63, _U64),
+        (10 ** 16, _I64), (10 ** 8, _I64), (10 ** 4, _I64)))
+
+
 def _scaled(x):
     """(D, k) for floats x: D = round(|x| * 10**(16 - X)), half to even,
     as uint64, and k the class of each x (see _class_tables); D is 0 for
     a class not written here."""
     a = np.abs(x)
-    k = (x.view(_U64) >> _U64(52)).view(_I64)
+    k = (x.view(_U64) >> _52).view(_I64)
     bound = _BOUNDS.take(k)
     k += k
     k += a >= bound
+    del bound
+    # the mantissa with its hidden bit, in 32-bit halves m * 2**32 + ml
     m = a.view(_U64)
-    ml = m & _U64(2 ** 32 - 1)
-    m = m >> _U64(32)
-    m &= _U64(2 ** 20 - 1)
-    m |= _U64(2 ** 20)
-    del a, bound
+    ml = m & _LOW_32
+    m >>= _32
+    m &= _LOW_20
+    m |= _BIT_20
     # m * p = hi * 2**64 + lo, from the 32-bit halves of m and p
     p = _POWERS.take(k)
-    high = _U64(32)
-    pl = p & _U64(2 ** 32 - 1)
-    p >>= high
+    pl = p & _LOW_32
+    p >>= _32
     lo = ml * pl
     mid = m * pl
     ml *= p
     mid += ml
     m *= p
     hi = m
-    del ml, pl, p, m
-    carry = mid << high
+    del ml, pl, p, m, a
+    carry = mid << _32
     lo += carry
     hi += lo < carry
-    mid >>= high
+    mid >>= _32
     hi += mid
     del carry, mid
     s = _SHIFTS.take(k)
     D = lo >> s
-    s = _U64(64) - s
+    s = _64 - s
     hi <<= s
     D |= hi
-    # r, the s bits shifted out, against half a unit, ties to even: with
-    # s <= 62, r * 2**(63 - s) + (D & 1) + 2**62 - 1 reaches 2**63
-    # exactly when r > 2**(s - 1), or r == 2**(s - 1) and D is odd
+    # lo, the s bits shifted out, moved to the top: r * 2**(64 - s). Round
+    # up if r > 2**(s - 1), or r == 2**(s - 1) and D is odd; lo is a
+    # multiple of 4, as s <= 62, so lo + (D & 1) > 2**63 says just that
     lo <<= s
-    lo >>= _U64(1)
-    lo += D & _U64(1)
-    lo += _U64(2 ** 62 - 1)
-    lo >>= _U64(63)
-    D += lo
+    lo += D & _1
+    D += lo > _HALF
     return D, k
 
 
@@ -255,33 +261,41 @@ def block_text(block, blank):
     n, width = block.shape
     x = block.reshape(-1)
     U, k = _scaled(x)
-    # U's digits: d3, then c1 to c4 of four each
-    d3 = U // _U64(10 ** 16)
-    U -= d3 * _U64(10 ** 16)
-    c2 = U // _U64(10 ** 8)
-    U -= c2 * _U64(10 ** 8)
-    c1 = c2 // _U64(10 ** 4)
-    c2 -= c1 * _U64(10 ** 4)
-    c3 = U // _U64(10 ** 4)
-    U -= c3 * _U64(10 ** 4)
-    d3, c1, c2, c3, c4 = (c.view(_I64) for c in (d3, c1, c2, c3, U))
+    # U's digits: d3, then c1 to c4 of four each, as int64 to index tables
+    U = U.view(_I64)
+    d3 = U // _E16
+    U -= d3 * _E16
+    c2 = U // _E8
+    U -= c2 * _E8
+    c1 = c2 // _E4
+    c2 -= c1 * _E4
+    c3 = U // _E4
+    U -= c3 * _E4
+    c4 = U
+    cells = len(x)
     trailing = _TRAILING[0].take(c1)
-    for table, c in zip(_TRAILING[1:], (c2, c3, c4)):
-        np.minimum(trailing, table.take(c), out=trailing)
+    np.minimum(trailing, _TRAILING[1].take(c2), out=trailing)
+    np.minimum(trailing, _TRAILING[2].take(c3), out=trailing)
+    np.minimum(trailing, _TRAILING[3].take(c4), out=trailing)
     code = _CODES.take(k)
     code -= trailing
-    del U, k, trailing
-    cells = len(x)
+    del k, trailing
     buffer = bytearray(32 * cells + 1)
     buffer[-1] = ord("\n")
     slots = np.frombuffer(buffer, dtype=_U32, count=8 * cells).reshape(-1, 8)
     np.take(_SLOTS, code, axis=0, out=slots, mode="clip")
-    slots[:, 1] &= _LEADS.take(d3)
-    slots.view(_U64)[:, 1] &= _POINTED.take(c1)
-    slots[:, 4] &= _QUADS.take(c2)
-    slots[:, 5] &= _QUADS.take(c3)
-    slots[:, 6] &= _QUADS.take(c4)
-    del d3, c1, c2, c3, c4
+    # each digit word masks its bytes of the slot in place
+    word = slots[:, 1]
+    word &= _LEADS.take(d3)
+    word = slots.view(_U64)[:, 1]
+    word &= _POINTED.take(c1)
+    word = slots[:, 4]
+    word &= _QUADS.take(c2)
+    word = slots[:, 5]
+    word &= _QUADS.take(c3)
+    word = slots[:, 6]
+    word &= _QUADS.take(c4)
+    del d3, c1, c2, c3, c4, word
     slot_bytes = slots.view(np.uint8)
     # _NAN and _OUT are the largest codes
     if code.max() >= _NAN:
