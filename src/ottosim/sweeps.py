@@ -403,7 +403,10 @@ def _replacing(*paths):
 # and 7,200 reads 9% more thermal-sweep points_per_s; in a plain loop they
 # fault 0-414 pages a pass at 3,600 and 497-3,152 at 7,200, and take
 # 18-20% longer at 7,200. So perfbench alone must not set the size
-# (2-vCPU x86-64 host, numpy 2.4).
+# (2-vCPU x86-64 host, numpy 2.4). With block_text's fixed cost a block
+# cut by about a third, a plain loop still splits: meas-grid passes take
+# 12% longer at 7,200 (1,294 faults a pass against 7), thermal-sweep
+# passes 3% less.
 _CSV_CELLS = 3600
 
 

@@ -515,3 +515,35 @@ def test_config_with_a_byte_order_mark_reads_as_the_flag(tmp_path):
     assert (tmp_path / "config.csv.meta").read_bytes() == \
         (tmp_path / "flag.csv.meta").read_bytes()
     assert "bi=2.5\n" in (tmp_path / "flag.csv.meta").read_text()
+
+
+# A sweep whose library call warns with something other than
+# MeasurementCoolsWarning; run in a fresh interpreter, where the warning
+# reaches stderr as Python shows it, not pytest's recorder.
+OTHER_WARNING = """
+import sys, warnings
+from ottosim import cli, sweeps
+
+def sweep(vals):
+    warnings.warn("a note from the sweep", UserWarning)
+    return sweeps.sweep_qutrit_two_bath(
+        vals["bi"], vals["bf"], vals["beta_c"], vals["beta_h"],
+        sweeps.SweepRange(0.0, 1.0, 2))
+
+cli._SWEEPS["qutrit-two-bath"] = sweep
+sys.exit(cli.main(["qutrit-two-bath", "--out", sys.argv[1]]))
+"""
+
+
+def test_another_warning_is_shown_as_python_shows_it(tmp_path):
+    out = tmp_path / "w.csv"
+    proc = subprocess.run([sys.executable, "-c", OTHER_WARNING, str(out)],
+                          env={**os.environ, "PYTHONPATH": SRC},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert len(_lines(out)) == 3
+    assert out.with_name("w.csv.meta").exists()
+    assert proc.stdout == f"wrote 2 rows to {out}\n"
+    assert "UserWarning: a note from the sweep" in proc.stderr
+    assert not any(line.startswith("warning: ")
+                   for line in proc.stderr.splitlines())

@@ -112,3 +112,29 @@ def test_local_channel_agrees_with_kron_of_projectors():
         direct = sum(k @ rho @ k.conj().T for k in mats)
         out = o.apply_channel(ch, o.DensityMatrix(rho))
         np.testing.assert_allclose(out.matrix, direct, atol=1e-12)
+
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+
+@st.composite
+def _directions(draw):
+    """Unit directions: random ones, the axes and their negatives."""
+    axes = [v for k in range(3) for v in (np.eye(3)[k], -np.eye(3)[k])]
+    v = draw(st.one_of(
+        st.sampled_from(axes),
+        st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).map(np.array)))
+    hypothesis.assume(np.linalg.norm(v) > 0.1)
+    return o.SpinDirection(*(v / np.linalg.norm(v)))
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(_directions(), _directions())
+def test_local_channel_operators_are_the_kron_products_bit_for_bit(n, m):
+    ch = o.local_spin_channel(n, m)
+    kron = np.array([np.kron(a, b)
+                     for a in n.projectors() for b in m.projectors()])
+    assert np.array(ch.operators).view(np.uint64).tolist() == \
+        kron.view(np.uint64).tolist()
+    assert ch.unital is True
