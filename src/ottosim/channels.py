@@ -57,7 +57,13 @@ def _kraus_channels(kraus: np.ndarray) -> list:
     """One KrausChannel per channel of a Kraus stack (..., r, d, d), in
     row-major order, after the checks of _check_kraus. Each channel's
     operators are views of the stack."""
-    unital = _check_kraus(kraus).reshape(-1).tolist()
+    return _channel_records(kraus, _check_kraus(kraus))
+
+
+def _channel_records(kraus: np.ndarray, unital: np.ndarray) -> list:
+    """_kraus_channels of a stack that _check_kraus passed, given the
+    unital flags it returned."""
+    unital = unital.reshape(-1).tolist()
     r, d = kraus.shape[-3:-1]
     # every operator's view at once, channel after channel
     ops = list(kraus.reshape(-1, d, d))
@@ -209,13 +215,15 @@ def projective_channel(states) -> KrausChannel:
     return kraus_channel(projectors)
 
 
-def _projective_channels(states: np.ndarray) -> list:
-    """_kraus_channels of the rank-1 projectors |s><s| onto the rows s of
-    states (..., r, d), one channel per set of r states."""
+def _projective_channels(states: np.ndarray) -> tuple:
+    """(kraus, unital): the rank-1 projectors |s><s| onto the rows s of
+    states (..., r, d), one channel per set of r states, as a Kraus stack
+    (..., r, d, d) that _check_kraus passed, and the unital flags it
+    returned."""
     with np.errstate(over="ignore", invalid="ignore"):
         # a projector too large to represent fails _check_kraus
         projectors = states[..., :, None] * states.conj()[..., None, :]
-    return _kraus_channels(projectors)
+    return projectors, _check_kraus(projectors)
 
 
 def damping_channel(dim: int, gamma: float, sink: int = 0) -> KrausChannel:

@@ -36,8 +36,30 @@ from .measurements import SpinDirection, Su3Angles
 from .sweeps import SweepRange, write_csv
 
 
+class _Numbers:
+    """argparse's pattern of negative numbers, widened to every text that
+    float() reads: its own pattern knows no exponent, so it would take
+    the value in "--j-min -1e-3" for an option. No option string here
+    reads as a number."""
+
+    @staticmethod
+    def match(text: str) -> bool:
+        if text.startswith("--"):  # float() reads none of these
+            return False
+        try:
+            float(text)
+        except ValueError:
+            return False
+        return True
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on bad arguments; remap to 1 (2 means IO here)."""
+    """argparse exits 2 on bad arguments; remap to 1 (2 means IO here).
+    A token that starts with "-" and that float() reads is a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _Numbers
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -20,7 +20,8 @@ a measurement engine eta = 1 - (Delta S + D(p_post||p_cold))/(beta_c Qh).
 
 _run_cycles is the one cycle kernel: it runs N cycles of one kind table,
 given as an (N, c) coupling array, as (N, d) arrays, with one stroke-3
-protocol per block of rows (a sweep's outer point). Its callers warn:
+protocol per block of rows (a sweep's outer point); a measurement
+sweep's protocols come as one checked Kraus stack. Its callers warn:
 run_cycle_batch (which run_cycle calls as a batch of one) and
 sweeps._sweep each call _warn_cooling once, and the warning names the
 line of the first caller outside the ottosim package.
@@ -228,42 +229,56 @@ def _run_cycles(kind, couplings: np.ndarray, Bi: float, Bf: float,
     """run_cycle_batch for N substances of one kind (a substances._Kind),
     given as their couplings, shape (N, c) in the kind's coupling order.
 
-    protocols is a sequence of B >= 1 Protocols of one type: the b-th
-    drives the b-th of B consecutive blocks of N/B rows. Every protocol
-    is checked, and each row gets the bits it would get in a call of its
+    protocols is a sequence of B >= 1 Protocols of one type, or the
+    operators of B measurements as one Kraus stack (B, r, d, d) that
+    channels._check_kraus passed: the b-th drives the b-th of B
+    consecutive blocks of N/B rows. Every protocol is checked (a stack's
+    d against the kind's; its channels were checked where they were
+    built), and each row gets the bits it would get in a call of its
     block alone. No warning is raised.
     """
     Bi, Bf = _check_fields(Bi, Bf)
     dim = len(kind.labels)
-    for p in protocols:
-        _check_protocol(dim, p)
-    if not protocols or len(couplings) % len(protocols):
+    kraus = None
+    if isinstance(protocols, np.ndarray):
+        kraus = protocols
+        if kraus.shape[-1] != dim:
+            raise DimensionMismatch(
+                f"channel dim {kraus.shape[-1]} vs substance dim {dim}")
+    else:
+        for p in protocols:
+            _check_protocol(dim, p)
+    if not len(protocols) or len(couplings) % len(protocols):
         raise OttoSimError(f"{len(couplings)} rows do not split into "
                            f"{len(protocols)} equal blocks")
-    if any(type(p) is not type(protocols[0]) for p in protocols):
-        raise InvalidField("the protocols of one batch must share one type")
+    if kraus is None:
+        if any(type(p) is not type(protocols[0]) for p in protocols):
+            raise InvalidField("the protocols of one batch must share one "
+                               "type")
+        if isinstance(protocols[0], Measurement):
+            # one stack of every block's operators, a channel of lower
+            # rank padded with zero operators, which leave T's bits as
+            # they are
+            ops = [p.channel.operators for p in protocols]
+            kraus = np.zeros((len(ops), max(map(len, ops)), dim, dim),
+                             dtype=complex)
+            for b, block_ops in enumerate(ops):
+                kraus[b, :len(block_ops)] = block_ops
     offsets, (ei, ef) = _level_energies(kind, couplings, (Bi, Bf))
     # (block, row of the block, level); block b runs under protocols[b]
     blocks = (len(protocols), len(couplings) // len(protocols), dim)
     # Overflow is caught by the check on W below, not by numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         p_cold = boltzmann_populations(ei, cold.beta)
-        if isinstance(protocols[0], TwoBath):
+        if kraus is None:
             betas = np.array([[[p.hot.beta]] for p in protocols])
             p_hot = boltzmann_populations(ef.reshape(blocks),
                                           betas).reshape(ef.shape)
         else:
             # The input state is diagonal in the labelled basis, so only
             # the diagonal transfer p' = T p matters; each row is
-            # multiplied by its block's T, entry by entry. Every block's T
-            # comes from one stack of Kraus operators, a channel of lower
-            # rank padded with zero operators, which leave T's bits as
-            # they are.
-            ops = [p.channel.operators for p in protocols]
-            kraus = np.zeros((len(ops), max(map(len, ops)), dim, dim),
-                             dtype=complex)
-            for b, block_ops in enumerate(ops):
-                kraus[b, :len(block_ops)] = block_ops
+            # multiplied by its block's T, entry by entry, and every
+            # block's T comes from the one stack.
             t = _transfer_entries(kraus, kind.basis)
             p_hot = row_sum(t[:, None] * p_cold.reshape(blocks)[..., None, :]
                             ).reshape(ef.shape)

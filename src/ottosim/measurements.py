@@ -4,7 +4,10 @@ Two constructions: a four-angle family of qutrit projectors spanning
 generic von Neumann measurements, and per-qubit spin projectors along
 arbitrary Bloch directions for the two-qubit substance. Both produce
 channels of Hermitian rank-1 projectors, hence minimally disturbing and
-unital.
+unital. Each forms its operators in one place, _su3_kraus and
+_spin_kraus, as one checked Kraus stack: the public builders make
+KrausChannel records of it, and the sweeps hand it to the cycle kernel
+as it is.
 """
 
 from __future__ import annotations
@@ -12,7 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from ._record import Record
-from .channels import KrausChannel, _kraus_channels, _projective_channels
+from .channels import (KrausChannel, _channel_records, _check_kraus,
+                       _projective_channels)
 from .core import _real, _require
 from .errors import InvalidField, NonUnitVector
 from .tolerances import TOL
@@ -73,6 +77,14 @@ def su3_projective_channels(theta, phi, chi, psi) -> list:
     (or numbers) broadcast to one shape, and the channels come in its
     row-major order. InvalidField names an angle that is not a finite
     number, before any channel is built."""
+    return _channel_records(*_su3_kraus(theta, phi, chi, psi))
+
+
+def _su3_kraus(theta, phi, chi, psi) -> tuple:
+    """(kraus, unital): the projectors of su3_projective_channels(theta,
+    phi, chi, psi) as one Kraus stack (B, 3, 3, 3), checked by
+    _check_kraus, and its unital flags (B,), B channels in the angles'
+    row-major order; the angles are checked first."""
     angles = []
     for name, value in zip(("theta", "phi", "chi", "psi"),
                            (theta, phi, chi, psi)):
@@ -89,7 +101,8 @@ def su3_projective_channels(theta, phi, chi, psi) -> list:
     except ValueError:
         raise InvalidField("the angle arrays do not broadcast to one shape: "
                            + ", ".join(str(a.shape) for a in angles)) from None
-    return _projective_channels(_su3_states(theta, phi, chi, psi))
+    kraus, unital = _projective_channels(_su3_states(theta, phi, chi, psi))
+    return kraus.reshape(-1, 3, 3, 3), unital.reshape(-1)
 
 
 class SpinDirection(Record):
@@ -135,9 +148,17 @@ def local_spin_channel(n: SpinDirection, m: SpinDirection) -> KrausChannel:
     """
     _require("n", n, SpinDirection)
     _require("m", m, SpinDirection)
+    return _channel_records(*_spin_kraus(n, m))[0]
+
+
+def _spin_kraus(n: SpinDirection, m: SpinDirection) -> tuple:
+    """(kraus, unital): the operators of local_spin_channel(n, m) as a
+    Kraus stack (1, 4, 4, 4), checked by _check_kraus, and its unital
+    flag (1,)."""
     a, b = np.array(n.projectors()), np.array(m.projectors())
     # ops[2i + j] = np.kron(a[i], b[j]) for all four at once: the same
     # products of entries, broadcast to axes (i, j, row of a, row of b,
     # column of a, column of b)
     ops = a[:, None, :, None, :, None] * b[None, :, None, :, None, :]
-    return _kraus_channels(ops.reshape(1, 4, 4, 4))[0]
+    kraus = ops.reshape(1, 4, 4, 4)
+    return kraus, _check_kraus(kraus)

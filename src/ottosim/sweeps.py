@@ -20,18 +20,19 @@ replaced.
 
 Every sweep is one call to _sweep, the loop they share. It allocates the
 table first, then builds and checks one channel per point of the outer
-axes (per theta for the contour; each kernel call's thetas as one stack,
-in one su3_projective_channels call) and runs the whole grid as one
-cycle kernel call, with one protocol per block of rows that share an
-outer point; a grid of more than _SWEEP_ROWS rows takes one call per
-group of whole points, and a swept axis longer than that one call per
-_SWEEP_ROWS of its rows, each point's protocol built once for all the
-calls its rows span. The kernel works row by row in a fixed order, so
-each row holds the bits of run_cycle at its grid point, whatever the
-split. Each call fills its rows of the table in place. A grid whose
-table cannot be allocated raises OttoSimError before any channel is
-built. A cooling measurement warns once per sweep, counting the whole
-grid, and the warning names the line that called the sweep.
+axes (per theta for the contour; each kernel call's thetas as one
+checked Kraus stack, which goes to the kernel as it is, with no channel
+record) and runs the whole grid as one cycle kernel call, with one
+protocol per block of rows that share an outer point; a grid of more
+than _SWEEP_ROWS rows takes one call per group of whole points, and a
+swept axis longer than that one call per _SWEEP_ROWS of its rows, each
+point's protocol built once for all the calls its rows span. The kernel
+works row by row in a fixed order, so each row holds the bits of
+run_cycle at its grid point, whatever the split. Each call fills its
+rows of the table in place. A grid whose table cannot be allocated
+raises OttoSimError before any channel is built. A cooling measurement
+warns once per sweep, counting the whole grid, and the warning names
+the line that called the sweep.
 """
 
 from __future__ import annotations
@@ -51,10 +52,9 @@ import numpy as np
 from ._record import Record
 from .channels import _MIXTURE, _PROJECTIVE, _theorem1_schedule, theorem1_suite
 from .core import BathSpec, _empty, _integer, _real, _require, row_sum
-from .cycle import Measurement, TwoBath, _run_cycles, _warn_cooling
+from .cycle import TwoBath, _run_cycles, _warn_cooling
 from .errors import InvalidField, OttoSimError
-from .measurements import (SpinDirection, Su3Angles, local_spin_channel,
-                           su3_projective_channels)
+from .measurements import SpinDirection, Su3Angles, _spin_kraus, _su3_kraus
 from .substances import _KINDS, SubstanceKind, _check_fields
 from .text import block_text
 
@@ -155,9 +155,10 @@ def _sweep(meta, Bi, Bf, beta_c, axes, kind, protocols) -> SweepTable:
     fastest, sets the coupling of kind its column names (others stay 0).
     protocols(points) gives the stroke-3 protocols of a group of points
     of the outer axes, an array (points, outer axes), one per point, in
-    one call; the kernel runs each point's rows as one block under its
-    protocol, in one call or, for a swept axis longer than _SWEEP_ROWS,
-    in several.
+    one call: a list of TwoBath, or a measurement's Kraus stack (points,
+    r, d, d) that channels._check_kraus passed. The kernel runs each
+    point's rows as one block under its protocol, in one call or, for a
+    swept axis longer than _SWEEP_ROWS, in several.
     """
     Bi, Bf = _check_fields(Bi, Bf)
     *outer, (swept, _, grid) = axes
@@ -189,7 +190,7 @@ def _sweep(meta, Bi, Bf, beta_c, axes, kind, protocols) -> SweepTable:
             n = len(chunk) * len(values)
             swept_column[:n] = np.tile(values, len(chunk))
             batch = _run_cycles(table, couplings[:n], Bi, Bf, cold, blocks)
-            if isinstance(blocks[0], Measurement):
+            if isinstance(blocks, np.ndarray):
                 cooled += int(np.count_nonzero(batch.Qh < 0.0))
             rows = cells[done:done + n]
             grid_rows = rows.reshape(len(chunk), len(values), len(header))
@@ -239,13 +240,7 @@ def _fixed_angle_sweep(command, Bi, Bf, beta_c, angles: Su3Angles,
     named = dict(zip(angles._fields, angles._values()))
     return _sweep({"command": command, **named}, Bi, Bf, beta_c,
                   [("J", "j", j_range)], SubstanceKind.QUTRIT,
-                  lambda points: _su3_measurements(**named))
-
-
-def _su3_measurements(theta, phi, chi, psi) -> list:
-    """A Measurement of each channel su3_projective_channels builds."""
-    return [Measurement(channel)
-            for channel in su3_projective_channels(theta, phi, chi, psi)]
+                  lambda points: _su3_kraus(*named.values())[0])
 
 
 def _choice(name, value, choices):
@@ -273,9 +268,9 @@ def sweep_qutrit_contour(Bi: float, Bf: float, beta_c: float, mode: str,
     return _sweep({"command": "qutrit-contour", "mode": mode}, Bi, Bf, beta_c,
                   [("theta", "theta", theta_range), ("J", "j", j_range)],
                   SubstanceKind.QUTRIT,
-                  lambda points: _su3_measurements(
+                  lambda points: _su3_kraus(
                       points[:, 0], points[:, 0],
-                      points[:, 0] if tie_chi else half_pi, half_pi))
+                      points[:, 0] if tie_chi else half_pi, half_pi)[0])
 
 
 EXTREME_ANGLES = Su3Angles(theta=0.75 * np.pi, phi=0.75 * np.pi,
@@ -322,7 +317,7 @@ def sweep_xxz(model: str, protocol: str, Bi: float, Bf: float, beta_c: float,
         _require("n", n, SpinDirection)
         _require("m", m, SpinDirection)
         # built in _sweep, once the table is allocated
-        proto = lambda points: [Measurement(local_spin_channel(n, m))]
+        proto = lambda points: _spin_kraus(n, m)[0]
         meta["n"] = f"{n.nx},{n.ny},{n.nz}"
         meta["m"] = f"{m.nx},{m.ny},{m.nz}"
     swept = "Jxy" if model == "xx" else "Jz"
@@ -438,9 +433,12 @@ def write_csv(path: str | os.PathLike, table: SweepTable) -> None:
         raise OttoSimError("table must be a SweepTable, got a "
                            f"{type(table).__name__}")
     header, rows, meta = table.header, table.rows, table.meta
-    if not (isinstance(header, (tuple, list)) and all(
-            isinstance(name, str) and not any(c in name for c in ",\r\n")
-            for name in header)):
+    try:
+        # a name that is not text fails the join
+        names = "".join(header) if isinstance(header, (tuple, list)) else None
+    except TypeError:
+        names = None
+    if names is None or "," in names or "\r" in names or "\n" in names:
         raise OttoSimError("table.header must be text names without ',' or "
                            f"line breaks, got {header!r}")
     if not isinstance(meta, Mapping):
@@ -489,10 +487,10 @@ def _line(header, r, row) -> bytes:
 
 def _meta_line(key, value) -> str:
     """The .meta line key=value; OttoSimError if it would not read back."""
-    if any(c in key for c in "=\r\n"):
+    if "=" in key or "\r" in key or "\n" in key:
         raise OttoSimError(f"meta key {key!r} holds '=' or a line break")
     if isinstance(value, str):
-        if any(c in value for c in "\r\n"):
+        if "\r" in value or "\n" in value:
             raise OttoSimError(f"meta {key!r}: {value!r} holds a line break")
         return f"{key}={value}\n"
     try:

@@ -11,9 +11,12 @@ in two uint64 limbs, shifted with the half-even rounding that a
 correctly rounded printf (CPython's dtoa among them) uses. Every other
 cell (NaN outside a blank column, inf, a float outside that range) is
 written by printf itself, b'%.17g' % x. Each cell's text is laid out in
-a slot of fixed bytes, and one bytearray.translate drops the bytes no
-text keeps. sweeps.write_csv gives it a sweep's cells straight from
-their float64 table, and writes any other rows with format_value alone.
+a slot of fixed bytes, and one bytes.translate drops the bytes no text
+keeps: on a 3,744-cell block of 119,809 slot bytes it takes 98 us, plus
+3 us to copy the buffer to bytes, where bytearray.translate takes
+121 us (CPython 3.11, 2-vCPU x86-64 host). sweeps.write_csv gives it a
+sweep's cells straight from their float64 table, and writes any other
+rows with format_value alone.
 
 A slot is 32 bytes, eight uint32 words. It starts with the separator
 that goes before its cell, then has room for the sign, the lead "0.000"
@@ -251,7 +254,9 @@ def block_text(block, blank):
     """The CSV text of the float64 cells of block, of shape (rows,
     columns), whose columns in the mask blank write a NaN as nothing: the
     ASCII bytes of the rows, each cell followed by "," or, at the end of
-    its row, a line break.
+    its row, a line break, as bytes: the slot buffer is copied to bytes
+    before translate drops its zeros, which is faster than translating
+    the bytearray itself (see the module docstring).
 
     Floats in _digits's range, zeros and blanks are written from their
     digits; every other cell (NaN outside a blank column, inf, other
@@ -309,4 +314,4 @@ def block_text(block, blank):
     rows = slot_bytes.reshape(n, -1)
     rows[:, 0] = ord("\n")
     rows[0, 0] = 0
-    return buffer.translate(None, b"\0")
+    return bytes(buffer).translate(None, b"\0")

@@ -30,6 +30,35 @@ def test_unknown_flag_exits_one(capsys):
     assert exc.value.code == 1
 
 
+def test_a_number_in_exponent_notation_is_a_value_after_its_flag(
+        tmp_path, capsys, monkeypatch):
+    # argparse's own rule for negative numbers knows no exponent
+    runs = []
+    for k, spelling in enumerate([["--j-min", "-1e-3"], ["--j-min=-1e-3"]]):
+        (tmp_path / str(k)).mkdir()
+        monkeypatch.chdir(tmp_path / str(k))
+        code = main(["qutrit-two-bath", "--out", "t.csv", "--j-steps", "5",
+                     *spelling])
+        files = {p.name: p.read_bytes() for p in sorted(Path().iterdir())}
+        runs.append((code, *capsys.readouterr(), files))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0
+    assert b"j_min=-0.001\n" in runs[0][3]["t.csv.meta"]
+    # -inf reads as a number too, and the library refuses it
+    monkeypatch.chdir(tmp_path / "0")
+    assert main(["qutrit-two-bath", "--out", "inf.csv", "--j-min",
+                 "-inf"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: start must be a finite number, got -inf\n")
+    assert not Path("inf.csv").exists()
+    # a direction is no number: it still needs the = spelling
+    with pytest.raises(SystemExit) as exc:
+        main(["xxz", "--out", "n.csv", "--n", "-1,0,0"])
+    assert exc.value.code == 1
+    assert "--n: expected one argument" in capsys.readouterr().err
+    assert main(["xxz", "--out", "n.csv", "--n=-1,0,0"]) == 0
+
+
 def test_two_bath_sweep_writes_expected_csv(tmp_path, capsys):
     out = tmp_path / "tb.csv"
     code = main(["qutrit-two-bath", "--j-min", "0", "--j-max", "2",

@@ -7,7 +7,9 @@ import pytest
 
 import ottosim as o
 from helpers import measurement, random_direction, su3, two_bath
+from ottosim import channels
 from ottosim.cycle import _run_cycles
+from ottosim.measurements import _spin_kraus, _su3_kraus
 from ottosim.substances import _KINDS
 from test_sweeps import COOLING_CONTOUR
 
@@ -418,3 +420,39 @@ def test_kernel_checks_every_block():
     with pytest.raises(o.InvalidField, match="unknown protocol"):
         o.run_cycle_batch([o.SubstanceSpec.qutrit(0.5)] * 2, 3.0, 4.0,
                           o.BathSpec(1.0), [good, good])
+
+
+def test_a_checked_stack_drives_the_kernel_as_its_records_do():
+    # a measurement sweep hands the kernel its Kraus stack, not records
+    cold = o.BathSpec(0.8)
+    kind, couplings = _qutrit_blocks([[-0.5, 0.4, 1.7, 3.5],
+                                      [0.0, 1.0, 2.0, 3.0],
+                                      [2.9, 0.1, 1.3, 2.2]])
+    angles = (0.3 * np.arange(3), 0.7, 1.1 * np.arange(3), 0.2)
+    cases = [(kind, couplings, _su3_kraus(*angles)[0],
+              o.su3_projective_channels(*angles))]
+    n, m = o.SpinDirection(0.6, 0.0, 0.8), o.SpinDirection.y()
+    cases.append((_KINDS[o.SubstanceKind.XXZ],
+                  np.array([[0.3, J] for J in (-1.0, 0.2, 1.5)]),
+                  _spin_kraus(n, m)[0], [o.local_spin_channel(n, m)]))
+    for kind, couplings, kraus, channels in cases:
+        stacked = _run_cycles(kind, couplings, 3.0, 4.0, cold, kraus)
+        listed = _run_cycles(kind, couplings, 3.0, 4.0, cold,
+                             [o.Measurement(ch) for ch in channels])
+        for k in range(len(couplings)):
+            assert pickle.dumps(stacked.record(k)) == \
+                pickle.dumps(listed.record(k))
+
+
+def test_kernel_checks_a_stack_as_it_checks_records():
+    kind, couplings = _qutrit_blocks([[0.5, 1.0]] * 3)
+    args = (kind, couplings, 3.0, 4.0, o.BathSpec(1.0))
+    kraus = _su3_kraus(0.7 * PI, 0.7 * PI, 0.5 * PI, 0.5 * PI)[0]
+    with pytest.raises(o.DimensionMismatch, match="channel dim 2 vs "
+                                                  "substance dim 3"):
+        _run_cycles(*args, channels._damping_operators(2, 0.5, 0)[None])
+    with pytest.raises(o.OttoSimError, match="6 rows"):
+        _run_cycles(*args, np.repeat(kraus, 4, axis=0))
+    with pytest.raises(o.OttoSimError, match="6 rows"):
+        _run_cycles(*args, kraus[:0])
+    assert len(_run_cycles(*args, np.repeat(kraus, 3, axis=0)).Qh) == 6

@@ -10,6 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+try:
+    import hypothesis
+    from hypothesis import strategies as st
+except ImportError:  # the property test below skips itself without it
+    hypothesis = None
+
 import ottosim as o
 from ottosim.cycle import _run_cycles
 from ottosim.substances import _KINDS
@@ -235,3 +241,54 @@ def test_a_record_argument_of_another_kind_is_named(func, args, slot, bad):
         error, match = o.OttoSimError, "needs directions n and m"
     with pytest.raises(error, match=match):
         func(**{**args, slot: bad})
+
+
+def _generator_checks(header, meta):
+    """The message of write_csv's header and .meta checks, or None, as
+    predicates over each name, key and value: the oracle of the checks
+    that search the joined names and test each key and value in turn."""
+    if not (isinstance(header, (tuple, list)) and all(
+            isinstance(name, str) and not any(c in name for c in ",\r\n")
+            for name in header)):
+        return ("table.header must be text names without ',' or line "
+                f"breaks, got {header!r}")
+    for key in meta:
+        if not isinstance(key, str):
+            return f"meta key {key!r} is not text"
+    for key, value in sorted(meta.items()):
+        if any(c in key for c in "=\r\n"):
+            return f"meta key {key!r} holds '=' or a line break"
+        if isinstance(value, str) and any(c in value for c in "\r\n"):
+            return f"meta {key!r}: {value!r} holds a line break"
+    return None
+
+
+class _Text(str):
+    """Text that is not a plain str."""
+
+
+@pytest.mark.skipif(hypothesis is None, reason="needs hypothesis")
+def test_write_csv_checks_names_keys_and_values_as_its_predicates(tmp_path):
+    texts = st.text(st.sampled_from("ab,=\r\n é"), max_size=4)
+    names = texts | texts.map(_Text) | st.integers() | st.none() \
+        | st.binary(max_size=2)
+    headers = st.lists(names, max_size=5).flatmap(
+        lambda h: st.sampled_from([h, tuple(h)])) | texts | st.none()
+    metas = st.dictionaries(texts | st.integers(),
+                            texts | st.floats() | st.integers() | st.none(),
+                            max_size=4)
+    path = str(tmp_path / "t.csv")
+
+    @hypothesis.settings(max_examples=300)
+    @hypothesis.given(headers, metas)
+    def check(header, meta):
+        table = o.SweepTable(header, [], meta)
+        want = _generator_checks(header, meta)
+        if want is None:
+            o.write_csv(path, table)
+        else:
+            with pytest.raises(o.OttoSimError) as caught:
+                o.write_csv(path, table)
+            assert str(caught.value) == want
+
+    check()

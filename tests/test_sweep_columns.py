@@ -244,8 +244,7 @@ def test_a_grid_too_large_to_hold_raises_before_any_channel(monkeypatch,
     def no_channel(*args):
         raise AssertionError("a channel was built")
 
-    for name in ("su3_projective_channels", "local_spin_channel",
-                 "_run_cycles"):
+    for name in ("_su3_kraus", "_spin_kraus", "_run_cycles"):
         monkeypatch.setattr(o.sweeps, name, no_channel)
     with pytest.raises(o.OttoSimError, match=f"sweep of {rows} rows"):
         sweep()

@@ -526,7 +526,7 @@ def test_two_bath_sweep_rows_are_bitwise_single_cycles():
 def test_channel_built_once_per_sweep_or_theta(monkeypatch):
     # one stacked build per kernel call, with the exact angles of each theta
     built = []
-    real = o.sweeps.su3_projective_channels
+    real = o.sweeps._su3_kraus
 
     def counted(*angles):
         arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float)
@@ -534,7 +534,7 @@ def test_channel_built_once_per_sweep_or_theta(monkeypatch):
         built.append(list(zip(*(a.reshape(-1).tolist() for a in arrays))))
         return real(*angles)
 
-    monkeypatch.setattr(o.sweeps, "su3_projective_channels", counted)
+    monkeypatch.setattr(o.sweeps, "_su3_kraus", counted)
     o.sweep_qutrit_measurement(BI, BF, BETA_C, o.EXTREME_ANGLES,
                                o.SweepRange(0.2, 2.8, 6))
     a = o.EXTREME_ANGLES
@@ -546,6 +546,30 @@ def test_channel_built_once_per_sweep_or_theta(monkeypatch):
     assert len(table.rows) == 20
     assert built == [[(t, t, t, 0.5 * np.pi)
                       for t in np.linspace(0.0, np.pi, 4).tolist()]]
+
+
+def test_measurement_sweeps_build_no_record_per_point(monkeypatch):
+    # each sweep hands the kernel one checked Kraus stack
+    built = []
+    for cls in (o.KrausChannel, o.Measurement):
+        real = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__",
+                            lambda self, real=real: built.append(
+                                type(self).__name__) or real(self))
+    for mode in o.sweeps.CONTOUR_MODES:
+        o.sweep_qutrit_contour(BI, BF, BETA_C, mode,
+                               o.SweepRange(0.0, np.pi, 41),
+                               o.SweepRange(0.2, 2.8, 27))
+    o.sweep_qutrit_measurement(BI, BF, BETA_C, o.EXTREME_ANGLES,
+                               o.SweepRange(0.2, 2.8, 6))
+    o.sweep_qutrit_extreme(BI, BF, BETA_C, o.SweepRange(0.2, 2.8, 6))
+    o.sweep_xxz("ising", "meas", BI, BF, BETA_C, o.SweepRange(0.1, 2.0, 40),
+                n=o.SpinDirection(*N_DIR), m=o.SpinDirection(*M_DIR))
+    assert built == []
+    # the count sees a record when one is built
+    o.Measurement(o.local_spin_channel(o.SpinDirection(*N_DIR),
+                                       o.SpinDirection(*M_DIR)))
+    assert built == ["KrausChannel", "Measurement"]
 
 
 def _counting_kernel(monkeypatch):
@@ -630,8 +654,8 @@ def test_swept_axis_beyond_the_row_limit_is_split_at_the_limit(monkeypatch):
 def test_channels_are_built_call_by_call(monkeypatch):
     # a call's channels exist only while it runs, so memory stays flat
     events = []
-    channels, kernel = o.sweeps.su3_projective_channels, o.sweeps._run_cycles
-    monkeypatch.setattr(o.sweeps, "su3_projective_channels",
+    channels, kernel = o.sweeps._su3_kraus, o.sweeps._run_cycles
+    monkeypatch.setattr(o.sweeps, "_su3_kraus",
                         lambda *angles: events.append(
                             ("channels", np.size(angles[0])))
                         or channels(*angles))
@@ -648,8 +672,8 @@ def test_a_point_split_over_calls_builds_its_channel_once(monkeypatch):
     # 2 thetas x 5 J at 2 rows a call: each theta's channel serves the
     # three calls its rows span
     events = []
-    channels, kernel = o.sweeps.su3_projective_channels, o.sweeps._run_cycles
-    monkeypatch.setattr(o.sweeps, "su3_projective_channels",
+    channels, kernel = o.sweeps._su3_kraus, o.sweeps._run_cycles
+    monkeypatch.setattr(o.sweeps, "_su3_kraus",
                         lambda *angles: events.append("channels")
                         or channels(*angles))
     monkeypatch.setattr(o.sweeps, "_run_cycles",

@@ -161,4 +161,6 @@ def _blocks(draw):
 @given(_blocks())
 def test_block_text_is_format_value_of_each_cell(drawn):
     block, blank = drawn
-    assert text.block_text(block, blank) == _expected(block, blank)
+    written = text.block_text(block, blank)
+    assert type(written) is bytes
+    assert written == _expected(block, blank)
