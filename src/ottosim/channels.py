@@ -40,8 +40,7 @@ def kraus_channel(operators) -> KrausChannel:
 
     Trace preservation is required, checked as one product K^dag K of the
     operators stacked in rows (see _check_trace_preserving); unitality is
-    detected and cached on the returned channel. A stack of one for
-    _kraus_channels.
+    detected and cached on the returned channel.
     """
     ops = [as_complex_matrix(m) for m in _floats(
         "Kraus operators must be matrices of numbers", operators,
@@ -50,19 +49,14 @@ def kraus_channel(operators) -> KrausChannel:
         raise OttoSimError("a channel needs at least one Kraus operator")
     if any(m.shape != ops[0].shape for m in ops):
         raise DimensionMismatch("Kraus operators must share one square shape")
-    return _kraus_channels(np.array(ops)[None])[0]
-
-
-def _kraus_channels(kraus: np.ndarray) -> list:
-    """One KrausChannel per channel of a Kraus stack (..., r, d, d), in
-    row-major order, after the checks of _check_kraus. Each channel's
-    operators are views of the stack."""
-    return _channel_records(kraus, _check_kraus(kraus))
+    kraus = np.array(ops)[None]
+    return _channel_records(kraus, _check_kraus(kraus))[0]
 
 
 def _channel_records(kraus: np.ndarray, unital: np.ndarray) -> list:
-    """_kraus_channels of a stack that _check_kraus passed, given the
-    unital flags it returned."""
+    """One KrausChannel per channel of a Kraus stack (..., r, d, d) that
+    _check_kraus passed, given the unital flags it returned, in row-major
+    order. Each channel's operators are views of the stack."""
     unital = unital.reshape(-1).tolist()
     r, d = kraus.shape[-3:-1]
     # every operator's view at once, channel after channel

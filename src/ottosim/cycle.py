@@ -19,10 +19,10 @@ So a two-bath engine has eta = 1 - beta_h/beta_c - Sigma/(beta_c Qh), and
 a measurement engine eta = 1 - (Delta S + D(p_post||p_cold))/(beta_c Qh).
 
 _run_cycles is the one cycle kernel: it runs N cycles of one kind table,
-given as an (N, c) coupling array, as (N, d) arrays, with one stroke-3
-protocol per block of rows (a sweep's outer point); a measurement
-sweep's protocols come as one checked Kraus stack. Its callers warn:
-run_cycle_batch (which run_cycle calls as a batch of one) and
+given as an (N, c) coupling array, as (N, d) arrays. Its stroke 3 is a
+hot bath, a BathSpec common to every row, or a checked Kraus stack with
+one measurement per block of rows (a sweep's outer point). Its callers
+warn: run_cycle_batch (which run_cycle calls as a batch of one) and
 sweeps._sweep each call _warn_cooling once, and the warning names the
 line of the first caller outside the ottosim package.
 """
@@ -38,7 +38,8 @@ import numpy as np
 
 from ._record import Record
 from .channels import KrausChannel, _transfer_entries
-from .core import BathSpec, _real, _require, boltzmann_populations, row_sum
+from .core import (BathSpec, _floats, _real, _require, boltzmann_populations,
+                   row_sum)
 from .errors import (DimensionMismatch, InvalidField, MeasurementCoolsWarning,
                      NotAnEngine, OttoSimError)
 from .substances import (_KINDS, SubstanceSpec, _check_fields, _couplings,
@@ -187,7 +188,9 @@ def run_cycle_batch(specs, Bi: float, Bf: float, cold: BathSpec,
     Energies, heats or work too large to represent raise InvalidField, and
     so do specs that are not iterable, a spec that is not a SubstanceSpec
     and a cold bath that is not a BathSpec, naming the argument, before
-    any cycle runs.
+    any cycle runs. A hand-built channel whose operators are not d x d
+    matrices of numbers raises OttoSimError (DimensionMismatch for a
+    shape that is not d x d).
     """
     try:
         specs = tuple(specs)
@@ -202,11 +205,16 @@ def run_cycle_batch(specs, Bi: float, Bf: float, cold: BathSpec,
     if any(s.kind is not specs[0].kind for s in specs):
         raise InvalidField("substances of one batch must share one kind")
     kind = _KINDS[specs[0].kind]
-    # one block; a tuple or list passed as protocol fails its check
-    batch = _run_cycles(kind, _couplings(kind, specs), Bi, Bf, cold,
-                        (protocol,))
-    if isinstance(protocol, Measurement):
-        _warn_cooling(int(np.count_nonzero(batch.Qh < 0.0)), len(specs))
+    _check_protocol(len(kind.labels), protocol)
+    couplings = _couplings(kind, specs)
+    if isinstance(protocol, TwoBath):
+        return _run_cycles(kind, couplings, Bi, Bf, cold, protocol.hot)
+    # a hand-built KrausChannel skips kraus_channel's checks, so its
+    # operators may be no matrices of numbers
+    kraus = _floats("Kraus operators must be matrices of numbers",
+                    [protocol.channel.operators], dtype=complex)[0]
+    batch = _run_cycles(kind, couplings, Bi, Bf, cold, kraus[None])
+    _warn_cooling(int(np.count_nonzero(batch.Qh < 0.0)), len(specs))
     return batch
 
 
@@ -225,61 +233,47 @@ def _warn_cooling(cooled: int, total: int) -> None:
 
 
 def _run_cycles(kind, couplings: np.ndarray, Bi: float, Bf: float,
-                cold: BathSpec, protocols) -> CycleBatch:
+                cold: BathSpec, stroke) -> CycleBatch:
     """run_cycle_batch for N substances of one kind (a substances._Kind),
     given as their couplings, shape (N, c) in the kind's coupling order.
 
-    protocols is a sequence of B >= 1 Protocols of one type, or the
-    operators of B measurements as one Kraus stack (B, r, d, d) that
-    channels._check_kraus passed: the b-th drives the b-th of B
-    consecutive blocks of N/B rows. Every protocol is checked (a stack's
-    d against the kind's; its channels were checked where they were
-    built), and each row gets the bits it would get in a call of its
-    block alone. No warning is raised.
+    stroke is the hot bath of every row, a BathSpec, or the operators of
+    B measurements as one Kraus stack (B, r, d, d) that
+    channels._check_kraus passed: stroke[b] drives the b-th of B
+    consecutive blocks of N/B rows. Zero operators may pad a channel of
+    lower rank; they leave its bits as they are. A stack's shape is
+    checked against the kind's d and the rows (its channels were checked
+    where they were built), anything else raises InvalidField, and each
+    row gets the bits it would get in a call of its block alone. No
+    warning is raised.
     """
     Bi, Bf = _check_fields(Bi, Bf)
     dim = len(kind.labels)
-    kraus = None
-    if isinstance(protocols, np.ndarray):
-        kraus = protocols
-        if kraus.shape[-1] != dim:
-            raise DimensionMismatch(
-                f"channel dim {kraus.shape[-1]} vs substance dim {dim}")
-    else:
-        for p in protocols:
-            _check_protocol(dim, p)
-    if not len(protocols) or len(couplings) % len(protocols):
-        raise OttoSimError(f"{len(couplings)} rows do not split into "
-                           f"{len(protocols)} equal blocks")
-    if kraus is None:
-        if any(type(p) is not type(protocols[0]) for p in protocols):
-            raise InvalidField("the protocols of one batch must share one "
-                               "type")
-        if isinstance(protocols[0], Measurement):
-            # one stack of every block's operators, a channel of lower
-            # rank padded with zero operators, which leave T's bits as
-            # they are
-            ops = [p.channel.operators for p in protocols]
-            kraus = np.zeros((len(ops), max(map(len, ops)), dim, dim),
-                             dtype=complex)
-            for b, block_ops in enumerate(ops):
-                kraus[b, :len(block_ops)] = block_ops
+    if isinstance(stroke, np.ndarray):
+        if stroke.ndim != 4 or stroke.shape[2:] != (dim, dim):
+            raise DimensionMismatch(f"Kraus operators of shape "
+                                    f"{stroke.shape[2:]} vs substance dim "
+                                    f"{dim}")
+        if not len(stroke) or len(couplings) % len(stroke):
+            raise OttoSimError(f"{len(couplings)} rows do not split into "
+                               f"{len(stroke)} equal blocks")
+    elif not isinstance(stroke, BathSpec):
+        raise InvalidField(f"stroke 3 must be a BathSpec or a Kraus stack, "
+                           f"got {stroke!r}")
     offsets, (ei, ef) = _level_energies(kind, couplings, (Bi, Bf))
-    # (block, row of the block, level); block b runs under protocols[b]
-    blocks = (len(protocols), len(couplings) // len(protocols), dim)
     # Overflow is caught by the check on W below, not by numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         p_cold = boltzmann_populations(ei, cold.beta)
-        if kraus is None:
-            betas = np.array([[[p.hot.beta]] for p in protocols])
-            p_hot = boltzmann_populations(ef.reshape(blocks),
-                                          betas).reshape(ef.shape)
+        if isinstance(stroke, BathSpec):
+            p_hot = boltzmann_populations(ef, stroke.beta)
         else:
+            # (block, row of the block, level); block b runs under stroke[b]
+            blocks = (len(stroke), len(couplings) // len(stroke), dim)
             # The input state is diagonal in the labelled basis, so only
             # the diagonal transfer p' = T p matters; each row is
             # multiplied by its block's T, entry by entry, and every
             # block's T comes from the one stack.
-            t = _transfer_entries(kraus, kind.basis)
+            t = _transfer_entries(stroke, kind.basis)
             p_hot = row_sum(t[:, None] * p_cold.reshape(blocks)[..., None, :]
                             ).reshape(ef.shape)
             # Levels the channel leaves alone must not pick up rounding

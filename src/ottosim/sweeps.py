@@ -19,20 +19,20 @@ path is resolved through its symlinks, and only a regular file is
 replaced.
 
 Every sweep is one call to _sweep, the loop they share. It allocates the
-table first, then builds and checks one channel per point of the outer
-axes (per theta for the contour; each kernel call's thetas as one
-checked Kraus stack, which goes to the kernel as it is, with no channel
-record) and runs the whole grid as one cycle kernel call, with one
-protocol per block of rows that share an outer point; a grid of more
-than _SWEEP_ROWS rows takes one call per group of whole points, and a
-swept axis longer than that one call per _SWEEP_ROWS of its rows, each
-point's protocol built once for all the calls its rows span. The kernel
-works row by row in a fixed order, so each row holds the bits of
-run_cycle at its grid point, whatever the split. Each call fills its
-rows of the table in place. A grid whose table cannot be allocated
-raises OttoSimError before any channel is built. A cooling measurement
-warns once per sweep, counting the whole grid, and the warning names
-the line that called the sweep.
+table first, then builds stroke 3: one hot bath for every row, or one
+checked channel per point of the outer axes (per theta for the contour;
+each kernel call's thetas as one checked Kraus stack, which goes to the
+kernel as it is, with no channel record). It runs the whole grid as one
+cycle kernel call, each block of rows that share an outer point under
+that point's channel; a grid of more than _SWEEP_ROWS rows takes one
+call per group of whole points, and a swept axis longer than that one
+call per _SWEEP_ROWS of its rows, each point's channel built once for
+all the calls its rows span. The kernel works row by row in a fixed
+order, so each row holds the bits of run_cycle at its grid point,
+whatever the split. Each call fills its rows of the table in place. A
+grid whose table cannot be allocated raises OttoSimError before any
+channel is built. A cooling measurement warns once per sweep, counting
+the whole grid, and the warning names the line that called the sweep.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ import numpy as np
 from ._record import Record
 from .channels import _MIXTURE, _PROJECTIVE, _theorem1_schedule, theorem1_suite
 from .core import BathSpec, _empty, _integer, _real, _require, row_sum
-from .cycle import TwoBath, _run_cycles, _warn_cooling
+from .cycle import _run_cycles, _warn_cooling
 from .errors import InvalidField, OttoSimError
 from .measurements import SpinDirection, Su3Angles, _spin_kraus, _su3_kraus
 from .substances import _KINDS, SubstanceKind, _check_fields
@@ -146,19 +146,19 @@ class _Rows(Sequence):
 _SWEEP_ROWS = 4096
 
 
-def _sweep(meta, Bi, Bf, beta_c, axes, kind, protocols) -> SweepTable:
+def _sweep(meta, Bi, Bf, beta_c, axes, kind, strokes) -> SweepTable:
     """The loop all sweeps share: one cycle kernel call for the whole grid,
     or one per at most _SWEEP_ROWS rows of it, each filling its rows of
     one float64 table allocated first.
 
     axes: (column, meta prefix, SweepRange) per axis; the last, which runs
     fastest, sets the coupling of kind its column names (others stay 0).
-    protocols(points) gives the stroke-3 protocols of a group of points
-    of the outer axes, an array (points, outer axes), one per point, in
-    one call: a list of TwoBath, or a measurement's Kraus stack (points,
-    r, d, d) that channels._check_kraus passed. The kernel runs each
-    point's rows as one block under its protocol, in one call or, for a
-    swept axis longer than _SWEEP_ROWS, in several.
+    strokes(points) gives the stroke 3 of a group of points of the
+    outer axes, an array (points, outer axes), in one call: the hot bath
+    of every point, a BathSpec, or one measurement per point as a Kraus
+    stack (points, r, d, d) that channels._check_kraus passed. The kernel
+    runs each point's rows as one block under its measurement, in one
+    call or, for a swept axis longer than _SWEEP_ROWS, in several.
     """
     Bi, Bf = _check_fields(Bi, Bf)
     *outer, (swept, _, grid) = axes
@@ -184,13 +184,13 @@ def _sweep(meta, Bi, Bf, beta_c, axes, kind, protocols) -> SweepTable:
     done, cooled = 0, 0
     while chunk := list(itertools.islice(points, step)):
         coords = np.array(chunk)
-        blocks = protocols(coords)
+        stroke = strokes(coords)
         for first in range(0, len(cs), part):
             values = cs[first:first + part]
             n = len(chunk) * len(values)
             swept_column[:n] = np.tile(values, len(chunk))
-            batch = _run_cycles(table, couplings[:n], Bi, Bf, cold, blocks)
-            if isinstance(blocks, np.ndarray):
+            batch = _run_cycles(table, couplings[:n], Bi, Bf, cold, stroke)
+            if isinstance(stroke, np.ndarray):
                 cooled += int(np.count_nonzero(batch.Qh < 0.0))
             rows = cells[done:done + n]
             grid_rows = rows.reshape(len(chunk), len(values), len(header))
@@ -222,7 +222,7 @@ def sweep_qutrit_two_bath(Bi: float, Bf: float, beta_c: float, beta_h: float,
     hot = BathSpec(beta_h)
     return _sweep({"command": "qutrit-two-bath", "beta_h": hot.beta},
                   Bi, Bf, beta_c, [("J", "j", j_range)], SubstanceKind.QUTRIT,
-                  lambda points: [TwoBath(hot)])
+                  lambda points: hot)
 
 
 def sweep_qutrit_measurement(Bi: float, Bf: float, beta_c: float,
@@ -308,9 +308,9 @@ def sweep_xxz(model: str, protocol: str, Bi: float, Bf: float, beta_c: float,
     if protocol == "two-bath":
         if beta_h is None:
             raise OttoSimError("two-bath protocol needs beta_h")
-        hot = TwoBath(hot=BathSpec(beta_h))
-        meta["beta_h"] = hot.hot.beta
-        proto = lambda points: [hot]
+        hot = BathSpec(beta_h)
+        meta["beta_h"] = hot.beta
+        proto = lambda points: hot
     else:
         if n is None or m is None:
             raise OttoSimError("measurement protocol needs directions n and m")

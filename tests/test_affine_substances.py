@@ -72,10 +72,17 @@ def _row_dot(a, b):
     return (a * b).sum(axis=1)
 
 
+def _stroke(protocol):
+    """The kernel's stroke 3 for one protocol, as run_cycle_batch gives it."""
+    if isinstance(protocol, o.TwoBath):
+        return protocol.hot
+    return np.asarray(protocol.channel.operators, dtype=complex)[None]
+
+
 def _run(args):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", o.MeasurementCoolsWarning)
-        return _run_cycles(*args[:-1], [args[-1]])
+        return _run_cycles(*args[:-1], _stroke(args[-1]))
 
 
 # More examples than the profile's 60: a draw is cheap, and the first
@@ -138,7 +145,7 @@ def test_the_identity_needs_moving_levels_without_offset():
     kind = _kind(labels=("a", "b", "c", "d"), slopes=(1.0, -1.0, 0.0, 0.5),
                  offsets={"x": offsets}, basis=np.eye(4))
     rec = _run_cycles(kind, np.array([[1.0]]), 1.0, 2.0, o.BathSpec(1.0),
-                      [o.TwoBath(hot=o.BathSpec(0.3))]).record(0)
+                      o.BathSpec(0.3)).record(0)
     assert rec.engine_mode
     assert rec.eta / rec.eta0 == pytest.approx(0.8234, abs=1e-4)
     assert o.efficiency_ratio_identity(rec) == pytest.approx(0.9143, abs=1e-4)

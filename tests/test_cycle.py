@@ -10,7 +10,7 @@ from helpers import measurement, random_direction, su3, two_bath
 from ottosim import channels
 from ottosim.cycle import _run_cycles
 from ottosim.measurements import _spin_kraus, _su3_kraus
-from ottosim.substances import _KINDS
+from ottosim.substances import _KINDS, _couplings
 from test_sweeps import COOLING_CONTOUR
 
 PI = np.pi
@@ -382,19 +382,16 @@ def _qutrit_blocks(rows):
             np.array([[J] for block in rows for J in block]))
 
 
-@pytest.mark.parametrize("protocols", [
-    [o.Measurement(su3(0.3 * k, 0.7, 1.1 * k, 0.2)) for k in range(3)],
-    [o.TwoBath(o.BathSpec(beta)) for beta in (0.2, 0.5, 3.0)],
-], ids=["measurement", "two-bath"])
-def test_kernel_blocks_hold_the_bits_of_their_own_calls(protocols):
+def test_kernel_blocks_hold_the_bits_of_their_own_calls():
     js = [[-0.5, 0.4, 1.7, 3.5], [0.0, 1.0, 2.0, 3.0], [2.9, 0.1, 1.3, 2.2]]
     kind, couplings = _qutrit_blocks(js)
     cold = o.BathSpec(0.8)
+    kraus = _su3_kraus(0.3 * np.arange(3), 0.7, 1.1 * np.arange(3), 0.2)[0]
     # the kernel leaves warnings to its callers
-    whole = _run_cycles(kind, couplings, 3.0, 4.0, cold, protocols)
+    whole = _run_cycles(kind, couplings, 3.0, 4.0, cold, kraus)
     parts = [_run_cycles(kind, couplings[4 * b:4 * b + 4], 3.0, 4.0, cold,
-                         [protocol])
-             for b, protocol in enumerate(protocols)]
+                         kraus[b:b + 1])
+             for b in range(3)]
     for k in range(12):
         assert pickle.dumps(whole.record(k)) == \
             pickle.dumps(parts[k // 4].record(k % 4))
@@ -402,20 +399,24 @@ def test_kernel_blocks_hold_the_bits_of_their_own_calls(protocols):
 
 def test_kernel_checks_every_block():
     kind, couplings = _qutrit_blocks([[0.5, 1.0]] * 3)
-    good = o.Measurement(su3(0.7 * PI, 0.7 * PI, 0.5 * PI, 0.5 * PI))
     args = (kind, couplings, 3.0, 4.0, o.BathSpec(1.0))
+    kraus = _su3_kraus(0.7 * PI, 0.7 * PI, 0.5 * PI, 0.5 * PI)[0]
+    good = o.Measurement(su3(0.7 * PI, 0.7 * PI, 0.5 * PI, 0.5 * PI))
+    # stroke 3 is a hot bath or a Kraus stack, not records or lists
+    for stroke in ("two-bath", good, [good] * 3, o.TwoBath(o.BathSpec(0.5)),
+                   [o.BathSpec(0.5)], list(kraus)):
+        with pytest.raises(o.InvalidField, match="stroke 3 must be"):
+            _run_cycles(*args, stroke)
+    with pytest.raises(o.DimensionMismatch, match=r"shape \(2, 2\) vs "
+                                                  r"substance dim 3"):
+        _run_cycles(*args, channels._damping_operators(2, 0.5, 0)[None])
     with pytest.raises(o.DimensionMismatch):
-        _run_cycles(*args, [good, good,
-                            o.Measurement(o.damping_channel(2, 0.5, 0))])
-    with pytest.raises(o.InvalidField, match="unknown protocol"):
-        _run_cycles(*args, [good, good, "two-bath"])
-    with pytest.raises(o.InvalidField, match="one type"):
-        _run_cycles(*args, [good, good, o.TwoBath(o.BathSpec(0.5))])
+        _run_cycles(*args, kraus[0])
     # 6 rows split into 1, 2, 3 or 6 blocks, not into 4 or 0
-    with pytest.raises(o.OttoSimError, match="6 rows"):
-        _run_cycles(*args, [good] * 4)
-    with pytest.raises(o.OttoSimError, match="6 rows"):
-        _run_cycles(*args, [])
+    for blocks in (4, 0):
+        with pytest.raises(o.OttoSimError, match="6 rows"):
+            _run_cycles(*args, np.repeat(kraus, blocks, axis=0))
+    assert len(_run_cycles(*args, np.repeat(kraus, 3, axis=0)).Qh) == 6
     # the public entries take one protocol, not blocks of them
     with pytest.raises(o.InvalidField, match="unknown protocol"):
         o.run_cycle_batch([o.SubstanceSpec.qutrit(0.5)] * 2, 3.0, 4.0,
@@ -425,34 +426,24 @@ def test_kernel_checks_every_block():
 def test_a_checked_stack_drives_the_kernel_as_its_records_do():
     # a measurement sweep hands the kernel its Kraus stack, not records
     cold = o.BathSpec(0.8)
-    kind, couplings = _qutrit_blocks([[-0.5, 0.4, 1.7, 3.5],
-                                      [0.0, 1.0, 2.0, 3.0],
-                                      [2.9, 0.1, 1.3, 2.2]])
+    js = [[-0.5, 0.4, 1.7, 3.5], [0.0, 1.0, 2.0, 3.0], [2.9, 0.1, 1.3, 2.2]]
     angles = (0.3 * np.arange(3), 0.7, 1.1 * np.arange(3), 0.2)
-    cases = [(kind, couplings, _su3_kraus(*angles)[0],
-              o.su3_projective_channels(*angles))]
+    cases = [([[o.SubstanceSpec.qutrit(J) for J in block] for block in js],
+              _su3_kraus(*angles)[0], o.su3_projective_channels(*angles))]
     n, m = o.SpinDirection(0.6, 0.0, 0.8), o.SpinDirection.y()
-    cases.append((_KINDS[o.SubstanceKind.XXZ],
-                  np.array([[0.3, J] for J in (-1.0, 0.2, 1.5)]),
+    cases.append(([[o.SubstanceSpec.xxz(0.3, J) for J in (-1.0, 0.2, 1.5)]],
                   _spin_kraus(n, m)[0], [o.local_spin_channel(n, m)]))
-    for kind, couplings, kraus, channels in cases:
-        stacked = _run_cycles(kind, couplings, 3.0, 4.0, cold, kraus)
-        listed = _run_cycles(kind, couplings, 3.0, 4.0, cold,
-                             [o.Measurement(ch) for ch in channels])
-        for k in range(len(couplings)):
-            assert pickle.dumps(stacked.record(k)) == \
-                pickle.dumps(listed.record(k))
-
-
-def test_kernel_checks_a_stack_as_it_checks_records():
-    kind, couplings = _qutrit_blocks([[0.5, 1.0]] * 3)
-    args = (kind, couplings, 3.0, 4.0, o.BathSpec(1.0))
-    kraus = _su3_kraus(0.7 * PI, 0.7 * PI, 0.5 * PI, 0.5 * PI)[0]
-    with pytest.raises(o.DimensionMismatch, match="channel dim 2 vs "
-                                                  "substance dim 3"):
-        _run_cycles(*args, channels._damping_operators(2, 0.5, 0)[None])
-    with pytest.raises(o.OttoSimError, match="6 rows"):
-        _run_cycles(*args, np.repeat(kraus, 4, axis=0))
-    with pytest.raises(o.OttoSimError, match="6 rows"):
-        _run_cycles(*args, kraus[:0])
-    assert len(_run_cycles(*args, np.repeat(kraus, 3, axis=0)).Qh) == 6
+    for blocks, kraus, built in cases:
+        specs = [spec for block in blocks for spec in block]
+        kind = _KINDS[specs[0].kind]
+        stacked = _run_cycles(kind, _couplings(kind, specs), 3.0, 4.0, cold,
+                              kraus)
+        alone = []
+        for block, channel in zip(blocks, built):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", o.MeasurementCoolsWarning)
+                batch = o.run_cycle_batch(block, 3.0, 4.0, cold,
+                                          o.Measurement(channel))
+            alone += [batch.record(k) for k in range(len(block))]
+        assert [pickle.dumps(stacked.record(k)) for k in range(len(specs))] \
+            == [pickle.dumps(record) for record in alone]

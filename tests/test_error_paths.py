@@ -37,12 +37,34 @@ def _operator(eigenvectors):
     (o.SubstanceKind.XXZ, [0.5, 1.0]),
 ])
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-def test_kernel_rejects_non_finite_couplings(kind, row, bad):
+@pytest.mark.parametrize("stroke", [
+    lambda d: o.BathSpec(0.5),
+    lambda d: np.eye(d, dtype=complex)[None, None],
+], ids=["hot-bath", "kraus-stack"])
+def test_kernel_rejects_non_finite_couplings(kind, row, bad, stroke):
     couplings = np.array([row, row])
     couplings[1, -1] = bad
-    with pytest.raises(o.InvalidField):
-        _run_cycles(_KINDS[kind], couplings, 3.0, 4.0, o.BathSpec(1.0),
-                    [o.TwoBath(o.BathSpec(0.5))])
+    table = _KINDS[kind]
+    with pytest.raises(o.InvalidField, match="level energy is too large"):
+        _run_cycles(table, couplings, 3.0, 4.0, o.BathSpec(1.0),
+                    stroke(len(table.labels)))
+
+
+@pytest.mark.parametrize("operators,error", [
+    ((np.eye(2),), o.DimensionMismatch),
+    ((np.eye(3), np.eye(2)), o.OttoSimError),
+    (("abc",), o.OttoSimError),
+], ids=["shape", "ragged", "text"])
+def test_a_hand_built_channel_with_bad_operators_ends_in_our_error(
+        operators, error):
+    # KrausChannel records skip kraus_channel's checks; run_cycle_batch
+    # checks the operators it hands the kernel
+    ch = o.KrausChannel(operators=operators, dim=3, unital=True)
+    spec, cold = o.SubstanceSpec.qutrit(1.0), o.BathSpec(1.0)
+    with pytest.raises(error):
+        o.run_cycle_batch([spec], 3.0, 4.0, cold, o.Measurement(ch))
+    with pytest.raises(error):
+        o.run_cycle(o.CycleConfig(spec, 3.0, 4.0, cold, o.Measurement(ch)))
 
 
 def test_transfer_matrix_dimension_mismatch():

@@ -2,7 +2,8 @@
 
 su3_projective_channels builds every channel of an angle array in one
 stacked call, and the cycle kernel takes every block's transfer entries
-from one einsum over a zero-padded Kraus stack. The references here are
+from one einsum over a Kraus stack, whose channels of lower rank a
+caller may pad with zero operators. The references here are
 the documented formulas, one angle set and one channel at a time: the
 three SU(3) states, their np.outer projectors, the unital test
 sum_a M_a M_a^dag = 1, and T[m, n] = sum_a |<v_m|M_a|v_n>|^2.
@@ -96,14 +97,19 @@ def mixed_rank_protocols():
             o.Measurement(o.damping_channel(3, 0.4))]
 
 
+def padded_stack(protocols):
+    """The protocols' operators as one Kraus stack (B, r, 3, 3), a channel
+    of lower rank padded with zero operators."""
+    kraus = np.zeros((len(protocols), 3, 3, 3), dtype=complex)
+    for b, p in enumerate(protocols):
+        kraus[b, :len(p.channel.operators)] = p.channel.operators
+    return kraus
+
+
 def test_padded_transfer_entries_equal_each_channel_alone():
     protocols = mixed_rank_protocols()
-    ranks = [len(p.channel.operators) for p in protocols]
-    assert ranks == [3, 1, 2, 3]
-    kraus = np.zeros((4, 3, 3, 3), dtype=complex)
-    for b, p in enumerate(protocols):
-        kraus[b, :ranks[b]] = p.channel.operators
-    t = channels._transfer_entries(kraus, QUTRIT_BASIS)
+    assert [len(p.channel.operators) for p in protocols] == [3, 1, 2, 3]
+    t = channels._transfer_entries(padded_stack(protocols), QUTRIT_BASIS)
     for b, p in enumerate(protocols):
         alone = channels._transfer_entries(np.asarray(p.channel.operators),
                                            QUTRIT_BASIS)
@@ -118,7 +124,8 @@ def test_mixed_rank_blocks_get_the_bits_of_each_block_alone():
     js = np.linspace(-1.0, 3.0, 9)
     couplings = np.tile(js, len(protocols))[:, None]
     cold = o.BathSpec(1.0)
-    batch = cycle._run_cycles(kind, couplings, 3.0, 4.0, cold, protocols)
+    batch = cycle._run_cycles(kind, couplings, 3.0, 4.0, cold,
+                              padded_stack(protocols))
     specs = [o.SubstanceSpec.qutrit(j) for j in js]
     for b, p in enumerate(protocols):
         with warnings.catch_warnings():
@@ -159,11 +166,11 @@ def test_a_stack_with_one_bad_channel_returns_none():
     good = np.array(o.su3_projective_channel(o.EXTREME_ANGLES).operators)
     stack = np.array([good, good, 0.5 * good])
     with pytest.raises(o.NotTracePreserving):
-        channels._kraus_channels(stack)
+        channels._check_kraus(stack)
     stack[2] = good
     stack[2, 0, 0, 0] = np.nan
     with pytest.raises(o.OttoSimError, match="finite"):
-        channels._kraus_channels(stack)
+        channels._check_kraus(stack)
     states = np.array([np.eye(3), np.eye(3)], dtype=complex)
     states[1, 2] = states[1, 1]      # two equal states: not a complete set
     with pytest.raises(o.NotTracePreserving):
@@ -173,7 +180,8 @@ def test_a_stack_with_one_bad_channel_returns_none():
 def test_unital_flags_are_per_channel():
     su3 = np.array(o.su3_projective_channel(o.EXTREME_ANGLES).operators)
     damping = channels._damping_operators(3, 0.4, 0)
-    built = channels._kraus_channels(np.array([su3, damping, su3]))
+    stack = np.array([su3, damping, su3])
+    built = channels._channel_records(stack, channels._check_kraus(stack))
     assert [ch.unital for ch in built] == [True, False, True]
     assert [ch.unital for ch in built] == [
         o.kraus_channel(ops).unital for ops in (su3, damping, su3)]
