@@ -21,7 +21,7 @@ from .core import (DensityMatrix, HermitianOperator, _dagger, _densities,
                    _eigensystems, _empty, _energies, _finite, _floats,
                    _hermitian_part, _integer, _probabilities, _real,
                    _require, as_complex_matrix, boltzmann_populations,
-                   energy_expectation, populations_in_basis, row_sum)
+                   energy_expectation, level_sum, populations_in_basis)
 from .errors import (DimensionMismatch, DimensionTooLarge, NotTracePreserving,
                      OttoSimError)
 from .tolerances import TOL
@@ -115,13 +115,26 @@ def _check_trace_preserving(kraus: np.ndarray) -> None:
         raise NotTracePreserving(f"sum M^dag M deviates from 1 by {defect:.3e}")
 
 
+def _operators(ch: KrausChannel) -> np.ndarray:
+    """The operators of ch as one stack (r, d, d), d = ch.dim. A channel
+    built by hand skips kraus_channel's checks, so OttoSimError unless its
+    operators are matrices of numbers, DimensionMismatch unless each is
+    d x d; neither finiteness nor trace preservation is checked here."""
+    [kraus] = _floats("Kraus operators must be matrices of numbers",
+                      [ch.operators], dtype=complex)
+    if kraus.ndim != 3 or kraus.shape[1:] != (ch.dim, ch.dim):
+        raise DimensionMismatch(f"Kraus operators of shape {kraus.shape[1:]} "
+                                f"vs channel dim {ch.dim}")
+    return kraus
+
+
 def apply_channel(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     """rho -> sum_a M_a rho M_a^dag."""
     _require("ch", ch, KrausChannel)
     _require("rho", rho, DensityMatrix)
     if ch.dim != rho.dim:
         raise DimensionMismatch(f"channel dim {ch.dim} vs state dim {rho.dim}")
-    return DensityMatrix(_apply_kraus(np.asarray(ch.operators), rho.matrix))
+    return DensityMatrix(_apply_kraus(_operators(ch), rho.matrix))
 
 
 def _apply_kraus(kraus: np.ndarray, rho: np.ndarray,
@@ -185,7 +198,7 @@ def transfer_matrix(ch: KrausChannel, h: HermitianOperator) -> TransferMatrix:
     _require("h", h, HermitianOperator)
     if ch.dim != h.dim:
         raise DimensionMismatch(f"channel dim {ch.dim} vs operator dim {h.dim}")
-    t = _transfer_entries(np.asarray(ch.operators), h.eigenvectors)
+    t = _transfer_entries(_operators(ch), h.eigenvectors)
     if not np.max(np.abs(t.sum(axis=0) - 1.0)) <= TOL.channel:
         raise OttoSimError("transfer matrix is not column-stochastic")
     if ch.unital and not np.max(np.abs(t.sum(axis=1) - 1.0)) <= TOL.channel:
@@ -290,7 +303,7 @@ def _normalize_weights(weights: np.ndarray, counts) -> None:
     unitaries, stacked in weights, into their q in place: add 0.1, then
     divide each mixture's weights by their sum.
 
-    The sums are row_sum over the weights padded with zeros to rows of
+    The sums are level_sum over the weights padded with zeros to rows of
     the largest count, a left-to-right fold from 0.0: the bits of
     numpy's w.sum() for fewer than 8 weights, which numpy adds in that
     order (it adds 8 or more pairwise); a zero adds exactly.
@@ -299,7 +312,7 @@ def _normalize_weights(weights: np.ndarray, counts) -> None:
     counts = np.asarray(counts)
     padded = np.zeros((len(counts), counts.max()))
     padded[np.arange(padded.shape[1]) < counts[:, None]] = weights
-    weights /= np.repeat(row_sum(padded), counts)
+    weights /= np.repeat(level_sum(padded.T), counts)
 
 
 # numpy's SeedSequence, through which default_rng(seed) seeds PCG64, for a
@@ -557,8 +570,8 @@ class _Theorem1Draws:
         else:
             rng.random(out=self.uniforms[k])
         if kind == _MIXTURE:
-            self.seeds.append(int(rng.integers(2 ** 31)))
-            count = int(rng.integers(1, 5))
+            seed, count = _seed_and_count(rng.bit_generator.random_raw())
+            self.seeds.append(seed)
             self.next_unitary += count
             self.counts.append(count)
             self.ranks[k] = count
@@ -587,6 +600,15 @@ class _Theorem1Draws:
                                   self.normals[rows], self.turns[rows])
             row += count
         _normalize_weights(self.weights[first:row], self.counts)
+
+
+def _seed_and_count(word: int):
+    """A mixture's seed and unitary count from one raw 64-bit PCG64 word:
+    the values rng.integers(2**31) and then rng.integers(1, 5) return from
+    its low and high 32-bit halves (Lemire's method multiplies a half by
+    the range and keeps the top 32 bits, and rejects nothing for these two
+    ranges), leaving the generator where those two calls leave it."""
+    return (word & _MASK32) >> 1, 1 + (word >> 62)
 
 
 def _stack_changes(dim, draws):

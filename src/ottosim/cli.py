@@ -55,11 +55,30 @@ class _Numbers:
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad arguments; remap to 1 (2 means IO here).
-    A token that starts with "-" and that float() reads is a value."""
+    A token that starts with "-" and that float() reads is a value.
+
+    commands maps each command name to its parser (build_parser fills it
+    on the top-level parser). An argv that starts with a command goes
+    straight to that command's parser, as argparse's subparser action
+    would pass it, so no token is classified twice; the command is set on
+    the namespace, and tokens the command does not know come back to
+    parse_args, which reports them as argparse does."""
+
+    commands = {}
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = _Numbers
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        command = self.commands.get(args[0]) if args else None
+        if command is None:
+            return super().parse_known_args(args, namespace)
+        parsed, extras = command.parse_known_args(args[1:])
+        namespace = namespace or argparse.Namespace()
+        vars(namespace).update(vars(parsed), command=args[0])
+        return namespace, extras
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -270,6 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help=f"{opt.help} (default {opt.default})")
         p.add_argument("--config", default=None,
                        help="key=value file; flags win over it")
+    parser.commands = sub.choices
     return parser
 
 

@@ -273,27 +273,37 @@ class BathSpec(Record):
                            _real("beta", self.beta, positive=True))
 
 
-def row_sum(x: np.ndarray) -> np.ndarray:
-    """Sum over the last axis, left to right from 0.0.
+def level_sum(x) -> np.ndarray:
+    """Sum over the first axis of x, or of the arrays x yields, left to
+    right from 0.0.
 
     This is the association Python's sum() uses on a list of floats
-    (CPython 3.11). Every row is added on its own in a fixed order, so a
-    row's sum has the same bits whatever else the array holds.
+    (CPython 3.11). Every entry of the other axes is added on its own in
+    a fixed order, so its sum has the same bits whatever else the array
+    holds. On an array of levels (d, ...) each step is one long loop.
     """
-    total = np.zeros(x.shape[:-1])
-    for k in range(x.shape[-1]):
-        total = total + x[..., k]
+    total = 0.0
+    for row in x:
+        total = total + row
     return total
 
 
-def row_min(x: np.ndarray) -> np.ndarray:
-    """Minimum over the last axis, by np.minimum over its columns, which
-    is cheaper than a reduction over a short axis; a NaN in a row makes
-    its minimum NaN. IndexError for an empty last axis or a 0-d array."""
-    low = x[..., 0]
-    for k in range(1, x.shape[-1]):
-        low = np.minimum(low, x[..., k])
+def level_min(x: np.ndarray) -> np.ndarray:
+    """Minimum over the first axis, by np.minimum over its rows, which is
+    cheaper than a reduction over a short axis; a NaN makes its minimum
+    NaN. IndexError for an empty first axis or a 0-d array."""
+    low = x[0]
+    for row in x[1:]:
+        low = np.minimum(low, row)
     return low
+
+
+def _gibbs(e: np.ndarray, beta) -> np.ndarray:
+    """Gibbs weights of spectra laid out level first, e of shape (d, ...),
+    at beta, which broadcasts against e: e^(-beta (E - E_min)) over their
+    level_sum. Unchecked: callers catch numpy's warnings."""
+    w = np.exp(-beta * (e - level_min(e)))
+    return w / level_sum(w)
 
 
 def boltzmann_populations(energies, beta: float) -> np.ndarray:
@@ -304,13 +314,16 @@ def boltzmann_populations(energies, beta: float) -> np.ndarray:
     A weight too small to represent is 0; OttoSimError if a population is
     not finite (a non-finite energy or beta), an input is no real number,
     a spectrum has no level or beta does not broadcast against energies.
+    The weights are those of the cycle kernel, whose spectra are laid out
+    level first: the result is a view with the level axis moved last.
     """
     e, beta = _floats("energies and beta must be real numbers",
                       (energies, beta))
     with np.errstate(over="ignore", invalid="ignore"):
         try:  # no level, or a beta that does not broadcast
-            w = np.exp(-beta * (e - row_min(e)[..., None]))
-            p = w / row_sum(w)[..., None]
+            levels, betas = (np.moveaxis(a, -1, 0)
+                             for a in np.broadcast_arrays(e, beta))
+            p = np.moveaxis(_gibbs(levels, betas), 0, -1)
         except (ValueError, IndexError) as exc:
             raise OttoSimError(f"energies of shape {e.shape} and beta of "
                                f"shape {beta.shape}: {exc}") from None

@@ -19,7 +19,11 @@ So a two-bath engine has eta = 1 - beta_h/beta_c - Sigma/(beta_c Qh), and
 a measurement engine eta = 1 - (Delta S + D(p_post||p_cold))/(beta_c Qh).
 
 _run_cycles is the one cycle kernel: it runs N cycles of one kind table,
-given as an (N, c) coupling array, as (N, d) arrays. Its stroke 3 is a
+given as an (N, c) coupling array. Every per-level array of the kernel
+is laid out level first, (d, N) and C-contiguous: a step over the levels
+is d loops over N rows, not N loops over d = 2 to 4 levels, and a sum
+over levels is core.level_sum's fold of those rows. CycleBatch shows
+them transposed, as (N, d) views. Its stroke 3 is a
 hot bath, a BathSpec common to every row, or a checked Kraus stack with
 one measurement per block of rows (a sweep's outer point). Its callers
 warn: run_cycle_batch (which run_cycle calls as a batch of one) and
@@ -37,9 +41,9 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from ._record import Record
-from .channels import KrausChannel, _transfer_entries
-from .core import (BathSpec, _floats, _real, _require, boltzmann_populations,
-                   row_sum)
+from .channels import (KrausChannel, _check_trace_preserving, _operators,
+                       _transfer_entries)
+from .core import BathSpec, _gibbs, _real, _require, level_sum
 from .errors import (DimensionMismatch, InvalidField, MeasurementCoolsWarning,
                      NotAnEngine, OttoSimError)
 from .substances import (_KINDS, SubstanceSpec, _check_fields, _couplings,
@@ -125,7 +129,9 @@ class CycleBatch(Record):
     cold bath; run_cycle_batch's cycles differ only in their couplings.
 
     Row k of every array belongs to the k-th substance of the batch;
-    per-level arrays have shape (N, d) with columns in label order.
+    per-level arrays have shape (N, d) with columns in label order. They
+    are transposed views of the kernel's (d, N) arrays: a.T[l] is level
+    l of every cycle, one contiguous row, and a[k] a strided row.
     eta_raw is NaN exactly where Qh == 0.0; engine_mode as in CycleRecord.
     """
 
@@ -190,7 +196,8 @@ def run_cycle_batch(specs, Bi: float, Bf: float, cold: BathSpec,
     and a cold bath that is not a BathSpec, naming the argument, before
     any cycle runs. A hand-built channel whose operators are not d x d
     matrices of numbers raises OttoSimError (DimensionMismatch for a
-    shape that is not d x d).
+    shape that is not d x d), and NotTracePreserving if they are not
+    trace preserving.
     """
     try:
         specs = tuple(specs)
@@ -209,11 +216,10 @@ def run_cycle_batch(specs, Bi: float, Bf: float, cold: BathSpec,
     couplings = _couplings(kind, specs)
     if isinstance(protocol, TwoBath):
         return _run_cycles(kind, couplings, Bi, Bf, cold, protocol.hot)
-    # a hand-built KrausChannel skips kraus_channel's checks, so its
-    # operators may be no matrices of numbers
-    kraus = _floats("Kraus operators must be matrices of numbers",
-                    [protocol.channel.operators], dtype=complex)[0]
-    batch = _run_cycles(kind, couplings, Bi, Bf, cold, kraus[None])
+    kraus = _operators(protocol.channel)[None]
+    # kraus_channel's own check, which a hand-built channel skipped
+    _check_trace_preserving(kraus)
+    batch = _run_cycles(kind, couplings, Bi, Bf, cold, kraus)
     _warn_cooling(int(np.count_nonzero(batch.Qh < 0.0)), len(specs))
     return batch
 
@@ -263,19 +269,19 @@ def _run_cycles(kind, couplings: np.ndarray, Bi: float, Bf: float,
     offsets, (ei, ef) = _level_energies(kind, couplings, (Bi, Bf))
     # Overflow is caught by the check on W below, not by numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        p_cold = boltzmann_populations(ei, cold.beta)
+        p_cold = _gibbs(ei, cold.beta)
         if isinstance(stroke, BathSpec):
-            p_hot = boltzmann_populations(ef, stroke.beta)
+            p_hot = _gibbs(ef, stroke.beta)
         else:
-            # (block, row of the block, level); block b runs under stroke[b]
-            blocks = (len(stroke), len(couplings) // len(stroke), dim)
+            # (level, block, row of the block); block b runs under stroke[b]
+            blocks = p_cold.reshape(dim, len(stroke), -1)
             # The input state is diagonal in the labelled basis, so only
-            # the diagonal transfer p' = T p matters; each row is
-            # multiplied by its block's T, entry by entry, and every
-            # block's T comes from the one stack.
-            t = _transfer_entries(stroke, kind.basis)
-            p_hot = row_sum(t[:, None] * p_cold.reshape(blocks)[..., None, :]
-                            ).reshape(ef.shape)
+            # the diagonal transfer p' = T p matters: p'_m is the fold
+            # 0.0 + T[m, 0] p_0 + T[m, 1] p_1 + ..., each term over every
+            # row at once, with each row's T that of its block.
+            t = _transfer_entries(stroke, kind.basis).transpose(2, 1, 0)
+            p_hot = level_sum(t_n * p_n for t_n, p_n
+                              in zip(t[..., None], blocks)).reshape(ef.shape)
             # Levels the channel leaves alone must not pick up rounding
             # noise: a stray 1e-16 would make a no-op stroke an engine.
             still = np.abs(p_hot - p_cold) <= TOL.population_snap
@@ -284,20 +290,18 @@ def _run_cycles(kind, couplings: np.ndarray, Bi: float, Bf: float,
         delta_p = p_hot - p_cold
         flux_hot = ef * delta_p
         flux_cold = -ei * delta_p
-        Qh = row_sum(flux_hot)
-        Qc = row_sum(flux_cold)
+        Qh = level_sum(flux_hot)
+        Qc = level_sum(flux_cold)
         W = -(Qh + Qc)
     # W is finite only where Qh and Qc are
     if not np.isfinite(W).all():
         raise InvalidField("heat or work is too large to represent")
     eta_raw = -W / np.where(Qh != 0.0, Qh, np.nan)
-    # substances._crossing_fields one pair at a time, from the offsets'
-    # columns: no (N, pairs) gathers
-    crossing = np.zeros(len(offsets), dtype=bool)
-    slopes = kind.slopes.tolist()
-    for n, m in kind.pairs.tolist():
-        field = (offsets[:, m] - offsets[:, n]) / (slopes[n] - slopes[m])
-        crossing |= (Bi <= field) & (field <= Bf)
+    # substances._crossing_fields from the rows of the offsets, (pairs, N)
+    n, m = kind.pairs.T
+    fields = ((offsets[m] - offsets[n])
+              / (kind.slopes[n] - kind.slopes[m])[:, None])
+    crossing = ((Bi <= fields) & (fields <= Bf)).any(axis=0)
 
     return CycleBatch(
         labels=kind.labels,
@@ -307,8 +311,8 @@ def _run_cycles(kind, couplings: np.ndarray, Bi: float, Bf: float,
         Qh=Qh, Qc=Qc, W=W, eta_raw=eta_raw,
         engine_mode=(W < 0.0) & (Qh > 0.0),
         crossing=crossing,
-        flux_hot=flux_hot, flux_cold=flux_cold, delta_p=delta_p,
-        p_cold=p_cold, p_hot=p_hot,
+        flux_hot=flux_hot.T, flux_cold=flux_cold.T, delta_p=delta_p.T,
+        p_cold=p_cold.T, p_hot=p_hot.T,
     )
 
 

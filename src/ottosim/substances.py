@@ -158,12 +158,15 @@ def _couplings(kind: _Kind, specs) -> np.ndarray:
 
 
 def _level_energies(kind: _Kind, couplings: np.ndarray, fields):
-    """Offsets (N, d) of N substances and their energies at each field,
-    slopes*B + offsets of shape (len(fields), N, d); InvalidField if an
-    energy is too large to represent."""
+    """Offsets of N substances laid out level first, shape (d, N), and
+    their energies at each field, slopes*B + offsets of shape
+    (len(fields), d, N), all C-contiguous, so each level is one row;
+    InvalidField if an energy is too large to represent. The offsets are
+    couplings @ kind.offsets, transposed and copied."""
     with np.errstate(over="ignore", invalid="ignore"):
-        offsets = couplings @ kind.offsets
-        energies = kind.slopes * np.asarray(fields)[:, None, None] + offsets
+        offsets = np.ascontiguousarray((couplings @ kind.offsets).T)
+        energies = (kind.slopes[:, None] * np.asarray(fields)[:, None, None]
+                    + offsets)
     if not np.isfinite(energies).all():
         raise InvalidField("a level energy is too large to represent")
     return offsets, energies
@@ -224,7 +227,7 @@ def labelled_spectrum(spec: SubstanceSpec, B: float) -> LabelledSpectrum:
     """Closed-form energies with stable labels and idle flags (no solver)."""
     B = _real("field B", B, positive=True)
     kind, _, (energies,) = _spec_levels(spec, (B,))
-    levels = tuple(map(Level, kind.labels, energies[0].tolist(),
+    levels = tuple(map(Level, kind.labels, energies[:, 0].tolist(),
                        kind.idle.tolist()))
     return LabelledSpectrum(levels=levels, field_value=B)
 
@@ -255,7 +258,7 @@ def detect_level_crossing(spec: SubstanceSpec, Bi: float, Bf: float):
     """
     Bi, Bf = _check_fields(Bi, Bf)
     kind, offsets, _ = _spec_levels(spec, (Bi, Bf))
-    fields = _crossing_fields(kind, offsets)[0].tolist()
+    fields = _crossing_fields(kind, offsets.T)[0].tolist()
     return [((kind.labels[n], kind.labels[m]), bstar)
             for (n, m), bstar in zip(kind.pairs.tolist(), fields)
             if Bi <= bstar <= Bf]

@@ -51,7 +51,7 @@ import numpy as np
 # theorem1 lives in channels; the CLI, a test oracle and perfbench use these
 from ._record import Record
 from .channels import _MIXTURE, _PROJECTIVE, _theorem1_schedule, theorem1_suite
-from .core import BathSpec, _empty, _integer, _real, _require, row_sum
+from .core import BathSpec, _empty, _integer, _real, _require, level_sum
 from .cycle import _run_cycles, _warn_cooling
 from .errors import InvalidField, OttoSimError
 from .measurements import SpinDirection, Su3Angles, _spin_kraus, _su3_kraus
@@ -199,7 +199,7 @@ def _sweep(meta, Bi, Bf, beta_c, axes, kind, strokes) -> SweepTable:
             columns = [batch.Qh, batch.Qc, batch.W, batch.eta_raw,
                        batch.eta0, batch.engine_mode, batch.crossing]
             if extra:
-                columns.append(row_sum(batch.flux_hot[:, table.idle]))
+                columns.append(level_sum(batch.flux_hot.T[table.idle]))
             for per_level in (batch.flux_hot, batch.flux_cold,
                               batch.delta_p, batch.p_cold, batch.p_hot):
                 columns += list(per_level.T)

@@ -67,6 +67,34 @@ def test_a_hand_built_channel_with_bad_operators_ends_in_our_error(
         o.run_cycle(o.CycleConfig(spec, 3.0, 4.0, cold, o.Measurement(ch)))
 
 
+def test_a_hand_built_channel_that_is_not_trace_preserving_is_refused():
+    ch = o.KrausChannel(operators=(0.5 * np.eye(3),), dim=3, unital=True)
+    spec, cold = o.SubstanceSpec.qutrit(1.0), o.BathSpec(1.0)
+    with pytest.raises(o.NotTracePreserving):
+        o.run_cycle_batch([spec], 3.0, 4.0, cold, o.Measurement(ch))
+    with pytest.raises(o.NotTracePreserving):
+        o.run_cycle(o.CycleConfig(spec, 3.0, 4.0, cold, o.Measurement(ch)))
+
+
+@pytest.mark.parametrize("operators,error", [
+    ((np.eye(2),), o.DimensionMismatch),
+    ((np.eye(3), np.eye(2)), o.OttoSimError),
+    (("abc",), o.OttoSimError),
+], ids=["shape", "ragged", "text"])
+@pytest.mark.parametrize("call", [
+    lambda ch, rho, h: o.transfer_matrix(ch, h),
+    lambda ch, rho, h: o.apply_channel(ch, rho),
+    lambda ch, rho, h: o.energy_change(ch, rho, h),
+], ids=["transfer_matrix", "apply_channel", "energy_change"])
+def test_channel_functions_check_a_hand_built_channel_s_operators(
+        operators, error, call):
+    ch = o.KrausChannel(operators=operators, dim=3, unital=True)
+    rho = o.DensityMatrix(np.eye(3) / 3)
+    h = o.hermitian_eigensystem(np.diag([0.0, 1.0, 2.0]))
+    with pytest.raises(error):
+        call(ch, rho, h)
+
+
 def test_transfer_matrix_dimension_mismatch():
     with pytest.raises(o.DimensionMismatch):
         o.transfer_matrix(o.damping_channel(2, 0.5),

@@ -110,3 +110,16 @@ def test_suite_builds_one_default_rng(monkeypatch, seed):
     rep = o.theorem1_suite((2, 3, 4), 500, seed)
     assert rep.passed
     assert calls == [(seed,)]
+
+
+def test_one_raw_word_gives_a_mixture_s_seed_and_count():
+    # the main stream's integers(2**31) and integers(1, 5) of one mixture
+    for seed in SEEDS:
+        raw = np.random.default_rng(seed)
+        ref = np.random.default_rng(seed)
+        got = channels._seed_and_count(raw.bit_generator.random_raw())
+        assert got == (int(ref.integers(2 ** 31)),
+                       int(ref.integers(1, 5))), seed
+        after, want = raw.bit_generator.state, ref.bit_generator.state
+        assert (after["state"], after["has_uint32"]) == \
+            (want["state"], want["has_uint32"]), seed
