@@ -7,12 +7,10 @@ measurement. Per-level heat fluxes expose how idle energy levels carry
 heat between the strokes and move the efficiency away from 1 - Bi/Bf.
 """
 
-from .channels import (KrausChannel, Theorem1Report, TransferMatrix,
-                       apply_channel, channel_populations, damping_channel,
-                       energy_change, is_minimally_disturbing, is_unital,
-                       kraus_channel, projective_channel,
-                       random_unital_channel, rearrangement_oracle,
-                       theorem1_suite, transfer_matrix)
+from .channels import (KrausChannel, TransferMatrix, apply_channel,
+                       channel_populations, damping_channel, energy_change,
+                       is_minimally_disturbing, is_unital, kraus_channel,
+                       projective_channel, transfer_matrix)
 from .core import (BathSpec, DensityMatrix, HermitianOperator,
                    boltzmann_populations, energy_expectation, gibbs_state,
                    hermitian_eigensystem, is_passive, populations_in_basis)
@@ -35,6 +33,8 @@ from .sweeps import (EXTREME_ANGLES, SweepRange, SweepTable, format_value,
                      sweep_qutrit_contour, sweep_qutrit_extreme,
                      sweep_qutrit_measurement, sweep_qutrit_two_bath,
                      sweep_xxz, write_csv)
+from .theorem1 import (Theorem1Report, random_unital_channel,
+                       rearrangement_oracle, theorem1_suite)
 from .tolerances import TOL, Tolerances
 
 __version__ = "0.1.0"

@@ -47,7 +47,8 @@ from .core import BathSpec, _gibbs, _real, _require, level_sum
 from .errors import (DimensionMismatch, InvalidField, MeasurementCoolsWarning,
                      NotAnEngine, OttoSimError)
 from .substances import (_KINDS, SubstanceSpec, _check_fields, _couplings,
-                         _level_energies, check_uniform_gap_ratio)
+                         _crossing_fields, _level_energies,
+                         check_uniform_gap_ratio)
 from .tolerances import TOL
 
 
@@ -297,10 +298,7 @@ def _run_cycles(kind, couplings: np.ndarray, Bi: float, Bf: float,
     if not np.isfinite(W).all():
         raise InvalidField("heat or work is too large to represent")
     eta_raw = -W / np.where(Qh != 0.0, Qh, np.nan)
-    # substances._crossing_fields from the rows of the offsets, (pairs, N)
-    n, m = kind.pairs.T
-    fields = ((offsets[m] - offsets[n])
-              / (kind.slopes[n] - kind.slopes[m])[:, None])
+    fields = _crossing_fields(kind, offsets)
     crossing = ((Bi <= fields) & (fields <= Bf)).any(axis=0)
 
     return CycleBatch(

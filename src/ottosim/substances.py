@@ -181,9 +181,11 @@ def _spec_levels(spec: SubstanceSpec, fields):
 
 
 def _crossing_fields(kind: _Kind, offsets: np.ndarray) -> np.ndarray:
-    """Where the two levels of each of kind.pairs meet, shape (N, pairs)."""
+    """Where the two levels of each of kind.pairs meet, for offsets laid
+    out level first, (d, N): shape (pairs, N)."""
     n, m = kind.pairs.T
-    return (offsets[:, m] - offsets[:, n]) / (kind.slopes[n] - kind.slopes[m])
+    return ((offsets[m] - offsets[n])
+            / (kind.slopes[n] - kind.slopes[m])[:, None])
 
 
 def _check_fields(Bi: float, Bf: float):
@@ -258,7 +260,7 @@ def detect_level_crossing(spec: SubstanceSpec, Bi: float, Bf: float):
     """
     Bi, Bf = _check_fields(Bi, Bf)
     kind, offsets, _ = _spec_levels(spec, (Bi, Bf))
-    fields = _crossing_fields(kind, offsets.T)[0].tolist()
+    fields = _crossing_fields(kind, offsets)[:, 0].tolist()
     return [((kind.labels[n], kind.labels[m]), bstar)
             for (n, m), bstar in zip(kind.pairs.tolist(), fields)
             if Bi <= bstar <= Bf]

@@ -48,15 +48,16 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-# theorem1 lives in channels; the CLI, a test oracle and perfbench use these
 from ._record import Record
-from .channels import _MIXTURE, _PROJECTIVE, _theorem1_schedule, theorem1_suite
 from .core import BathSpec, _empty, _integer, _real, _require, level_sum
 from .cycle import _run_cycles, _warn_cooling
 from .errors import InvalidField, OttoSimError
 from .measurements import SpinDirection, Su3Angles, _spin_kraus, _su3_kraus
 from .substances import _KINDS, SubstanceKind, _check_fields
 from .text import block_text
+# re-exported: the CLI calls theorem1_suite here, where perfbench's tracer
+# wraps it; the test oracle in tests/helpers.py reads the other three
+from .theorem1 import _MIXTURE, _PROJECTIVE, _theorem1_schedule, theorem1_suite
 
 
 class SweepRange(Record):

@@ -374,15 +374,16 @@ def test_failed_write_keeps_earlier_output(tmp_path, capsys, monkeypatch,
                                                           "x.csv.meta"]
 
 
+@pytest.mark.parametrize("out", ["taken", "taken/", "taken/."])
 @pytest.mark.parametrize("args", [
     ["qutrit-two-bath", "--j-steps", "3"],
     ["theorem1", "--samples", "20"],
 ])
 def test_output_onto_a_directory_exits_two_and_leaves_no_temp(tmp_path,
-                                                              args):
+                                                              args, out):
     target = tmp_path / "taken"
     target.mkdir()
-    assert main(args + ["--out", str(target)]) == 2
+    assert main(args + ["--out", os.path.join(tmp_path, out)]) == 2
     assert target.is_dir() and not any(target.iterdir())
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
@@ -398,6 +399,23 @@ def test_meta_onto_a_directory_keeps_the_earlier_csv(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["o.csv",
                                                           "o.csv.meta"]
     assert not any((tmp_path / "o.csv.meta").iterdir())
+
+
+def test_realpaths_are_os_path_realpath(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    (tmp_path / "f").write_bytes(b"")
+    os.symlink("../f", tmp_path / "d" / "to_f")
+    os.symlink("d", tmp_path / "to_d")
+    os.symlink("missing", tmp_path / "dangling")
+    os.symlink("loop_b", tmp_path / "loop_a")
+    os.symlink("loop_a", tmp_path / "loop_b")
+    paths = ["d/", "d/.", "d/..", ".", "..", "//", "/", "", "f", "d/to_f",
+             "to_d/to_f", "to_d/", "to_d/..", "dangling", "d/../dangling",
+             "loop_a", "to_d/loop_b", "absent/x.csv",
+             str(tmp_path / "to_d" / "to_f"), str(tmp_path / "loop_b")]
+    want = [os.path.realpath(p) for p in paths]
+    assert o.sweeps._realpaths(paths) == want
 
 
 def test_symlink_output_keeps_its_link_and_fills_its_target(tmp_path):

@@ -30,7 +30,7 @@ def test_formula_is_uniform_bit_for_bit(lo, hi, size):
         mine = np.random.default_rng(seed)
         ref = np.random.default_rng(seed)
         for _ in range(3):  # the stream stays in step draw after draw
-            got = o.channels._uniform(mine, lo, hi, size)
+            got = o.theorem1._uniform(mine, lo, hi, size)
             want = ref.uniform(lo, hi, size)
             assert type(got) is type(want)
             assert _bits(got) == _bits(want)

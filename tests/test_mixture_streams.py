@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import ottosim as o
-from ottosim import channels
+from ottosim import theorem1
 
 SEEDS = [0, 1, 2, 2 ** 31 - 1, 2 ** 31, 2 ** 32 - 1,
          *np.random.default_rng(28).integers(2 ** 32, size=10_000).tolist()]
@@ -23,7 +23,7 @@ def _bits(x):
 
 def _reseeded(mixer, seed):
     """mixer with the state of default_rng(seed), as draw_mixtures sets it."""
-    (state, inc), = channels._pcg64_states([seed])
+    (state, inc), = theorem1._pcg64_states([seed])
     mixer.bit_generator.state = {"bit_generator": "PCG64",
                                  "state": {"state": state, "inc": inc},
                                  "has_uint32": 0, "uinteger": 0}
@@ -31,7 +31,7 @@ def _reseeded(mixer, seed):
 
 
 def test_states_are_pcg64_s_for_every_seed():
-    got = channels._pcg64_states(SEEDS)
+    got = theorem1._pcg64_states(SEEDS)
     assert len(got) == len(SEEDS)
     for seed, (state, inc) in zip(SEEDS, got):
         want = np.random.PCG64(seed).state["state"]
@@ -39,14 +39,14 @@ def test_states_are_pcg64_s_for_every_seed():
 
 
 def test_states_of_no_seed():
-    assert channels._pcg64_states([]) == []
+    assert theorem1._pcg64_states([]) == []
 
 
 @pytest.mark.parametrize("seed", [2 ** 32, 2 ** 64, -1, -(2 ** 31), 1.0,
                                   "1", None])
 def test_states_refuse_a_seed_outside_32_bits(seed):
     with pytest.raises(o.OttoSimError, match=r"\[0, 2\*\*32\)"):
-        channels._pcg64_states([5, seed])
+        theorem1._pcg64_states([5, seed])
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -60,7 +60,7 @@ def test_reseeded_draws_are_default_rng_s(dim, count):
         weights = np.empty(count)
         normals = np.empty((count, 2, dim, dim))
         turns = np.empty((count, dim))
-        channels._draw_unitary_mixture(mixer, weights, normals, turns)
+        theorem1._draw_unitary_mixture(mixer, weights, normals, turns)
 
         ref = np.random.default_rng(seed)
         assert _bits(weights) == _bits(ref.random(count))
@@ -77,7 +77,7 @@ def test_stack_normalization_is_per_mixture_sum_bit_for_bit():
         counts = rng.integers(1, 5, size=500).tolist()
         raw = rng.random(sum(counts))
         weights = raw.copy()
-        channels._normalize_weights(weights, counts)
+        theorem1._normalize_weights(weights, counts)
         first = 0
         for count in counts:
             w = raw[first:first + count] + 0.1
@@ -92,7 +92,7 @@ def test_a_stack_of_one_mixture_is_numpy_s_normalization(count):
     for _ in range(2000):
         raw = rng.random(count)
         weights = raw.copy()
-        channels._normalize_weights(weights, [count])
+        theorem1._normalize_weights(weights, [count])
         w = raw + 0.1
         assert _bits(weights) == _bits(w / w.sum())
 
@@ -117,7 +117,7 @@ def test_one_raw_word_gives_a_mixture_s_seed_and_count():
     for seed in SEEDS:
         raw = np.random.default_rng(seed)
         ref = np.random.default_rng(seed)
-        got = channels._seed_and_count(raw.bit_generator.random_raw())
+        got = theorem1._seed_and_count(raw.bit_generator.random_raw())
         assert got == (int(ref.integers(2 ** 31)),
                        int(ref.integers(1, 5))), seed
         after, want = raw.bit_generator.state, ref.bit_generator.state

@@ -29,7 +29,7 @@ def test_suite_floor_is_the_theorem_slack(monkeypatch):
     assert "(floor -1e-10)" in rep.lines()[1]
     assert rep.passed
     # a floor above the observed minimum fails the suite
-    monkeypatch.setattr(o.channels, "TOL",
+    monkeypatch.setattr(o.theorem1, "TOL",
                         o.Tolerances(theorem_slack=-1.0))
     rep = o.theorem1_suite(dims=(2,), samples=30, seed=2)
     assert "(floor 1)" in rep.lines()[1]
@@ -128,8 +128,8 @@ def _bits(x):
 def test_batched_changes_equal_scalar_oracle_bitwise(monkeypatch, dims,
                                                      samples, seed, block):
     if block is not None:
-        monkeypatch.setattr(o.channels, "_THEOREM1_BLOCK", block)
-    _, unital, control = o.channels._theorem1_energy_changes(dims, samples,
+        monkeypatch.setattr(o.theorem1, "_THEOREM1_BLOCK", block)
+    _, unital, control = o.theorem1._theorem1_energy_changes(dims, samples,
                                                              seed)
     want_unital, want_control = oracle_theorem1_energies(dims, samples, seed)
     assert _bits(unital) == _bits(want_unital)
@@ -137,16 +137,16 @@ def test_batched_changes_equal_scalar_oracle_bitwise(monkeypatch, dims,
 
 
 def test_blocks_bound_the_stacks(monkeypatch):
-    monkeypatch.setattr(o.channels, "_THEOREM1_BLOCK", 16)
+    monkeypatch.setattr(o.theorem1, "_THEOREM1_BLOCK", 16)
     sizes, control = [], []
-    compute = o.channels._stack_changes
+    compute = o.theorem1._stack_changes
 
     def recording(dim, draws):
         sizes.append(len(draws))
-        control.append(draws.kinds.count(o.channels._DAMPING))
+        control.append(draws.kinds.count(o.theorem1._DAMPING))
         return compute(dim, draws)
 
-    monkeypatch.setattr(o.channels, "_stack_changes", recording)
+    monkeypatch.setattr(o.theorem1, "_stack_changes", recording)
     rep = o.theorem1_suite(dims=(2, 3, 4), samples=16 * 5 + 3, seed=4)
     assert rep.passed
     assert max(sizes) <= 16 and sum(sizes) - sum(control) == 16 * 5 + 3
@@ -156,12 +156,12 @@ def test_blocks_bound_the_stacks(monkeypatch):
 @pytest.mark.parametrize("dims", [(2,), (3, 4), (2, 3, 4)])
 def test_schedule_covers_every_combination(dims):
     combos = {(d, kind, gibbs) for d in dims
-              for kind in (o.channels._MIXTURE, o.channels._PROJECTIVE,
-                           o.channels._IDENTITY)
+              for kind in (o.theorem1._MIXTURE, o.theorem1._PROJECTIVE,
+                           o.theorem1._IDENTITY)
               for gibbs in (True, False)}
-    assert set(o.channels._theorem1_schedule(dims, len(combos))) == combos
+    assert set(o.theorem1._theorem1_schedule(dims, len(combos))) == combos
     # over a long run every combination is drawn equally often, within one
-    schedule = o.channels._theorem1_schedule(dims, 500)
+    schedule = o.theorem1._theorem1_schedule(dims, 500)
     counts = [schedule.count(c) for c in combos]
     assert max(counts) - min(counts) <= 1
     # the first samples already span every dimension
@@ -173,15 +173,15 @@ def test_identity_row_is_checked(monkeypatch):
     assert rep.max_identity == 0.0
     assert rep.lines()[2] == "identity-channel row: energy change 0 (exact)"
 
-    changes = o.channels._theorem1_energy_changes
+    changes = o.theorem1._theorem1_energy_changes
 
     def nudged(dims, samples, seed):
         schedule, unital, control = changes(dims, samples, seed)
-        first = [kind for _, kind, _ in schedule].index(o.channels._IDENTITY)
+        first = [kind for _, kind, _ in schedule].index(o.theorem1._IDENTITY)
         unital[first] = 5e-324
         return schedule, unital, control
 
-    monkeypatch.setattr(o.channels, "_theorem1_energy_changes", nudged)
+    monkeypatch.setattr(o.theorem1, "_theorem1_energy_changes", nudged)
     rep = o.theorem1_suite(dims=(2, 3), samples=60, seed=2)
     assert rep.max_identity == 5e-324
     assert not rep.passed
@@ -190,10 +190,10 @@ def test_identity_row_is_checked(monkeypatch):
 
 
 def test_min_unital_is_over_the_non_identity_samples():
-    schedule, changes, _ = o.channels._theorem1_energy_changes((2, 3, 4),
+    schedule, changes, _ = o.theorem1._theorem1_energy_changes((2, 3, 4),
                                                                500, 1)
     rest = [c for (_, kind, _), c in zip(schedule, changes)
-            if kind != o.channels._IDENTITY]
+            if kind != o.theorem1._IDENTITY]
     rep = o.theorem1_suite(dims=(2, 3, 4), samples=500, seed=1)
     assert rep.min_unital == min(rest)
     assert rep.min_unital != 0.0
@@ -208,8 +208,8 @@ def test_changes_equal_the_oracle_across_the_default_block(blocks, extra,
                                                            seed):
     # samples around the block size: the control samples that follow the
     # unital ones then fill one block, spill into the next, or share it
-    samples = blocks * o.channels._THEOREM1_BLOCK + extra
-    _, unital, control = o.channels._theorem1_energy_changes((2, 3, 4),
+    samples = blocks * o.theorem1._THEOREM1_BLOCK + extra
+    _, unital, control = o.theorem1._theorem1_energy_changes((2, 3, 4),
                                                              samples, seed)
     want_unital, want_control = oracle_theorem1_energies((2, 3, 4), samples,
                                                          seed)
@@ -220,7 +220,7 @@ def test_changes_equal_the_oracle_across_the_default_block(blocks, extra,
 def test_a_control_group_with_dimensions_no_unital_sample_has():
     # one unital sample, of dim 2: the stacks of dims 3 and 4 hold control
     # samples only
-    _, unital, control = o.channels._theorem1_energy_changes((2, 3, 4), 1, 6)
+    _, unital, control = o.theorem1._theorem1_energy_changes((2, 3, 4), 1, 6)
     want_unital, want_control = oracle_theorem1_energies((2, 3, 4), 1, 6)
     assert len(control) == 10
     assert _bits(unital) == _bits(want_unital)
@@ -231,10 +231,10 @@ def test_a_default_suite_computes_each_dimension_once(monkeypatch):
     calls = {"_eigensystems": [], "_passive_energy_changes": [],
              "_apply_kraus": []}
     for name, record in calls.items():
-        def spy(*args, compute=getattr(o.channels, name), record=record):
+        def spy(*args, compute=getattr(o.theorem1, name), record=record):
             record.append(args)
             return compute(*args)
-        monkeypatch.setattr(o.channels, name, spy)
+        monkeypatch.setattr(o.theorem1, name, spy)
     assert o.theorem1_suite((2, 3, 4), 500, 1).passed
     # the Hamiltonians, channel bases and control spectra of a dimension
     # take one eigensystem call, and its samples one energy-change pass
@@ -242,7 +242,7 @@ def test_a_default_suite_computes_each_dimension_once(monkeypatch):
     passes = calls["_passive_energy_changes"]
     assert [h.shape[-1] for h, *_ in passes] == [2, 3, 4]
     assert sum(len(h) for h, *_ in passes) == 500 + 25
-    slots = o.channels._KRAUS_SLOTS
+    slots = o.theorem1._KRAUS_SLOTS
     for kraus, rho, ends in calls["_apply_kraus"]:
         # a row's rank is its count of nonzero operators, which fill the
         # first slots; the rows come largest rank first, and slot a
