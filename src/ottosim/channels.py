@@ -5,6 +5,10 @@ sum_a M_a^dag M_a = 1 (trace preserving); a unital channel also has
 sum_a M_a M_a^dag = 1. The checks, the channel action and the transfer
 matrix T_mn = sum_a |<v_m|M_a|v_n>|^2 work on one channel or on stacks
 of them, zero operators padding a stack without changing any bits.
+_check_kraus checks a stack built here: finite, trace preserving. The
+unital flag is computed only where KrausChannel records are made, in
+_channel_records, so a stack that goes to the cycle kernel as it is
+never pays for it.
 """
 
 from __future__ import annotations
@@ -43,16 +47,24 @@ def kraus_channel(operators) -> KrausChannel:
         raise OttoSimError("a channel needs at least one Kraus operator")
     if any(m.shape != ops[0].shape for m in ops):
         raise DimensionMismatch("Kraus operators must share one square shape")
-    kraus = np.array(ops)[None]
-    return _channel_records(kraus, _check_kraus(kraus))[0]
+    return _channel_records(_check_kraus(np.array(ops)[None]))[0]
 
 
-def _channel_records(kraus: np.ndarray, unital: np.ndarray) -> list:
+def _channel_records(kraus: np.ndarray) -> list:
     """One KrausChannel per channel of a Kraus stack (..., r, d, d) that
-    _check_kraus passed, given the unital flags it returned, in row-major
-    order. Each channel's operators are views of the stack."""
-    unital = unital.reshape(-1).tolist()
+    _check_kraus passed, in row-major order. Each channel's operators are
+    views of the stack, and it is unital if sum_a M_a M_a^dag = 1 within
+    TOL.channel.
+
+    That sum is one product per channel, K K^dag, with K = [M_1 ... M_r]
+    the operators side by side, of shape (d, r d): the same r d terms per
+    entry as the sum of r products, in another order, so the two defects
+    differ only by rounding, as in _check_trace_preserving.
+    """
     r, d = kraus.shape[-3:-1]
+    side = kraus.swapaxes(-3, -2).reshape(*kraus.shape[:-3], d, r * d)
+    unital = (np.abs(side @ _dagger(side) - _identity(d)).max(axis=(-2, -1))
+              <= TOL.channel).reshape(-1).tolist()
     # every operator's view at once, channel after channel
     ops = list(kraus.reshape(-1, d, d))
     return [KrausChannel(tuple(ops[k * r:k * r + r]), d, u)
@@ -68,20 +80,11 @@ def _identity(d: int) -> np.ndarray:
 
 
 def _check_kraus(kraus: np.ndarray) -> np.ndarray:
-    """Check Kraus stacks of shape (..., r, d, d): every entry finite and
-    every channel trace preserving. Returns each channel's unital flag,
-    sum_a M_a M_a^dag = 1 within TOL.channel, of shape (...).
-
-    That sum is one product per channel, K K^dag, with K = [M_1 ... M_r]
-    the operators side by side, of shape (d, r d): the same r d terms per
-    entry as the sum of r products, in another order, so the two defects
-    differ only by rounding, as in _check_trace_preserving.
-    """
+    """kraus itself, after checking that the Kraus stacks of shape
+    (..., r, d, d) have every entry finite and every channel trace
+    preserving."""
     _check_trace_preserving(_finite(kraus))
-    r, d = kraus.shape[-3:-1]
-    side = kraus.swapaxes(-3, -2).reshape(*kraus.shape[:-3], d, r * d)
-    return np.abs(side @ _dagger(side) - _identity(d)).max(axis=(-2, -1)) \
-        <= TOL.channel
+    return kraus
 
 
 def _check_trace_preserving(kraus: np.ndarray) -> None:
@@ -216,15 +219,14 @@ def projective_channel(states) -> KrausChannel:
     return kraus_channel(projectors)
 
 
-def _projective_channels(states: np.ndarray) -> tuple:
-    """(kraus, unital): the rank-1 projectors |s><s| onto the rows s of
-    states (..., r, d), one channel per set of r states, as a Kraus stack
-    (..., r, d, d) that _check_kraus passed, and the unital flags it
-    returned."""
+def _projective_channels(states: np.ndarray) -> np.ndarray:
+    """The rank-1 projectors |s><s| onto the rows s of states (..., r, d),
+    one channel per set of r states, as a Kraus stack (..., r, d, d) that
+    _check_kraus passed."""
     with np.errstate(over="ignore", invalid="ignore"):
         # a projector too large to represent fails _check_kraus
         projectors = states[..., :, None] * states.conj()[..., None, :]
-    return projectors, _check_kraus(projectors)
+    return _check_kraus(projectors)
 
 
 def damping_channel(dim: int, gamma: float, sink: int = 0) -> KrausChannel:

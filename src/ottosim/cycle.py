@@ -245,8 +245,8 @@ def _run_cycles(kind, couplings: np.ndarray, Bi: float, Bf: float,
     given as their couplings, shape (N, c) in the kind's coupling order.
 
     stroke is the hot bath of every row, a BathSpec, or the operators of
-    B measurements as one Kraus stack (B, r, d, d) that
-    channels._check_kraus passed: stroke[b] drives the b-th of B
+    B measurements as one Kraus stack (B, r, d, d), with no unital flag:
+    stroke[b] drives the b-th of B
     consecutive blocks of N/B rows. Zero operators may pad a channel of
     lower rank; they leave its bits as they are. A stack's shape is
     checked against the kind's d and the rows (its channels were checked

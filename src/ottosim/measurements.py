@@ -6,8 +6,9 @@ arbitrary Bloch directions for the two-qubit substance. Both produce
 channels of Hermitian rank-1 projectors, hence minimally disturbing and
 unital. Each forms its operators in one place, _su3_kraus and
 _spin_kraus, as one checked Kraus stack: the public builders make
-KrausChannel records of it, and the sweeps hand it to the cycle kernel
-as it is.
+KrausChannel records of it, which is where each channel's unital flag
+is computed (channels._channel_records), and the sweeps hand it to the
+cycle kernel as it is, with no flag.
 """
 
 from __future__ import annotations
@@ -77,14 +78,13 @@ def su3_projective_channels(theta, phi, chi, psi) -> list:
     (or numbers) broadcast to one shape, and the channels come in its
     row-major order. InvalidField names an angle that is not a finite
     number, before any channel is built."""
-    return _channel_records(*_su3_kraus(theta, phi, chi, psi))
+    return _channel_records(_su3_kraus(theta, phi, chi, psi))
 
 
-def _su3_kraus(theta, phi, chi, psi) -> tuple:
-    """(kraus, unital): the projectors of su3_projective_channels(theta,
-    phi, chi, psi) as one Kraus stack (B, 3, 3, 3), checked by
-    _check_kraus, and its unital flags (B,), B channels in the angles'
-    row-major order; the angles are checked first."""
+def _su3_kraus(theta, phi, chi, psi) -> np.ndarray:
+    """The projectors of su3_projective_channels(theta, phi, chi, psi) as
+    one Kraus stack (B, 3, 3, 3), checked by _check_kraus, B channels in
+    the angles' row-major order; the angles are checked first."""
     angles = []
     for name, value in zip(("theta", "phi", "chi", "psi"),
                            (theta, phi, chi, psi)):
@@ -101,8 +101,8 @@ def _su3_kraus(theta, phi, chi, psi) -> tuple:
     except ValueError:
         raise InvalidField("the angle arrays do not broadcast to one shape: "
                            + ", ".join(str(a.shape) for a in angles)) from None
-    kraus, unital = _projective_channels(_su3_states(theta, phi, chi, psi))
-    return kraus.reshape(-1, 3, 3, 3), unital.reshape(-1)
+    return _projective_channels(
+        _su3_states(theta, phi, chi, psi)).reshape(-1, 3, 3, 3)
 
 
 class SpinDirection(Record):
@@ -148,17 +148,15 @@ def local_spin_channel(n: SpinDirection, m: SpinDirection) -> KrausChannel:
     """
     _require("n", n, SpinDirection)
     _require("m", m, SpinDirection)
-    return _channel_records(*_spin_kraus(n, m))[0]
+    return _channel_records(_spin_kraus(n, m))[0]
 
 
-def _spin_kraus(n: SpinDirection, m: SpinDirection) -> tuple:
-    """(kraus, unital): the operators of local_spin_channel(n, m) as a
-    Kraus stack (1, 4, 4, 4), checked by _check_kraus, and its unital
-    flag (1,)."""
+def _spin_kraus(n: SpinDirection, m: SpinDirection) -> np.ndarray:
+    """The operators of local_spin_channel(n, m) as a Kraus stack
+    (1, 4, 4, 4), checked by _check_kraus."""
     a, b = np.array(n.projectors()), np.array(m.projectors())
     # ops[2i + j] = np.kron(a[i], b[j]) for all four at once: the same
     # products of entries, broadcast to axes (i, j, row of a, row of b,
     # column of a, column of b)
     ops = a[:, None, :, None, :, None] * b[None, :, None, :, None, :]
-    kraus = ops.reshape(1, 4, 4, 4)
-    return kraus, _check_kraus(kraus)
+    return _check_kraus(ops.reshape(1, 4, 4, 4))

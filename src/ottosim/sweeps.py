@@ -157,7 +157,7 @@ def _sweep(meta, Bi, Bf, beta_c, axes, kind, strokes) -> SweepTable:
     strokes(points) gives the stroke 3 of a group of points of the
     outer axes, an array (points, outer axes), in one call: the hot bath
     of every point, a BathSpec, or one measurement per point as a Kraus
-    stack (points, r, d, d) that channels._check_kraus passed. The kernel
+    stack (points, r, d, d), checked by channels._check_kraus. The kernel
     runs each point's rows as one block under its measurement, in one
     call or, for a swept axis longer than _SWEEP_ROWS, in several.
     """
@@ -241,7 +241,7 @@ def _fixed_angle_sweep(command, Bi, Bf, beta_c, angles: Su3Angles,
     named = dict(zip(angles._fields, angles._values()))
     return _sweep({"command": command, **named}, Bi, Bf, beta_c,
                   [("J", "j", j_range)], SubstanceKind.QUTRIT,
-                  lambda points: _su3_kraus(*named.values())[0])
+                  lambda points: _su3_kraus(*named.values()))
 
 
 def _choice(name, value, choices):
@@ -271,7 +271,7 @@ def sweep_qutrit_contour(Bi: float, Bf: float, beta_c: float, mode: str,
                   SubstanceKind.QUTRIT,
                   lambda points: _su3_kraus(
                       points[:, 0], points[:, 0],
-                      points[:, 0] if tie_chi else half_pi, half_pi)[0])
+                      points[:, 0] if tie_chi else half_pi, half_pi))
 
 
 EXTREME_ANGLES = Su3Angles(theta=0.75 * np.pi, phi=0.75 * np.pi,
@@ -318,7 +318,7 @@ def sweep_xxz(model: str, protocol: str, Bi: float, Bf: float, beta_c: float,
         _require("n", n, SpinDirection)
         _require("m", m, SpinDirection)
         # built in _sweep, once the table is allocated
-        proto = lambda points: _spin_kraus(n, m)[0]
+        proto = lambda points: _spin_kraus(n, m)
         meta["n"] = f"{n.nx},{n.ny},{n.nz}"
         meta["m"] = f"{m.nx},{m.ny},{m.nz}"
     swept = "Jxy" if model == "xx" else "Jz"
@@ -333,23 +333,6 @@ def format_value(v) -> str:
     return ("%d" if issubclass(type(v), (int, np.integer)) else "%.17g") % (v,)
 
 
-def _realpaths(paths) -> list:
-    """os.path.realpath of each path, walking each directory the paths
-    name once: a last part that is no symlink, ".", ".." or empty lies in
-    its directory's real path, a symlink is resolved from there."""
-    dirs, real = {}, []
-    for path in paths:
-        head, name = os.path.split(path)
-        if name in ("", ".", ".."):
-            real.append(os.path.realpath(path))
-            continue
-        if head not in dirs:
-            dirs[head] = os.path.realpath(head)
-        path = os.path.join(dirs[head], name)
-        real.append(os.path.realpath(path) if os.path.islink(path) else path)
-    return real
-
-
 @contextlib.contextmanager
 def _replacing(*paths):
     """Binary files that replace paths only once all are written and closed.
@@ -361,7 +344,7 @@ def _replacing(*paths):
     OSError from creating one names its target, not the temp. If anything
     fails first, every temp is removed and no target changes.
     """
-    paths = _realpaths(paths)
+    paths = [os.path.realpath(path) for path in paths]
     for path in paths:
         try:
             mode = os.stat(path).st_mode

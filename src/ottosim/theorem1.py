@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from ._record import Record
-from .channels import (KrausChannel, _apply_kraus, _check_trace_preserving,
+from .channels import (KrausChannel, _apply_kraus, _check_kraus,
                        _damping_operators, kraus_channel)
 from .core import (_dagger, _densities, _eigensystems, _empty, _energies,
                    _finite, _hermitian_part, _integer, _probabilities,
@@ -432,7 +432,7 @@ def _passive_energy_changes(h, vecs, pops, kraus, ends):
     trace-preservation check.
     """
     rho = _densities(_finite((vecs * pops[:, None, :]) @ _dagger(vecs)))
-    _check_trace_preserving(_finite(kraus))
+    _check_kraus(kraus)
     post = _densities(_finite(_apply_kraus(kraus, rho, ends)))
     return _energies(post, h) - _energies(rho, h)
 

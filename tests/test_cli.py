@@ -401,23 +401,6 @@ def test_meta_onto_a_directory_keeps_the_earlier_csv(tmp_path, capsys):
     assert not any((tmp_path / "o.csv.meta").iterdir())
 
 
-def test_realpaths_are_os_path_realpath(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "d").mkdir()
-    (tmp_path / "f").write_bytes(b"")
-    os.symlink("../f", tmp_path / "d" / "to_f")
-    os.symlink("d", tmp_path / "to_d")
-    os.symlink("missing", tmp_path / "dangling")
-    os.symlink("loop_b", tmp_path / "loop_a")
-    os.symlink("loop_a", tmp_path / "loop_b")
-    paths = ["d/", "d/.", "d/..", ".", "..", "//", "/", "", "f", "d/to_f",
-             "to_d/to_f", "to_d/", "to_d/..", "dangling", "d/../dangling",
-             "loop_a", "to_d/loop_b", "absent/x.csv",
-             str(tmp_path / "to_d" / "to_f"), str(tmp_path / "loop_b")]
-    want = [os.path.realpath(p) for p in paths]
-    assert o.sweeps._realpaths(paths) == want
-
-
 def test_symlink_output_keeps_its_link_and_fills_its_target(tmp_path):
     args = ["qutrit-meas", "--j-steps", "2", "--out"]
     assert main(args + [str(tmp_path / "plain.csv")]) == 0

@@ -386,7 +386,7 @@ def test_kernel_blocks_hold_the_bits_of_their_own_calls():
     js = [[-0.5, 0.4, 1.7, 3.5], [0.0, 1.0, 2.0, 3.0], [2.9, 0.1, 1.3, 2.2]]
     kind, couplings = _qutrit_blocks(js)
     cold = o.BathSpec(0.8)
-    kraus = _su3_kraus(0.3 * np.arange(3), 0.7, 1.1 * np.arange(3), 0.2)[0]
+    kraus = _su3_kraus(0.3 * np.arange(3), 0.7, 1.1 * np.arange(3), 0.2)
     # the kernel leaves warnings to its callers
     whole = _run_cycles(kind, couplings, 3.0, 4.0, cold, kraus)
     parts = [_run_cycles(kind, couplings[4 * b:4 * b + 4], 3.0, 4.0, cold,
@@ -400,7 +400,7 @@ def test_kernel_blocks_hold_the_bits_of_their_own_calls():
 def test_kernel_checks_every_block():
     kind, couplings = _qutrit_blocks([[0.5, 1.0]] * 3)
     args = (kind, couplings, 3.0, 4.0, o.BathSpec(1.0))
-    kraus = _su3_kraus(0.7 * PI, 0.7 * PI, 0.5 * PI, 0.5 * PI)[0]
+    kraus = _su3_kraus(0.7 * PI, 0.7 * PI, 0.5 * PI, 0.5 * PI)
     good = o.Measurement(su3(0.7 * PI, 0.7 * PI, 0.5 * PI, 0.5 * PI))
     # stroke 3 is a hot bath or a Kraus stack, not records or lists
     for stroke in ("two-bath", good, [good] * 3, o.TwoBath(o.BathSpec(0.5)),
@@ -429,10 +429,10 @@ def test_a_checked_stack_drives_the_kernel_as_its_records_do():
     js = [[-0.5, 0.4, 1.7, 3.5], [0.0, 1.0, 2.0, 3.0], [2.9, 0.1, 1.3, 2.2]]
     angles = (0.3 * np.arange(3), 0.7, 1.1 * np.arange(3), 0.2)
     cases = [([[o.SubstanceSpec.qutrit(J) for J in block] for block in js],
-              _su3_kraus(*angles)[0], o.su3_projective_channels(*angles))]
+              _su3_kraus(*angles), o.su3_projective_channels(*angles))]
     n, m = o.SpinDirection(0.6, 0.0, 0.8), o.SpinDirection.y()
     cases.append(([[o.SubstanceSpec.xxz(0.3, J) for J in (-1.0, 0.2, 1.5)]],
-                  _spin_kraus(n, m)[0], [o.local_spin_channel(n, m)]))
+                  _spin_kraus(n, m), [o.local_spin_channel(n, m)]))
     for blocks, kraus, built in cases:
         specs = [spec for block in blocks for spec in block]
         kind = _KINDS[specs[0].kind]

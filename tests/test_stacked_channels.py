@@ -181,7 +181,95 @@ def test_unital_flags_are_per_channel():
     su3 = np.array(o.su3_projective_channel(o.EXTREME_ANGLES).operators)
     damping = channels._damping_operators(3, 0.4, 0)
     stack = np.array([su3, damping, su3])
-    built = channels._channel_records(stack, channels._check_kraus(stack))
+    built = channels._channel_records(channels._check_kraus(stack))
     assert [ch.unital for ch in built] == [True, False, True]
     assert [ch.unital for ch in built] == [
         o.kraus_channel(ops).unital for ops in (su3, damping, su3)]
+
+
+@pytest.fixture
+def no_unital_flag(monkeypatch):
+    """Fail the test if channels forms K K^dag: the adjoint of the
+    operators side by side, K of shape (d, r d), is the one wide matrix
+    channels takes the adjoint of."""
+    dagger = channels._dagger
+
+    def spy(m):
+        if m.shape[-1] > m.shape[-2]:
+            raise AssertionError("a unital flag was computed")
+        return dagger(m)
+
+    monkeypatch.setattr(channels, "_dagger", spy)
+
+
+def test_the_spy_sees_the_unital_product(no_unital_flag):
+    with pytest.raises(AssertionError, match="unital flag"):
+        o.su3_projective_channel(o.EXTREME_ANGLES)
+    with pytest.raises(AssertionError, match="unital flag"):
+        o.local_spin_channel(o.SpinDirection.x(), o.SpinDirection.z())
+
+
+MEASUREMENT_SWEEPS = {
+    "qutrit-meas": lambda: o.sweep_qutrit_measurement(
+        3.0, 4.0, 1.0, o.Su3Angles(2.2, 2.2, 1.6, 1.6),
+        o.SweepRange(0.0, 3.0, 4)),
+    "qutrit-extreme": lambda: o.sweep_qutrit_extreme(
+        3.0, 4.0, 1.0, o.SweepRange(0.1, 2.9, 4)),
+    "qutrit-contour theta-phi": lambda: o.sweep_qutrit_contour(
+        3.0, 4.0, 1.0, "theta-phi", o.SweepRange(0.0, np.pi, 3),
+        o.SweepRange(0.2, 2.8, 3)),
+    "qutrit-contour theta-phi-chi": lambda: o.sweep_qutrit_contour(
+        3.0, 4.0, 1.0, "theta-phi-chi", o.SweepRange(0.0, np.pi, 3),
+        o.SweepRange(0.2, 2.8, 3)),
+    "xxz meas": lambda: o.sweep_xxz(
+        "xx", "meas", 3.0, 4.0, 1.0, o.SweepRange(0.05, 2.0, 4),
+        n=o.SpinDirection.x(), m=o.SpinDirection.z()),
+}
+
+
+@pytest.mark.parametrize("name", MEASUREMENT_SWEEPS)
+def test_no_measurement_sweep_computes_a_unital_flag(no_unital_flag, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", o.MeasurementCoolsWarning)
+        table = MEASUREMENT_SWEEPS[name]()
+    assert len(table.rows) in (4, 9)
+
+
+@pytest.mark.parametrize("args", [
+    ["qutrit-meas", "--j-steps", "4"],
+    ["qutrit-extreme", "--j-steps", "4"],
+    ["qutrit-contour", "--mode", "theta-phi", "--theta-steps", "3",
+     "--j-steps", "3"],
+    ["qutrit-contour", "--mode", "theta-phi-chi", "--theta-steps", "3",
+     "--j-steps", "3"],
+    ["xxz", "--protocol", "meas", "--j-steps", "4"],
+], ids=lambda args: " ".join(args[:3]))
+def test_no_measurement_command_computes_a_unital_flag(no_unital_flag,
+                                                       tmp_path, args):
+    from ottosim.cli import main
+    assert main(args + ["--out", str(tmp_path / "o.csv")]) == 0
+    assert (tmp_path / "o.csv").read_bytes().count(b"\n") in (5, 10)
+
+
+def test_every_public_builder_flags_its_records_as_before():
+    su3 = o.su3_projective_channel(o.EXTREME_ANGLES)
+    damping = channels._damping_operators(3, 0.4, 0)
+    n, m = o.SpinDirection(0.6, 0.0, 0.8), o.SpinDirection.y()
+    built = {
+        "kraus_channel unital": (o.kraus_channel(su3.operators), True),
+        "kraus_channel damping": (o.kraus_channel(damping), False),
+        "su3_projective_channel": (su3, True),
+        "local_spin_channel": (o.local_spin_channel(n, m), True),
+        "projective_channel": (o.projective_channel(np.eye(4)), True),
+        "damping_channel": (o.damping_channel(3, 0.4), False),
+        "damping_channel identity": (o.damping_channel(3, 0.0), True),
+        "random_unital_channel": (o.random_unital_channel(4, 7, 3), True),
+    }
+    built.update({
+        f"su3_projective_channels {k}": (ch, True)
+        for k, ch in enumerate(o.su3_projective_channels(
+            0.3 * np.arange(3), 0.7, 1.1 * np.arange(3), 0.2))})
+    for name, (ch, unital) in built.items():
+        product = sum(m @ m.conj().T for m in ch.operators)
+        defect = float(np.max(np.abs(product - np.eye(ch.dim))))
+        assert ch.unital is unital is (defect <= o.TOL.channel), name
